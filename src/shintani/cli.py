@@ -306,17 +306,14 @@ def cmd_verify(config, which, deltas, ds):
         kw = {"hecke_tol": config.tolerance, "lvalue_tol": config.tolerance,
               "class_number_tol": config.tolerance,
               "square_trace_tol": config.tolerance}
+    steps = cmtraces.identity_steps(ds, config.prec, **kw)
+    if which != "all":
+        steps = {which: steps[which]}
     # one worker per delta; collection order is the submission order, so
     # the emitted report is byte-identical for any thread count
-    chunks = parallel_map(lambda d: cmtraces.identity_suite([d], ds, config.prec, **kw),
+    chunks = parallel_map(lambda d: [r for step in steps.values() for r in step(d)],
                           deltas, config.threads)
     reports = [r for chunk in chunks for r in chunk]
-    wanted = {"hecke": ("hecke",),
-              "square-lvalue": ("square-lvalue", "sigma-sum"),
-              "class-number": ("class-number-L0", "class-number-L1"),
-              "square-trace": ("square-trace",)}.get(which)
-    if wanted:
-        reports = [r for r in reports if r.identity_id in wanted]
     emit_report([r.to_json() for r in reports], config.fmt)
     if any(not r.passed for r in reports):
         sys.exit(1)

@@ -20,7 +20,7 @@ import mpmath
 from mpmath import mp, mpf, mpc
 
 from .specfun import (DEFAULT_PRECISION, dirichlet_L, dirichlet_L_exact_nonpositive,
-                      is_fundamental_discriminant, _workdps)
+                      is_fundamental_discriminant, _coerce, _workdps)
 from .qforms import (class_reps, genus_char, stabilizer_order,
                      hurwitz_class_number, _isqrt)
 from .hyperbolic import cm_point
@@ -129,11 +129,63 @@ def f_series(delta, D_max, order=128, prec=DEFAULT_PRECISION):
 # identity suite
 # ---------------------------------------------------------------------------
 
-def _report(identity_id, params, target, computed, t0, tol):
-    err = float(abs(mpmath.mpmathify(computed) - mpmath.mpmathify(target)))
-    return IdentityReport(identity_id, params, float(target),
-                          float(mpmath.re(mpmath.mpmathify(computed))),
-                          err, int((time.time() - t0) * 1000), tol)
+def _check(identity_id, params, target, compute, prec, tol):
+    """Time compute() at prec's working precision and report it against
+    the target; the error is taken at the caller's precision."""
+    t0 = time.time()
+    with _workdps(prec):
+        computed = compute()
+    computed, target = mpmath.mpmathify(computed), float(target)
+    return IdentityReport(identity_id, params, target, float(mpmath.re(computed)),
+                          float(abs(computed - target)), int((time.time() - t0) * 1000), tol)
+
+
+def identity_steps(D_list=(3, 4), prec=DEFAULT_PRECISION, hecke_tol=1e-5,
+                   lvalue_tol=1e-5, class_number_tol=1e-10, square_trace_tol=1e-10,
+                   square_trace_Dmax=25):
+    """The identities of identity_suite in report order, as {name: step}.
+
+    step(delta) runs one identity for one delta and returns its reports;
+    a delta that is not a negative fundamental discriminant gets none.
+    """
+    G = e2_star_data(64, prec)
+    ev = lambda z: e2_star_modular(z, 64, prec)
+
+    def class_number(delta, H):
+        # Dirichlet class number formula, both evaluation routes
+        L0 = lambda: Fraction(dirichlet_L_exact_nonpositive(delta, 0))
+        L1 = lambda: mpmath.sqrt(-delta) * dirichlet_L(delta, 1, prec).value / mpmath.pi
+        return [_check("class-number-L0", {"delta": delta}, H, L0, prec, class_number_tol),
+                _check("class-number-L1", {"delta": delta}, H, L1, prec, class_number_tol)]
+
+    def square_lvalue(delta, H):
+        # square-discriminant L-value = H(|delta|)^2, plus the sigma cross-check
+        L = lambda: (cycles.l_star_value(G, delta, 0, prec=prec, evaluator=ev)[0]
+                     / (12 * mpmath.sqrt(-delta)))
+        sig = lambda: cycles.sigma_exp_sum(delta, prec)
+        return [_check("square-lvalue", {"delta": delta}, H * H, L, prec, lvalue_tol),
+                _check("sigma-sum", {"delta": delta}, H * H, sig, prec, lvalue_tol)]
+
+    def hecke(delta, H):
+        # Hecke / Eisenstein trace identity over the D grid
+        tr = lambda D: cycles.trace_cycle(G, delta, D, 0, prec=prec, evaluator=ev)[0]
+        return [_check("hecke", {"delta": delta, "D": D}, 12 * H * hurwitz_class_number(D),
+                       lambda: tr(D), prec, hecke_tol)
+                for D in D_list if -D % 4 in (0, 1)]
+
+    def square_trace(delta, H):
+        # square-trace dichotomy: tr+(1, D)/sqrt|D| = H(|delta|) iff |D| square
+        tr = lambda aD: _coerce(trace_cm(1, delta, -aD, prec).value) / mpmath.sqrt(aD)
+        return [_check("square-trace", {"delta": delta, "D": -aD},
+                       H if _isqrt(aD) ** 2 == aD else 0, lambda: tr(aD), prec, square_trace_tol)
+                for aD in range(1, square_trace_Dmax + 1) if _admissible_cm(delta, -aD)]
+
+    def step(rows):
+        return lambda delta: (rows(delta, hurwitz_class_number(-delta))
+                              if delta < 0 and is_fundamental_discriminant(delta) else [])
+
+    return {"class-number": step(class_number), "square-lvalue": step(square_lvalue),
+            "hecke": step(hecke), "square-trace": step(square_trace)}
 
 
 def identity_suite(delta_list=(-3, -4), D_list=(3, 4), prec=DEFAULT_PRECISION,
@@ -143,67 +195,6 @@ def identity_suite(delta_list=(-3, -4), D_list=(3, 4), prec=DEFAULT_PRECISION,
 
     Individual failures are recorded in the reports, never raised.
     """
-    reports = []
-    G = e2_star_data(64, prec)
-    ev = lambda z: e2_star_modular(z, 64, prec)
-    for delta in delta_list:
-        if delta >= 0 or not is_fundamental_discriminant(delta):
-            continue
-        q = abs(delta)
-        H_del = hurwitz_class_number(q)
-
-        # Dirichlet class number formula, both evaluation routes
-        t0 = time.time()
-        L0 = dirichlet_L_exact_nonpositive(delta, 0)
-        reports.append(_report("class-number-L0", {"delta": delta},
-                               float(H_del), Fraction(L0), t0, class_number_tol))
-        t0 = time.time()
-        with _workdps(prec):
-            L1 = dirichlet_L(delta, 1, prec).value
-            v = mpmath.sqrt(q) * L1 / mpmath.pi
-        reports.append(_report("class-number-L1", {"delta": delta},
-                               float(H_del), v, t0, class_number_tol))
-
-        # square-discriminant L-value = H(|delta|)^2, plus the sigma cross-check
-        t0 = time.time()
-        L, _ = cycles.l_star_value(G, delta, 0, prec=prec, evaluator=ev)
-        with _workdps(prec):
-            lv = L / (12 * mpmath.sqrt(q))
-        reports.append(_report("square-lvalue", {"delta": delta},
-                               float(H_del * H_del), lv, t0, lvalue_tol))
-        t0 = time.time()
-        sig = cycles.sigma_exp_sum(delta, prec)
-        reports.append(_report("sigma-sum", {"delta": delta},
-                               float(H_del * H_del), sig, t0, lvalue_tol))
-
-        # Hecke / Eisenstein trace identity over the D grid
-        for D in D_list:
-            sD = -D
-            if sD % 4 not in (0, 1):
-                continue
-            t0 = time.time()
-            tr, _ = cycles.trace_cycle(G, delta, D, 0, prec=prec, evaluator=ev)
-            target = 12 * H_del * hurwitz_class_number(D)
-            reports.append(_report("hecke", {"delta": delta, "D": D},
-                                   float(target), tr, t0, hecke_tol))
-
-        # square-trace dichotomy: tr+(1, D)/sqrt|D| = H(|delta|) iff |D| square
-        for aD in range(1, square_trace_Dmax + 1):
-            if not _admissible_cm(delta, -aD):
-                continue
-            t0 = time.time()
-            tr = trace_cm(1, delta, -aD, prec)
-            root = _isqrt(aD)
-            is_sq = root * root == aD
-            target = H_del if is_sq else Fraction(0)
-            with _workdps(prec):
-                v = _coerce_frac(tr.value) / mpmath.sqrt(aD)
-            reports.append(_report("square-trace", {"delta": delta, "D": -aD},
-                                   float(target), v, t0, square_trace_tol))
-    return reports
-
-
-def _coerce_frac(v):
-    if isinstance(v, Fraction):
-        return mpf(v.numerator) / v.denominator
-    return v
+    steps = identity_steps(D_list, prec, hecke_tol, lvalue_tol, class_number_tol,
+                           square_trace_tol, square_trace_Dmax)
+    return [r for delta in delta_list for step in steps.values() for r in step(delta)]

@@ -39,12 +39,12 @@ import mpmath
 from mpmath import mp, mpf, mpc
 
 from .specfun import (DEFAULT_PRECISION, gamma_upper, e_kappa,
-                      kronecker_symbol, bernoulli_poly_eval, _workdps)
+                      kronecker_symbol, bernoulli_poly_eval, _coerce, _workdps)
 from .qforms import (class_reps, automorph_generator, genus_char,
                      square_normalize, _isqrt, _xgcd)
 from .quadrature import gauss_legendre, integrate_gl, integrate_gl_doubling
 from .hyperbolic import apply_moebius
-from .forms import HarmonicFourierData, eval_harmonic, xi_symbolic, _coerce
+from .forms import HarmonicFourierData, eval_harmonic, eval_modular, xi_symbolic
 
 
 @dataclass(frozen=True)
@@ -157,7 +157,7 @@ def _ray_counterterms(G, k, r, T, prec):
     """The T-dependent subtraction making the ray integral convergent."""
     with _workdps(prec):
         Tm = mpf(T)
-        rr = _frac_to_mpf(r)
+        rr = _coerce(r)
         e = lambda n: mpmath.e ** (2j * mpmath.pi * n * rr)
         acc = mpc(0)
         ap0 = _coerce(G.a_plus.get(0, 0))
@@ -189,12 +189,6 @@ def _ray_counterterms(G, k, r, T, prec):
         return acc
 
 
-def _frac_to_mpf(r):
-    if isinstance(r, Fraction):
-        return mpf(r.numerator) / r.denominator
-    return mpf(r)
-
-
 def reg_cycle_integral(G, Q, k=0, T=2, c_plus=1, prec=DEFAULT_PRECISION,
                        evaluator=None, nodes=64, tol=1e-22):
     """Regularized cycle integral of G along the infinite geodesic of Q.
@@ -213,11 +207,11 @@ def reg_cycle_integral(G, Q, k=0, T=2, c_plus=1, prec=DEFAULT_PRECISION,
     with _workdps(prec):
         G_fun = evaluator if evaluator is not None else (lambda z: eval_harmonic(G, z, prec))
         c_minus = Fraction(1, 1) / (Fraction(c_plus) * q * q)
-        quad_p, err_p, n_p = _ray_quadrature(G_fun, _frac_to_mpf(r_plus),
-                                             _frac_to_mpf(Fraction(c_plus)), mpf(T),
+        quad_p, err_p, n_p = _ray_quadrature(G_fun, _coerce(r_plus),
+                                             _coerce(c_plus), mpf(T),
                                              k, tol, nodes)
-        quad_m, err_m, n_m = _ray_quadrature(G_fun, _frac_to_mpf(r_minus),
-                                             _frac_to_mpf(c_minus), mpf(T),
+        quad_m, err_m, n_m = _ray_quadrature(G_fun, _coerce(r_minus),
+                                             _coerce(c_minus), mpf(T),
                                              k, tol, nodes)
         S_plus = quad_p + _ray_counterterms(G, k, r_plus, T, prec)
         S_minus = quad_m + _ray_counterterms(G, k, r_minus, T, prec)
@@ -236,17 +230,14 @@ def reg_cycle_integral(G, Q, k=0, T=2, c_plus=1, prec=DEFAULT_PRECISION,
 def _alt_ray(G, xiG, G_fun, k, r, c0, T, prec, nodes, tol):
     with _workdps(prec):
         Tm = mpf(T)
-        rr = _frac_to_mpf(r)
-        quad, err, _ = _ray_quadrature(G_fun, rr, _frac_to_mpf(c0), Tm, k, tol, nodes)
+        rr = _coerce(r)
+        quad, err, _ = _ray_quadrature(G_fun, rr, _coerce(c0), Tm, k, tol, nodes)
         am0 = _coerce(G.a_minus.get(0, 0))
         sgn = mpf(-1) ** k
-
-        def xg(z):
-            acc = mpc(0)
-            for n, c in xiG.coeffs.items():
-                if n != 0 and c != 0:
-                    acc += _coerce(c) * mpmath.e ** (2j * mpmath.pi * n * z)
-            return acc
+        # xi G without its constant term, as holomorphic Fourier data
+        xi_data = HarmonicFourierData(xiG.weight, {n: c for n, c in xiG.coeffs.items() if n},
+                                      {}, xiG.order)
+        xg = lambda z: eval_harmonic(xi_data, z, prec)
 
         # G against B_{k+1} along the period at height T
         fB = lambda x: (G_fun(rr + x + 1j * Tm) - am0 * Tm ** (-1 - 2 * k)) \
@@ -394,14 +385,6 @@ def lemma_integral_checks(k_max=4, n_max=3, ys=(0.5, 1, 2), prec=DEFAULT_PRECISI
 # traces and L-values
 # ---------------------------------------------------------------------------
 
-def eval_harmonic_modular(G, z, prec=DEFAULT_PRECISION):
-    """Evaluate genuinely modular Fourier data through the fundamental domain."""
-    from .hyperbolic import reduce_to_fundamental, moebius_j
-    zstar, gamma = reduce_to_fundamental(z)
-    val = eval_harmonic(G, zstar, prec)
-    return val * moebius_j(gamma, z) ** (-G.kappa)
-
-
 def trace_cycle(G, delta, D, k=0, prec=DEFAULT_PRECISION, T=2, c_plus=1,
                 nodes=128, evaluator=None):
     """tr_delta(G, D) = sum over classes of disc |delta| D of
@@ -418,7 +401,7 @@ def trace_cycle(G, delta, D, k=0, prec=DEFAULT_PRECISION, T=2, c_plus=1,
     disc = abs(delta) * D
     square = _isqrt(disc) ** 2 == disc
     if evaluator is None:
-        evaluator = lambda z: eval_harmonic_modular(G, z, prec)
+        evaluator = lambda z: eval_modular(G, z, prec)[0]
     with _workdps(prec):
         acc = mpc(0)
         qerr = 0.0
@@ -486,7 +469,7 @@ def complementary_trace(F_xi, delta, d, k=0, prec=DEFAULT_PRECISION):
                 if n >= 0 or not c:
                     continue
                 acc += _coerce(c) * (4 * mpmath.pi * n) ** k \
-                    * mpmath.e ** (2j * mpmath.pi * n * _frac_to_mpf(r))
+                    * mpmath.e ** (2j * mpmath.pi * n * _coerce(r))
         return acc
 
 

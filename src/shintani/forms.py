@@ -16,17 +16,22 @@ xi_kappa acts on the data by
                  - sum_{n} (4 pi n)^(1-kappa) conj(a-(-n)) e(nz),
 
 a weight 2-kappa q-series.
+
+All of them are evaluated by one summation routine, _series, over
+coefficient tables coerced once per object and precision; it stops where
+the terms left fall 10 digits below the working precision.
 """
 
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 from mpmath import mp, mpf, mpc
 
-from .specfun import DEFAULT_PRECISION, e_kappa, _workdps
-from .qforms import hurwitz_class_number, divisor_sigma1
+from .specfun import DEFAULT_PRECISION, e_kappa, _coerce, _workdps
+from .qforms import hurwitz_class_number, divisor_sigma1, _divisors
 from . import hyperbolic
 
 
@@ -53,10 +58,6 @@ class QExpansion:
             return mpmath.nstr(v, 17)
         return {"weight": self.weight, "n_min": self.n_min, "order": self.order,
                 "coeffs": {str(n): enc(v) for n, v in sorted(self.coeffs.items())}}
-
-
-def _sigma(n, k):
-    return sum(d ** k for d in range(1, n + 1) if n % d == 0)
 
 
 def _series_mul(A, B, order):
@@ -89,8 +90,8 @@ def build_standard_forms(order=64):
     """E4, E6, the cusp form Delta, j and J = j - 744 to the given order."""
     if order < 2:
         raise ValueError("order must be >= 2")
-    e4 = [1] + [240 * _sigma(n, 3) for n in range(1, order + 1)]
-    e6 = [1] + [-504 * _sigma(n, 5) for n in range(1, order + 1)]
+    e4 = [1] + [240 * sum(d ** 3 for d in _divisors(n)) for n in range(1, order + 1)]
+    e6 = [1] + [-504 * sum(d ** 5 for d in _divisors(n)) for n in range(1, order + 1)]
     e4_3 = _series_mul(_series_mul(e4, e4, order), e4, order)
     e6_2 = _series_mul(e6, e6, order)
     delta_full = [(x - y) for x, y in zip(e4_3, e6_2)]
@@ -111,59 +112,6 @@ def build_standard_forms(order=64):
     return forms
 
 
-class TailBoundError(ArithmeticError):
-    pass
-
-
-def eval_qexp(f, z, prec=DEFAULT_PRECISION):
-    """Evaluate sum c_n e(nz); returns (value, tail_bound).
-
-    The tail bound is geometric from the largest recent coefficient; an
-    unusable bound (q too large for a series with a principal part)
-    raises TailBoundError suggesting fundamental-domain reduction.
-    """
-    with _workdps(prec):
-        z = mpc(z)
-        if z.imag <= 0:
-            raise ValueError("z must lie in the upper half-plane")
-        q = mpmath.e ** (2j * mpmath.pi * z)
-        absq = abs(q)
-        acc = mpc(0)
-        for n, cn in f.coeffs.items():
-            if cn == 0:
-                continue
-            acc += _coerce(cn) * q ** n
-        top = max((abs(_coerce(c)) for n, c in f.coeffs.items()
-                   if n >= f.order - 5 and c != 0), default=mpf(0))
-        # allow coefficient growth up to a factor 2 per index past the order
-        ratio = 2 * absq
-        if ratio >= 1:
-            raise TailBoundError(
-                "q-series tail does not converge at this height; "
-                "reduce to the fundamental domain first")
-        tail = top * 2 * absq ** (f.order + 1) / (1 - ratio)
-        return acc, float(tail)
-
-
-def _coerce(c):
-    if isinstance(c, Fraction):
-        return mpf(c.numerator) / c.denominator
-    if isinstance(c, complex):
-        return mpc(c)
-    if isinstance(c, int):
-        return mpf(c)
-    return c
-
-
-def eval_modular(f, z, prec=DEFAULT_PRECISION):
-    """Evaluate a genuinely modular q-series after moving z into F."""
-    zstar, gamma = hyperbolic.reduce_to_fundamental(z)
-    val, tail = eval_qexp(f, zstar, prec)
-    if f.weight:
-        val = val * hyperbolic.moebius_j(gamma, z) ** (-f.weight)
-    return val, tail
-
-
 # ---------------------------------------------------------------------------
 # harmonic Fourier data
 # ---------------------------------------------------------------------------
@@ -181,29 +129,102 @@ class HarmonicFourierData:
                           self.order, n_min=min(self.a_plus, default=0))
 
 
-def eval_harmonic(G, z, prec=DEFAULT_PRECISION):
-    """G+(z) + G-(z) from the Fourier data, E_kappa-based."""
+# ---------------------------------------------------------------------------
+# evaluation: every q-series and Fourier-data value goes through _series
+# ---------------------------------------------------------------------------
+
+class TailBoundError(ArithmeticError):
+    pass
+
+
+def _table(f, name):
+    """The nonzero coefficients of f.<name> in ascending index, coerced once
+    per object and working precision: (indices, values, float magnitudes)."""
+    tables = vars(f).setdefault("_tables", {})    # instance dict: the classes are frozen
+    key = (name, mp.prec)
+    if key not in tables:
+        coeffs = getattr(f, name)
+        ns = sorted(n for n, c in coeffs.items() if c)
+        cs = [_coerce(coeffs[n]) for n in ns]
+        tables[key] = (ns, cs, [float(abs(c)) for c in cs])
+    return tables[key]
+
+
+def _series(f, z):
+    """sum c_n q^n, q = e(z), over the holomorphic coefficients of f (a
+    QExpansion's coeffs or Fourier data's a_plus), at the working precision.
+
+    Terms are summed upward from the lowest index, stopping at the first
+    index past which the float sum of |c_n| |q|^n drops below
+    10^-(dps + 10); returns (value, that dropped sum, q).
+    """
+    ns, cs, mags = _table(f, "coeffs" if isinstance(f, QExpansion) else "a_plus")
+    q = mpmath.e ** (2j * mpmath.pi * z)
+    absq, cut = float(abs(q)), 10.0 ** -(mp.dps + 10)
+    keep, dropped = len(ns), 0.0
+    while keep and ns[keep - 1] > 0 and dropped + mags[keep - 1] * absq ** ns[keep - 1] < cut:
+        keep -= 1
+        dropped += mags[keep] * absq ** ns[keep]
+    acc, qn, m = mpc(0), mpc(1), 0
+    for n, c in zip(ns[:keep], cs):
+        while m < n:
+            qn, m = qn * q, m + 1
+        acc += c * (qn if n >= 0 else q ** n)
+    return acc, dropped, q
+
+
+def _evaluate(f, z, prec):
+    """(value, tail) of a QExpansion or HarmonicFourierData at z in H."""
     with _workdps(prec):
         z = mpc(z)
         y = z.imag
         if y <= 0:
             raise ValueError("z must lie in the upper half-plane")
-        e = lambda n: mpmath.e ** (2j * mpmath.pi * n * z)
-        acc = mpc(0)
-        for n, c in G.a_plus.items():
-            if c:
-                acc += _coerce(c) * e(n)
-        for n, c in G.a_minus.items():
-            if not c:
-                continue
-            if n == 0:
-                if G.kappa == 1:
-                    acc += _coerce(c) * mpmath.log(y)
-                else:
-                    acc += _coerce(c) * y ** (1 - G.kappa)
+        if isinstance(f, QExpansion):
+            # allow coefficient growth up to a factor 2 per index past the order
+            absq = math.exp(-2 * math.pi * float(y))
+            if 2 * absq >= 1:
+                raise TailBoundError(
+                    "q-series tail does not converge at this height; "
+                    "reduce to the fundamental domain first")
+            acc, dropped, _ = _series(f, z)
+            ns, _, mags = _table(f, "coeffs")
+            top = max((m for n, m in zip(ns, mags) if n >= f.order - 5), default=0.0)
+            return acc, top * 2 * absq ** (f.order + 1) / (1 - 2 * absq) + dropped
+        acc, dropped, q = _series(f, z)
+        for n, c in zip(*_table(f, "a_minus")[:2]):
+            if n:
+                acc += c * e_kappa(f.kappa, 4 * mpmath.pi * n * y, prec).value * q ** n
             else:
-                acc += _coerce(c) * e_kappa(G.kappa, 4 * mpmath.pi * n * y, prec).value * e(n)
-        return acc
+                acc += c * (mpmath.log(y) if f.kappa == 1 else y ** (1 - f.kappa))
+        return acc, dropped
+
+
+def eval_qexp(f, z, prec=DEFAULT_PRECISION):
+    """Evaluate sum c_n e(nz); returns (value, tail_bound).
+
+    The tail bound is geometric from the largest recent coefficient, plus
+    the terms below the order cut by height; an unusable bound (q too
+    large for a series with a principal part) raises TailBoundError
+    suggesting fundamental-domain reduction.
+    """
+    return _evaluate(f, z, prec)
+
+
+def eval_harmonic(G, z, prec=DEFAULT_PRECISION):
+    """G+(z) + G-(z) from the Fourier data, E_kappa-based."""
+    return _evaluate(G, z, prec)[0]
+
+
+def eval_modular(f, z, prec=DEFAULT_PRECISION):
+    """(value, tail) of a genuinely modular QExpansion or HarmonicFourierData,
+    evaluated after moving z into F."""
+    zstar, gamma = hyperbolic.reduce_to_fundamental(z)
+    val, tail = _evaluate(f, zstar, prec)
+    weight = f.weight if isinstance(f, QExpansion) else f.kappa
+    if weight:
+        val = val * hyperbolic.moebius_j(gamma, z) ** (-weight)
+    return val, tail
 
 
 def xi_symbolic(G, prec=DEFAULT_PRECISION):
@@ -232,8 +253,10 @@ def _conj(c):
 # Eisenstein objects
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def e2_star_data(order=64, prec=DEFAULT_PRECISION):
-    """Fourier data of the completed weight-2 Eisenstein series."""
+    """Fourier data of the completed weight-2 Eisenstein series (built once
+    per order and precision, and shared: do not mutate)."""
     a_plus = {0: 1}
     for n in range(1, order + 1):
         a_plus[n] = -24 * divisor_sigma1(n)
@@ -246,13 +269,9 @@ def e2_star(z, order=64, prec=DEFAULT_PRECISION):
     """E2*(z) = 1 - 24 sum sigma_1(n) q^n - 3/(pi y), directly."""
     with _workdps(prec):
         z = mpc(z)
-        q = mpmath.e ** (2j * mpmath.pi * z)
-        acc = mpc(1)
-        qn = mpc(1)
-        for n in range(1, order + 1):
-            qn *= q
-            acc -= 24 * divisor_sigma1(n) * qn
-        return acc - 3 / (mpmath.pi * z.imag)
+        # -3/(pi y) in two roundings, not the data's rounded a-(0) times 1/y:
+        # the Hecke and L-value residuals the CLI prints carry these bits
+        return _series(e2_star_data(order, prec), z)[0] - 3 / (mpmath.pi * z.imag)
 
 
 def e2_star_modular(z, order=64, prec=DEFAULT_PRECISION):

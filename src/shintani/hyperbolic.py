@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import mpmath
 from mpmath import mp, mpf, mpc
 
-from .qforms import QForm, mat_inv
+from .qforms import QForm, mat_inv, mat_mul
 
 
 def form_polynomials(Q, z):
@@ -125,18 +125,12 @@ def reduce_to_fundamental(z, max_steps=10000):
         if n:
             T = ((1, -n), (0, 1))
             z = z - n
-            g = _mat_mul(T, g)
+            g = mat_mul(T, g)
         r2 = abs(z) ** 2
         if r2 < 1 - eps or (r2 < 1 + eps and z.real > eps):
             # inside the unit circle, or on it with Re(z) > 0
             z = -1 / z
-            g = _mat_mul(S, g)
+            g = mat_mul(S, g)
             continue
         return z, g
     raise ArithmeticError("fundamental-domain reduction did not terminate")
-
-
-def _mat_mul(M, N):
-    (a, b), (c, d) = M
-    (e, f), (g, h) = N
-    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))

@@ -306,10 +306,16 @@ def cal_F(w, prec=DEFAULT_PRECISION):
 # zeta / polygamma / polynomials
 # ---------------------------------------------------------------------------
 
-def _to_mpf(x):
+def _coerce(x):
+    """Fraction -> p/q, int and float -> mpf, complex -> mpc; anything else
+    (mpf, mpc, ...) unchanged.  Rounds at the working precision."""
     if isinstance(x, Fraction):
         return mpf(x.numerator) / x.denominator
-    return mpf(x)
+    if isinstance(x, (int, float)):
+        return mpf(x)
+    if isinstance(x, complex):
+        return mpc(x)
+    return x
 
 
 def hurwitz_zeta(s, rho, prec=DEFAULT_PRECISION):
@@ -319,7 +325,7 @@ def hurwitz_zeta(s, rho, prec=DEFAULT_PRECISION):
     if not 0 < rho <= 1:
         raise ValueError("rho must lie in (0, 1]")
     with _workdps(prec):
-        val = mpmath.zeta(_to_mpf(s), _to_mpf(rho))
+        val = mpmath.zeta(_coerce(s), _coerce(rho))
         return SpecialValue(val, float(prec.eps * (abs(val) + 1)))
 
 

@@ -39,8 +39,9 @@ from mpmath import mp, mpf, mpc
 
 from .specfun import (DEFAULT_PRECISION, gamma_upper, is_fundamental_discriminant,
                       dirichlet_L, _workdps)
-from .qforms import QForm, genus_char, divisor_sigma1, _isqrt
+from .qforms import QForm, genus_char, _isqrt
 from .hyperbolic import form_polynomials
+from .forms import e2_star_data
 
 
 @dataclass(frozen=True)
@@ -279,12 +280,13 @@ def theta_truncated(ctx, z, by_D=False):
 # ---------------------------------------------------------------------------
 
 def _e2star_np(z, order=48):
+    a_plus = e2_star_data(order).a_plus
     out = np.full(z.shape, 1.0 + 0j)
     qq = np.exp(2j * np.pi * z)
     qn = np.ones_like(qq)
     for n in range(1, order + 1):
         qn = qn * qq
-        out -= 24 * divisor_sigma1(n) * qn
+        out += a_plus[n] * qn
     return out - 3 / (np.pi * z.imag)
 
 

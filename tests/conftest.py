@@ -1,5 +1,10 @@
 import pytest
 import mpmath
+from hypothesis import settings
+
+# deterministic, deadline-free property runs with a bounded example count
+settings.register_profile("shintani", derandomize=True, deadline=None, max_examples=25)
+settings.load_profile("shintani")
 
 
 def pytest_configure(config):

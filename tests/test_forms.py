@@ -1,15 +1,19 @@
 """q-expansions, the classical level-1 forms, the completed weight-2
 Eisenstein series, harmonic Fourier data and the xi-operator."""
 
+import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 import pytest
+from hypothesis import given, strategies as st
 from mpmath import mp, mpf, mpc
 
 from shintani import forms as fo
 from shintani.forms import HarmonicFourierData
+from shintani.specfun import Precision
 
 F = fo.build_standard_forms(64)
 
@@ -29,9 +33,10 @@ def test_j_coefficient_independent_route():
     assert F["j"].coeff(-1) == 1
     assert F["j"].coeff(1) == 196884
     order = 16
-    e6 = [1] + [-504 * fo._sigma(n, 5) for n in range(1, order + 1)]
+    sigma = lambda n, k: sum(d ** k for d in range(1, n + 1) if n % d == 0)
+    e6 = [1] + [-504 * sigma(n, 5) for n in range(1, order + 1)]
     e6_2 = fo._series_mul(e6, e6, order)
-    e4 = [1] + [240 * fo._sigma(n, 3) for n in range(1, order + 1)]
+    e4 = [1] + [240 * sigma(n, 3) for n in range(1, order + 1)]
     e4_3 = fo._series_mul(fo._series_mul(e4, e4, order), e4, order)
     delta = [(x - y) // 1728 for x, y in zip(e4_3, e6_2)][1:]
     inv = fo._series_inv(delta, order)
@@ -113,6 +118,21 @@ def test_e2_star_periodicity():
     assert abs(fo.e2_star(z + 1) - fo.e2_star(z)) < 1e-25
 
 
+def _e2_star_oracle(z):
+    # 1 - 24 sum sigma_1(n) q^n - 3/(pi y), sigma_1 by trial division, summed
+    # until the terms drop below 1e-45
+    with mp.workdps(50):
+        z = mpc(z)
+        q = mpmath.exp(2j * mpmath.pi * z)
+        acc, n = mpc(1), 0
+        while True:
+            n += 1
+            term = 24 * sum(d for d in range(1, n + 1) if n % d == 0) * q ** n
+            acc -= term
+            if abs(term) < mpf(10) ** -45:
+                return acc - 3 / (mpmath.pi * z.imag)
+
+
 def test_e2_star_data_matches_direct():
     rng = random.Random(8)
     G = fo.e2_star_data(48)
@@ -120,6 +140,37 @@ def test_e2_star_data_matches_direct():
     for _ in range(20):
         z = mpc(rng.uniform(-1, 1), rng.uniform(0.7, 2.5))
         assert abs(fo.e2_star(z, 48) - fo.eval_harmonic(G, z)) < 1e-12
+    # against the brute-force oracle, inside F and below it
+    inside = [mpc(rng.uniform(-0.5, 0.5), rng.uniform(1.0, 2.5)) for _ in range(10)]
+    below = [mpc(rng.uniform(-1, 1), rng.uniform(0.2, 0.8)) for _ in range(10)]
+    G64 = fo.e2_star_data(64)
+    for z in inside + below:
+        exact = _e2_star_oracle(z)
+        assert abs(fo.e2_star(z) - exact) <= 1e-25
+        assert abs(fo.e2_star_modular(z) - exact) <= 1e-25
+        assert abs(fo.eval_modular(G64, z)[0] - exact) <= 1e-25
+
+
+@lru_cache(maxsize=None)
+def _form(name, order):
+    # E2*'s holomorphic part to q^order, or J with coefficients up to q^order
+    if name == "E2*":
+        return fo.e2_star_data(order).holomorphic_expansion()
+    return fo.build_standard_forms(order + 1)["J"]
+
+
+@given(name=st.sampled_from(["E2*", "J"]), order=st.integers(16, 128),
+       x=st.floats(-0.5, 0.5), y=st.floats(math.sqrt(3) / 2, 4))
+def test_height_cut_within_reported_tail(name, order, x, y):
+    # 60 digits, so that rounding (|J| reaches e^(8 pi) here) stays far
+    # below the 1e-35 allowance and only the cut and the tail are measured
+    f = _form(name, order)
+    z = mpc(x, y)
+    value, tail = fo.eval_qexp(f, z, Precision(60))
+    with mp.workdps(90):
+        q = mpmath.exp(2j * mpmath.pi * z)
+        full = sum(mpmath.mpmathify(c) * q ** n for n, c in f.coeffs.items())
+        assert abs(value - full) <= tail + 1e-35
 
 
 def test_xi_e2_star():

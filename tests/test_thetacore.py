@@ -308,6 +308,16 @@ def test_lift_quadrature_acceptance_pairs():
         assert est <= 5e-2 * abs(target)
 
 
+def test_e2star_np_matches_multiprecision():
+    import numpy as np
+    from shintani.forms import e2_star
+    xs, ys = np.meshgrid(np.linspace(-0.5, 0.5, 9), np.linspace(0.8, 6.0, 9))
+    zs = (xs + 1j * ys).ravel()
+    got = th._e2star_np(zs, 48)
+    for zv, gv in zip(zs, got):
+        assert abs(gv - complex(e2_star(mpc(zv), 48))) <= 1e-12
+
+
 def test_lift_rejects_square_disc():
     with pytest.raises(NotImplementedError):
         th.lift_coefficient_quadrature(-3, 3)
