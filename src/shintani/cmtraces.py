@@ -24,7 +24,7 @@ from .specfun import (DEFAULT_PRECISION, dirichlet_L, dirichlet_L_exact_nonposit
 from .qforms import (class_reps, genus_char, stabilizer_order,
                      hurwitz_class_number, _isqrt)
 from .hyperbolic import cm_point
-from .forms import build_standard_forms, eval_modular, e2_star_data, e2_star_modular
+from .forms import build_standard_forms, eval_modular, e2_star_data
 from . import cycles
 
 
@@ -149,7 +149,6 @@ def identity_steps(D_list=(3, 4), prec=DEFAULT_PRECISION, hecke_tol=1e-5,
     a delta that is not a negative fundamental discriminant gets none.
     """
     G = e2_star_data(64, prec)
-    ev = lambda z: e2_star_modular(z, 64, prec)
 
     def class_number(delta, H):
         # Dirichlet class number formula, both evaluation routes
@@ -160,7 +159,7 @@ def identity_steps(D_list=(3, 4), prec=DEFAULT_PRECISION, hecke_tol=1e-5,
 
     def square_lvalue(delta, H):
         # square-discriminant L-value = H(|delta|)^2, plus the sigma cross-check
-        L = lambda: (cycles.l_star_value(G, delta, 0, prec=prec, evaluator=ev)[0]
+        L = lambda: (cycles.l_star_value(G, delta, 0, prec=prec)[0]
                      / (12 * mpmath.sqrt(-delta)))
         sig = lambda: cycles.sigma_exp_sum(delta, prec)
         return [_check("square-lvalue", {"delta": delta}, H * H, L, prec, lvalue_tol),
@@ -168,7 +167,7 @@ def identity_steps(D_list=(3, 4), prec=DEFAULT_PRECISION, hecke_tol=1e-5,
 
     def hecke(delta, H):
         # Hecke / Eisenstein trace identity over the D grid
-        tr = lambda D: cycles.trace_cycle(G, delta, D, 0, prec=prec, evaluator=ev)[0]
+        tr = lambda D: cycles.trace_cycle(G, delta, D, 0, prec=prec)[0]
         return [_check("hecke", {"delta": delta, "D": D}, 12 * H * hurwitz_class_number(D),
                        lambda: tr(D), prec, hecke_tol)
                 for D in D_list if -D % 4 in (0, 1)]

@@ -5,6 +5,16 @@ discriminant) by regularization, and the twisted traces built from them.
 Closed case (disc > 0 non-square).  The geodesic of Q is a semicircle; the
 stabilizer is generated by the fundamental automorph, and the cycle integral
 is int over one automorph period of G(z) Q(z,1)^k dz along the oriented arc.
+In hyperbolic arc length t the semicircle is
+
+    z(t) = center + radius (tanh t + i sech t),
+    dz/dt = -i radius sech t e^(i theta),
+
+theta being the polar angle, and the automorph translates t by the period
+2 log eps_Q.  Since G(z) Q(z,1)^k dz is invariant under the stabilizer, the
+integrand in t is periodic and real-analytic, so the equispaced trapezoid
+rule over one period converges geometrically (Trefethen and Weideman, SIAM
+Rev. 56 (2014)) and its samples nest under doubling.
 
 Regularized case (disc = f^2).  Normalize Q to (0, f, c); the geodesic is
 the vertical line Re(z) = r with r = -c/f, an infinite geodesic running
@@ -42,7 +52,8 @@ from .specfun import (DEFAULT_PRECISION, gamma_upper, e_kappa,
                       kronecker_symbol, bernoulli_poly_eval, _coerce, _workdps)
 from .qforms import (class_reps, automorph_generator, genus_char,
                      square_normalize, _isqrt, _xgcd)
-from .quadrature import gauss_legendre, integrate_gl, integrate_gl_doubling
+from .quadrature import (gauss_legendre, integrate_gl, integrate_gl_doubling,
+                         integrate_periodic_doubling)
 from .hyperbolic import apply_moebius
 from .forms import HarmonicFourierData, eval_harmonic, eval_modular, xi_symbolic
 
@@ -60,13 +71,16 @@ class CycleIntegralResult:
 # closed geodesics
 # ---------------------------------------------------------------------------
 
-def closed_cycle_integral(G_eval, Q, k=0, nodes=128, prec=DEFAULT_PRECISION,
+def closed_cycle_integral(G_eval, Q, k=0, nodes=16, prec=DEFAULT_PRECISION,
                           base_angle=None, tol=1e-18):
     """One automorph period of G(z) Q(z,1)^k dz along the oriented geodesic.
 
     G_eval must evaluate an object transforming with weight 2k+2 anywhere
     in H (route through the fundamental domain for q-series objects);
-    violations show up as base-point dependence.
+    violations show up as base-point dependence.  The period is integrated
+    in arc length t, z = center + radius (tanh t + i sech t), by the nested
+    trapezoid rule from `nodes` samples; base_angle is the polar angle of
+    the base point on the semicircle (default pi/2, the top).
     """
     D = Q.disc
     if D <= 0 or _isqrt(D) ** 2 == D:
@@ -78,24 +92,28 @@ def closed_cycle_integral(G_eval, Q, k=0, nodes=128, prec=DEFAULT_PRECISION,
         radius = mpmath.sqrt(D) / (2 * abs(Q.a))
         theta0 = mpmath.pi / 2 if base_angle is None else mpf(base_angle)
         z0 = center + radius * mpmath.e ** (1j * theta0)
+        t0 = mpmath.atanh(mpmath.cos(theta0))
         M = automorph_generator(Q).matrix
-        # orientation: toward the endpoint (-b + sqrt D)/(2a)
-        want_decreasing = Q.a > 0
+        # orientation: toward the endpoint (-b + sqrt D)/(2a), i.e. along
+        # increasing t (decreasing angle) when a > 0
+        want_increasing = Q.a > 0
         z1 = apply_moebius(M, z0)
-        th1 = mpmath.arg(z1 - center)
-        if (th1 < theta0) != want_decreasing:
+        t1 = mpmath.asinh((z1.real - center) / z1.imag)
+        if (t1 > t0) != want_increasing:
             Minv = ((M[1][1], -M[0][1]), (-M[1][0], M[0][0]))
             z1 = apply_moebius(Minv, z0)
-            th1 = mpmath.arg(z1 - center)
-        assert (th1 < theta0) == want_decreasing
+            t1 = mpmath.asinh((z1.real - center) / z1.imag)
+        assert (t1 > t0) == want_increasing
 
-        def integrand(theta):
-            z = center + radius * mpmath.e ** (1j * theta)
+        def integrand(t):
+            sech = 1 / mpmath.cosh(t)
+            w = mpc(mpmath.tanh(t), sech)
+            z = center + radius * w
             qz = Q.a * z * z + Q.b * z + Q.c
-            return G_eval(z) * qz ** k * (1j * radius * mpmath.e ** (1j * theta))
+            return G_eval(z) * qz ** k * (-1j * radius * sech * w)
 
-        val, err, used = integrate_gl_doubling(integrand, theta0, th1,
-                                               n0=nodes, tol=tol, nmax=4096)
+        val, err, used = integrate_periodic_doubling(integrand, t0, t1,
+                                                     n0=nodes, tol=tol, nmax=4096)
         return CycleIntegralResult(val, "closed-quadrature", float(err),
                                    float("nan"), used)
 
@@ -386,7 +404,7 @@ def lemma_integral_checks(k_max=4, n_max=3, ys=(0.5, 1, 2), prec=DEFAULT_PRECISI
 # ---------------------------------------------------------------------------
 
 def trace_cycle(G, delta, D, k=0, prec=DEFAULT_PRECISION, T=2, c_plus=1,
-                nodes=128, evaluator=None):
+                nodes=16, evaluator=None):
     """tr_delta(G, D) = sum over classes of disc |delta| D of
     chi_delta(Q) times the (regularized, if needed) cycle integral."""
     delta = int(delta)

@@ -381,14 +381,17 @@ class Automorph:
 def automorph_generator(Q):
     """Generator of the infinite cyclic stabilizer of an indefinite form.
 
-    M = [[(t-bu)/2, -cu], [au, (t+bu)/2]] with (t, u) the fundamental
-    solution of t^2 - disc u^2 = 4; fixes Q under substitution.
+    M = [[(t-bu)/2, -cu], [au, (t+bu)/2]] with (a, b, c) = Q / content(Q)
+    and (t, u) the fundamental solution of t^2 - (disc/content^2) u^2 = 4;
+    a form and its multiples share the stabilizer.  Fixes Q under
+    substitution.
     """
     D = Q.disc
     if D <= 0 or _isqrt(D) ** 2 == D:
         raise ValueError("automorphs require positive non-square discriminant")
-    t, u = pell_fundamental_4(D)
-    a, b, c = Q.a, Q.b, Q.c
+    g = Q.content
+    t, u = pell_fundamental_4(D // (g * g))
+    a, b, c = Q.a // g, Q.b // g, Q.c // g
     M = (((t - b * u) // 2, -c * u), (a * u, (t + b * u) // 2))
     aut = Automorph(M)
     assert Q.compose(M) == Q

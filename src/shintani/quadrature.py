@@ -1,9 +1,13 @@
-"""Gauss-Legendre quadrature with high-precision nodes.
+"""Gauss-Legendre quadrature with high-precision nodes, and the nested
+trapezoid rule for periodic integrands.
 
-Nodes are seeded from numpy's float64 rule and Newton-polished in mpmath,
-then cached per (n, dps).  Integrands may be complex valued; intervals are
-finite (the analytic integrands in this package are truncated explicitly).
+Gauss-Legendre nodes are seeded from numpy's float64 rule and
+Newton-polished in mpmath, then cached per (n, dps).  Integrands may be
+complex valued; intervals are finite (the analytic integrands in this
+package are truncated explicitly).
 """
+
+import itertools
 
 import numpy as np
 import mpmath
@@ -22,7 +26,12 @@ def _legendre_and_derivative(n, x):
 
 
 def gauss_legendre(n, dps=None):
-    """Nodes and weights on [-1, 1] at dps working digits."""
+    """Nodes and weights on [-1, 1] at dps working digits, ascending.
+
+    The rule is symmetric (numpy's seeds are exactly so, and Newton's
+    iteration commutes with x -> -x), so only the nonnegative half is
+    polished and the other half is its mirror image.
+    """
     if dps is None:
         dps = mp.dps
     key = (n, dps)
@@ -31,7 +40,7 @@ def gauss_legendre(n, dps=None):
     with mp.workdps(dps + 10):
         seeds, _ = np.polynomial.legendre.leggauss(n)
         nodes, weights = [], []
-        for s in seeds:
+        for s in seeds[n // 2:]:
             x = mpf(float(s))
             for _ in range(60):
                 p, dp = _legendre_and_derivative(n, x)
@@ -42,6 +51,9 @@ def gauss_legendre(n, dps=None):
             _, dp = _legendre_and_derivative(n, x)
             nodes.append(x)
             weights.append(2 / ((1 - x * x) * dp * dp))
+        odd = n % 2
+        nodes = [-x for x in reversed(nodes[odd:])] + nodes
+        weights = weights[odd:][::-1] + weights
     _NODE_CACHE[key] = (nodes, weights)
     return nodes, weights
 
@@ -57,17 +69,12 @@ def integrate_gl(f, a, b, n=128):
     return half * acc
 
 
-def integrate_gl_doubling(f, a, b, n0=64, tol=1e-20, nmax=2048):
-    """Node-doubling Gauss-Legendre; returns (value, error_estimate, n_used).
-
-    The error estimate is the change under the final doubling; failure to
-    converge below tol raises.
-    """
-    n = n0
-    prev = integrate_gl(f, a, b, n)
-    while True:
-        n *= 2
-        cur = integrate_gl(f, a, b, n)
+def _until_converged(levels, tol, nmax):
+    """(value, change under the final doubling, n) from the first of the
+    successive (value, n) levels whose change from the previous one is at
+    most tol (1 + |value|); raises past nmax."""
+    prev, _ = next(levels)
+    for cur, n in levels:
         err = abs(cur - prev)
         if err <= mpf(tol) * (1 + abs(cur)):
             return cur, err, n
@@ -76,3 +83,35 @@ def integrate_gl_doubling(f, a, b, n0=64, tol=1e-20, nmax=2048):
                 f"quadrature did not converge below {tol} with {n} nodes "
                 f"(last change {float(err):.3e})")
         prev = cur
+
+
+def integrate_gl_doubling(f, a, b, n0=64, tol=1e-20, nmax=2048):
+    """Node-doubling Gauss-Legendre; returns (value, error_estimate, n_used).
+
+    The error estimate is the change under the final doubling; failure to
+    converge below tol raises.
+    """
+    levels = ((integrate_gl(f, a, b, n0 << i), n0 << i) for i in itertools.count())
+    return _until_converged(levels, tol, nmax)
+
+
+def integrate_periodic_doubling(f, a, b, n0=16, tol=1e-20, nmax=4096):
+    """Nested trapezoid rule for f periodic with period b - a; returns
+    (value, error_estimate, n_used).
+
+    For a real-analytic periodic f the equispaced rule converges
+    geometrically.  Each doubling samples only the new midpoints, so n_used
+    is also the number of evaluations of f.  Error estimate and failure as
+    in integrate_gl_doubling.
+    """
+    def levels():
+        a0 = mpf(a)
+        n, h = n0, (mpf(b) - a0) / n0
+        acc = sum(f(a0 + j * h) for j in range(n))
+        while True:
+            yield h * acc, n
+            h /= 2
+            acc += sum(f(a0 + (2 * j + 1) * h) for j in range(n))
+            n *= 2
+
+    return _until_converged(levels(), tol, nmax)

@@ -46,6 +46,35 @@ def test_closed_integral_rejects_square_disc():
         cy.closed_cycle_integral(E2_EVAL, QForm(0, 3, 1), 0)
 
 
+def test_closed_integral_samples_nest():
+    # every evaluation of the integrand lands in the returned rule, and the
+    # disc-33 classes (regulator log((23 + 4 sqrt 33)/2)) converge by 256
+    for Q in class_reps(33).reps:
+        calls = []
+
+        def ev(z):
+            calls.append(z)
+            return fo.eval_modular(E2, z)[0]
+
+        res = cy.closed_cycle_integral(ev, Q, 0)
+        assert len(calls) == res.nodes <= 256
+
+
+def test_closed_integral_imprimitive_form_one_period():
+    # 2 (-2, 2, 1) shares the stabilizer of (-2, 2, 1); at k = 0 both
+    # integrate G dz over the same closed geodesic once
+    r1 = cy.closed_cycle_integral(E2_EVAL, QForm(-2, 2, 1), 0)
+    r2 = cy.closed_cycle_integral(E2_EVAL, QForm(-4, 4, 2), 0)
+    assert abs(r1.value - r2.value) < 1e-25
+
+
+def test_hecke_imprimitive_classes():
+    # disc 48 has content-2 classes (disc 12 forms doubled) with chi_{-3} != 0;
+    # 12 H(3) H(16) = 12 (1/3) (3/2) = 6
+    tr, _ = cy.trace_cycle(E2, -3, 16, 0)
+    assert abs(tr - 6) < 1e-25
+
+
 def test_hecke_single_pair():
     # the acceptance-critical example: disc 12 classes against chi_{-4}
     tr, _ = cy.trace_cycle(E2, -4, 3, 0, evaluator=E2_EVAL)
@@ -213,6 +242,26 @@ def test_hecke_identity_square_discriminant_route():
     assert abs(tr - mpf(4) / 3) < 1e-6
     tr, _ = cy.trace_cycle(E2, -4, 4, 0, evaluator=E2_EVAL)
     assert abs(tr - 3) < 1e-6
+
+
+def test_hecke_identity_grid():
+    # tr_delta(E2*, D) = 12 H(|delta|) H(D) for every admissible pair with
+    # |delta| D <= 60; closed pairs also check the reported error budget
+    from shintani.specfun import is_fundamental_discriminant
+    pairs = [(d, D) for d in range(-3, -61, -1) if is_fundamental_discriminant(d)
+             for D in range(1, 60 // -d + 1) if -D % 4 in (0, 1)]
+    square = [(d, D) for d, D in pairs if math.isqrt(-d * D) ** 2 == -d * D]
+    assert len(pairs) == 30
+    assert square == [(-3, 3), (-3, 12), (-4, 4), (-7, 7)]
+    for d, D in pairs:
+        tr, qerr = cy.trace_cycle(E2, d, D, 0)
+        H = 12 * hurwitz_class_number(-d) * hurwitz_class_number(D)
+        err = float(abs(tr - mpf(H.numerator) / H.denominator))
+        if (d, D) in square:
+            assert err < 1e-6, (d, D, err)
+        else:
+            assert err < 1e-25, (d, D, err)
+            assert err <= qerr + 1e-30, (d, D, err, qerr)
 
 
 def test_closed_integral_weight_six_invariance():

@@ -195,6 +195,19 @@ def test_automorph_examples_brute_force():
         brute_force_automorphs(QForm(1, 1, -1))
 
 
+def test_automorph_imprimitive_forms():
+    # a multiple g Q of a primitive form has Q's stabilizer, not a power of it
+    assert qf.automorph_generator(QForm(-4, 4, 2)).matrix in \
+        brute_force_automorphs(QForm(-4, 4, 2))
+    for disc in (5, 8, 12, 13, 21, 33):
+        for Q in qf.class_reps(disc).reps:
+            M = qf.automorph_generator(Q).matrix
+            for g in (2, 3):
+                gQ = QForm(g * Q.a, g * Q.b, g * Q.c)
+                assert qf.automorph_generator(gQ).matrix == M
+                assert gQ.compose(M) == gQ
+
+
 def test_automorph_fixes_random_indefinite_forms():
     rng = random.Random(7)
     count = 0
