@@ -4,7 +4,10 @@ Subcommands cover the library surface: class-number, classes, chi,
 cm-trace, cycle-trace, l-value, f-series, e32, verify, eta-check, theta,
 lift-coeff.  Output is JSON by default (--format csv for flat tables);
 floats are printed with 17 significant digits, exact rationals as "p/q".
-Exit codes: 0 success, 1 identity-suite failure, 2 usage error.
+Exit codes: 0 success; 1 identity-suite failure or a failed computation
+(an uncaught ArithmeticError); 2 usage error, including arguments the
+library rejects with ValueError.  Each command runs inside
+mpmath.workdps(--precision), so the caller's mp.dps is left as it was.
 """
 
 import json
@@ -12,7 +15,6 @@ import os
 import sys
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,7 +33,6 @@ CODE_VERSION = __version__
 @dataclass(frozen=True)
 class Config:
     precision_digits: int = 30
-    threads: int = 1
     cache_dir: str = ""
     fmt: str = "json"
     tolerance: float = None
@@ -39,28 +40,12 @@ class Config:
     def __post_init__(self):
         if self.precision_digits < 15:
             raise ValueError("precision must be >= 15 digits")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
         if self.fmt not in ("json", "csv"):
             raise ValueError("format must be json or csv")
 
     @property
     def prec(self):
         return Precision(self.precision_digits)
-
-    def describe(self):
-        return {"precision_digits": self.precision_digits, "threads": self.threads,
-                "cache_dir": self.cache_dir or None, "format": self.fmt,
-                "tolerance": self.tolerance, "version": CODE_VERSION}
-
-
-def parallel_map(fn, items, threads=1):
-    """Order-preserving map, optionally on a worker pool."""
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -167,10 +152,19 @@ def cache_roundtrip(config, op, params, compute):
 # the command group
 # ---------------------------------------------------------------------------
 
-@click.group()
+class _Group(click.Group):
+    """Reports a ValueError from any command as a usage error (exit 2)."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ValueError as exc:
+            raise click.UsageError(str(exc), ctx) from exc
+
+
+@click.group(cls=_Group)
 @click.option("--precision", default=30, show_default=True,
               help="working precision in decimal digits")
-@click.option("--threads", default=1, show_default=True)
 @click.option("--cache-dir", default=None,
               help="result cache directory (or env SHINTANI_CACHE_DIR)")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
@@ -178,15 +172,12 @@ def cache_roundtrip(config, op, params, compute):
 @click.option("--tolerance", type=float, default=None,
               help="per-run override of identity tolerances")
 @click.pass_context
-def main(ctx, precision, threads, cache_dir, fmt, tolerance):
+def main(ctx, precision, cache_dir, fmt, tolerance):
     """Quadratic-form classes, cycle-integral traces and theta-kernel checks."""
     if cache_dir is None:
         cache_dir = os.environ.get("SHINTANI_CACHE_DIR", "")
-    try:
-        ctx.obj = Config(precision, threads, cache_dir or "", fmt, tolerance)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    mpmath.mp.dps = precision
+    ctx.obj = Config(precision, cache_dir or "", fmt, tolerance)
+    ctx.with_resource(mpmath.mp.workdps(precision))
 
 
 @main.command("class-number")
@@ -258,9 +249,8 @@ def cmd_l_value(config, delta):
     """(1/(12 sqrt|delta|)) L*(E2*, 1) with the sigma-sum cross-check."""
     G = forms.e2_star_data(64, config.prec)
     L, qerr = cycles.l_star_value(G, delta, 0, prec=config.prec)
-    with mpmath.mp.workdps(config.precision_digits):
-        val = L / (12 * mpmath.sqrt(abs(delta)))
-        sig = cycles.sigma_exp_sum(delta, config.prec)
+    val = L / (12 * mpmath.sqrt(abs(delta)))
+    sig = cycles.sigma_exp_sum(delta, config.prec)
     # the L-value is real: its real part is reported, and the quadrature's
     # imaginary residual stays in abs_difference
     emit_report([{"delta": delta, "normalized_lvalue": mpmath.re(val),
@@ -309,11 +299,7 @@ def cmd_verify(config, which, deltas, ds):
     steps = cmtraces.identity_steps(ds, config.prec, **kw)
     if which != "all":
         steps = {which: steps[which]}
-    # one worker per delta; collection order is the submission order, so
-    # the emitted report is byte-identical for any thread count
-    chunks = parallel_map(lambda d: [r for step in steps.values() for r in step(d)],
-                          deltas, config.threads)
-    reports = [r for chunk in chunks for r in chunk]
+    reports = [r for d in deltas for step in steps.values() for r in step(d)]
     emit_report([r.to_json() for r in reports], config.fmt)
     if any(not r.passed for r in reports):
         sys.exit(1)
@@ -329,11 +315,14 @@ def cmd_eta_check(config, k, samples, seed):
     import random
     rng = random.Random(seed)
     delta = -3 if k % 2 == 0 else 5
+    choices = [-1, 1, 2] if delta == 5 else [-1, 1]
     rows = []
     for _ in range(samples):
         ctx = thetacore.ThetaContext(delta, k,
                                      mpc(rng.uniform(-0.4, 0.4), rng.uniform(0.5, 1.5)))
-        D0 = rng.choice([-1, 1, 2]) if delta == 5 else rng.choice([-1, 1])
+        D0 = rng.choice(choices)
+        while abs(delta) * D0 % 4 > 1:   # |delta| D0 must be a discriminant
+            D0 = rng.choice(choices)
         Q = _form_of_disc(abs(delta) * D0, rng)
         z = mpc(rng.uniform(-0.8, 0.8), rng.uniform(0.6, 1.6))
         from .hyperbolic import form_polynomials

@@ -49,15 +49,12 @@ from mpmath import mp, mpf, mpc
 
 @dataclass(frozen=True)
 class Precision:
-    """Working precision: decimal digits and tolerated tail error."""
+    """Working precision in decimal digits."""
     working_digits: int = 30
-    tail_tolerance: float = 1e-25
 
     def __post_init__(self):
         if self.working_digits < 15:
             raise ValueError("working_digits must be >= 15")
-        if not self.tail_tolerance > 0:
-            raise ValueError("tail_tolerance must be positive")
 
     @property
     def eps(self):

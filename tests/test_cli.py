@@ -2,17 +2,24 @@
 
 import json
 import os
+import re
 import threading
 
+import mpmath
 import pytest
 from click.testing import CliRunner
 
-from shintani import cli
-from shintani.cli import Config, cache_roundtrip, emit_report, parallel_map
+from shintani import cli, forms, quadrature
+from shintani.cli import Config, cache_roundtrip, emit_report
 
 
 def run(args, **kw):
     return CliRunner().invoke(cli.main, args, catch_exceptions=False, **kw)
+
+
+def masked(output):
+    """CLI output with the wall-time field zeroed."""
+    return re.sub(r'"runtime_ms": "?\d+"?', '"runtime_ms": 0', output)
 
 
 # ---------------------------------------------------------------------------
@@ -44,6 +51,26 @@ def test_usage_error_exit_code():
     assert r.exit_code == 2
     r = CliRunner().invoke(cli.main, ["no-such-command"])
     assert r.exit_code == 2
+    r = CliRunner().invoke(cli.main, ["--threads", "2", "class-number", "23"])
+    assert r.exit_code == 2
+    # arguments the library rejects with ValueError are usage errors too
+    for args, message in [
+        (["cycle-trace", "--delta", "-4", "--D", "2"],
+         "sgn(delta) D must be 0 or 1 mod 4"),
+        (["classes", "--disc", "2"],
+         "disc must be a nonzero integer = 0, 1 mod 4"),
+        (["chi", "--delta", "-5", "--form", "1,1,1"],
+         "delta must be a fundamental discriminant"),
+        (["cm-trace", "--delta", "-3", "--D", "5"],
+         "need D < 0 with sgn(delta) D = 0, 1 mod 4"),
+        (["theta", "--delta", "-5"], "delta must be a fundamental discriminant"),
+        (["l-value", "--delta", "3"], "sign condition violated"),
+        (["f-series", "--delta", "5"],
+         "delta must be a negative fundamental discriminant"),
+    ]:
+        r = CliRunner().invoke(cli.main, args)
+        assert r.exit_code == 2, (args, r.output)
+        assert f"Error: {message}" in r.output, (args, r.output)
 
 
 def test_verify_hecke_single():
@@ -81,12 +108,16 @@ def test_e32_command():
 
 
 def test_eta_check_command():
-    r = run(["eta-check", "--k", "0", "--samples", "3"])
-    rows = json.loads(r.output)
-    assert rows
-    for row in rows:
-        assert float(row["xi_error"]) < 1e-6
-        assert float(row["laplace_error"]) < 1e-4
+    # the defaults and k = 1 draw some D0 with |delta| D0 not a
+    # discriminant; such a draw is redrawn, not passed to class_reps
+    for args in (["--k", "0", "--samples", "3"], [], ["--k", "1", "--samples", "5"]):
+        r = run(["eta-check"] + args)
+        assert r.exit_code == 0
+        rows = json.loads(r.output)
+        assert rows
+        for row in rows:
+            assert float(row["xi_error"]) < 1e-6
+            assert float(row["laplace_error"]) < 1e-4
 
 
 def test_theta_command():
@@ -208,17 +239,11 @@ def test_float_seventeen_digits(capsys):
     assert out == format(math.pi, ".17g")
 
 
-def test_determinism_across_threads():
-    cfg1 = Config(threads=1)
-    sq = lambda n: n * n
-    assert parallel_map(sq, range(20), 1) == parallel_map(sq, range(20), 4)
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         Config(precision_digits=5)
     with pytest.raises(ValueError):
-        Config(threads=0)
+        Config(fmt="xml")
 
 
 def test_env_cache_dir(tmp_path, monkeypatch):
@@ -228,17 +253,56 @@ def test_env_cache_dir(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir())
 
 
-def test_verify_byte_identical_across_thread_counts():
-    args = ["verify", "--identity", "class-number", "--delta", "-3",
-            "--delta", "-4"]
-    # runtime_ms varies between runs; compare with it masked
-    import re
-    def masked(threads):
-        r = run(["--threads", str(threads)] + args)
-        assert r.exit_code == 0
-        return re.sub(r'"runtime_ms": "\d+"?|"runtime_ms": \d+', '"runtime_ms": 0',
-                      r.output)
-    assert masked(1) == masked(3)
+@pytest.mark.parametrize("args, code", [
+    (["class-number", "23"], 0),
+    (["classes", "--disc", "12"], 0),
+    (["chi", "--delta", "-4", "--form", "1,2,-2"], 0),
+    (["cm-trace", "--delta", "1", "--D", "-4", "--F", "one"], 0),
+    (["cycle-trace", "--delta", "-4", "--D", "3"], 0),
+    (["l-value", "--delta", "-3"], 0),
+    (["f-series", "--delta", "-3", "--dmax", "1"], 0),
+    (["e32", "--dmax", "4"], 0),
+    (["verify", "--identity", "hecke", "--delta", "-4", "--D", "3"], 0),
+    (["--tolerance", "1e-40", "verify", "--identity", "class-number",
+      "--delta", "-3"], 1),
+    (["eta-check", "--samples", "1"], 0),
+    (["theta", "--delta", "-3", "--radius", "12"], 0),
+    (["lift-coeff", "--delta", "-4", "--D", "3", "--grid", "5",
+      "--radius", "28"], 0),
+    (["--precision", "50", "class-number", "23"], 0),
+    (["cycle-trace", "--delta", "-4", "--D", "2"], 2),
+])
+def test_command_leaves_mp_dps_unchanged(args, code, monkeypatch):
+    # each command runs at --precision and restores the caller's mp.dps,
+    # on the exit-1 and exit-2 paths as well
+    precision = int(args[1]) if args[0] == "--precision" else 30
+    seen = []
+    emit = cli.emit_report
+    monkeypatch.setattr(cli, "emit_report",
+                        lambda *a, **kw: seen.append(mpmath.mp.dps) or emit(*a, **kw))
+    with mpmath.mp.workdps(17):
+        r = CliRunner().invoke(cli.main, args)
+        assert r.exit_code == code, r.output
+        assert mpmath.mp.dps == 17
+    assert seen == ([precision] if code != 2 else [])
+
+
+def test_output_independent_of_cache_state(monkeypatch):
+    # a default-precision run prints the same from cold caches as after a
+    # --precision 50 run has filled the per-precision caches (coefficient
+    # tables, e2_star_data, Gauss-Legendre nodes)
+    def cold_caches():
+        forms.e2_star_data.cache_clear()
+        monkeypatch.setattr(quadrature, "_NODE_CACHE", {})
+
+    cmds = [["cycle-trace", "--delta", "-4", "--D", "3"],
+            ["verify", "--identity", "hecke", "--delta", "-4", "--D", "3"]]
+    cold_caches()
+    before = [masked(run(args).output) for args in cmds]
+    cold_caches()
+    for args in cmds + [["l-value", "--delta", "-3"]]:
+        assert run(["--precision", "50"] + args).exit_code == 0
+    assert [masked(run(args).output) for args in cmds] == before
 
 
 def test_lift_coeff_command():
