@@ -11,7 +11,9 @@ mpmath.workdps(--precision), so the caller's mp.dps is left as it was.
 """
 
 import json
+import math
 import os
+import random
 import sys
 import tempfile
 import time
@@ -24,6 +26,7 @@ from mpmath import mpc, mpf
 
 from . import __version__
 from .specfun import Precision
+from .hyperbolic import form_polynomials
 from .qforms import QForm, class_reps, genus_char, hurwitz_class_number
 from . import cmtraces, cycles, forms, thetacore
 
@@ -74,7 +77,8 @@ def _format_float(x):
 
 
 def emit_report(reports, fmt="json", out=None):
-    """Serialize a list of flat dicts as JSON or CSV (shared header)."""
+    """Serialize a list of flat dicts as JSON or CSV (the CSV header is the
+    union of the rows' keys in first-seen order)."""
     out = out or sys.stdout
     rows = [_flatten(_encode(r)) for r in reports]
     for row in rows:
@@ -87,7 +91,7 @@ def emit_report(reports, fmt="json", out=None):
     if not rows:
         out.write("\n")
         return
-    header = list(rows[0].keys())
+    header = list(dict.fromkeys(k for row in rows for k in row))
     out.write(",".join(header) + "\n")
     for row in rows:
         out.write(",".join(str(row.get(h, "")) for h in header) + "\n")
@@ -118,8 +122,9 @@ def cache_roundtrip(config, op, params, compute):
     """Read-through JSON cache keyed by (op, params, code version).
 
     Writes go to a temp file followed by an atomic rename, so concurrent
-    readers see either the old or the new complete file.  Corrupt or
-    stale-version files are recomputed and overwritten with a warning.
+    readers see either the old or the new complete file.  A corrupt file
+    (unreadable, not JSON, or not a JSON object) is recomputed and
+    overwritten with a warning; a stale-version file silently.
     """
     if not config.cache_dir:
         return compute()
@@ -129,9 +134,11 @@ def cache_roundtrip(config, op, params, compute):
         try:
             with open(path) as fh:
                 payload = json.load(fh)
+            if not isinstance(payload, dict):
+                raise ValueError("cache payload is not a JSON object")
             if payload.get("version") == CODE_VERSION:
                 return payload["value"]
-        except (json.JSONDecodeError, KeyError, OSError):
+        except (ValueError, KeyError, OSError):
             click.echo(f"warning: corrupt cache file {path}, recomputing",
                        err=True)
     value = _encode(compute())
@@ -312,20 +319,17 @@ def cmd_verify(config, which, deltas, ds):
 @click.pass_obj
 def cmd_eta_check(config, k, samples, seed):
     """Finite-difference check of the differential equations for eta."""
-    import random
     rng = random.Random(seed)
     delta = -3 if k % 2 == 0 else 5
-    choices = [-1, 1, 2] if delta == 5 else [-1, 1]
+    # D0 of both signs with sgn(delta) D0 = 0, 1 mod 4, so that every
+    # |delta| D0 is a discriminant
+    choices = [1, -3, -4, 4, 5] if delta == 5 else [-1, -4, 3, 4, 7]
     rows = []
     for _ in range(samples):
         ctx = thetacore.ThetaContext(delta, k,
                                      mpc(rng.uniform(-0.4, 0.4), rng.uniform(0.5, 1.5)))
-        D0 = rng.choice(choices)
-        while abs(delta) * D0 % 4 > 1:   # |delta| D0 must be a discriminant
-            D0 = rng.choice(choices)
-        Q = _form_of_disc(abs(delta) * D0, rng)
+        Q = _form_of_disc(abs(delta) * rng.choice(choices), rng)
         z = mpc(rng.uniform(-0.8, 0.8), rng.uniform(0.6, 1.6))
-        from .hyperbolic import form_polynomials
         p, qz, _ = form_polynomials(Q, z)
         if abs(qz) / z.imag ** 2 < 0.05 or abs(p) < 0.05:
             continue
@@ -340,8 +344,7 @@ def cmd_eta_check(config, k, samples, seed):
 
 
 def _form_of_disc(disc, rng):
-    from .qforms import class_reps as _cr
-    reps = _cr(disc).reps
+    reps = class_reps(disc).reps
     Q = rng.choice(reps)
     if Q.disc < 0 and Q.a < 0:
         Q = Q.neg()
@@ -378,7 +381,6 @@ def cmd_theta(config, delta, k, tau, z_str, radius):
 @click.pass_obj
 def cmd_lift_coeff(config, delta, dd, v, grid, radius):
     """Direct 2D quadrature of the lift's q^D coefficient (k = 0, E2*)."""
-    import math
     t0 = time.time()
     coeff, est = thetacore.lift_coefficient_quadrature(delta, dd, v=v,
                                                        grid=grid, radius=radius)

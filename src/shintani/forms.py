@@ -30,7 +30,7 @@ from functools import lru_cache
 import mpmath
 from mpmath import mp, mpf, mpc
 
-from .specfun import DEFAULT_PRECISION, e_kappa, _coerce, _workdps
+from .specfun import DEFAULT_PRECISION, beta_fns, e_kappa, _coerce, _workdps
 from .qforms import hurwitz_class_number, divisor_sigma1, _divisors
 from . import hyperbolic
 
@@ -289,10 +289,9 @@ def e32_star_coeffs(D_max, prec=DEFAULT_PRECISION):
     holo = {D: hurwitz_class_number(D) for D in range(D_max + 1)}
 
     def nonholo(n, v):
-        from .specfun import beta_fns
         with _workdps(prec):
             vv = mpf(v)
-            b = beta_fns(0, 4 * mpmath.pi * n * n * vv, "tail", prec).value
+            b = beta_fns(0, 4 * mpmath.pi * n * n * vv, prec).value
             return b / (16 * mpmath.pi * mpmath.sqrt(vv))
 
     return holo, nonholo

@@ -108,8 +108,8 @@ def test_e32_command():
 
 
 def test_eta_check_command():
-    # the defaults and k = 1 draw some D0 with |delta| D0 not a
-    # discriminant; such a draw is redrawn, not passed to class_reps
+    # every drawn D0 makes |delta| D0 a discriminant, and the draws reach
+    # more than one discriminant
     for args in (["--k", "0", "--samples", "3"], [], ["--k", "1", "--samples", "5"]):
         r = run(["eta-check"] + args)
         assert r.exit_code == 0
@@ -118,6 +118,9 @@ def test_eta_check_command():
         for row in rows:
             assert float(row["xi_error"]) < 1e-6
             assert float(row["laplace_error"]) < 1e-4
+        if not args:
+            discs = {b * b - 4 * a * c for a, b, c in (row["form"] for row in rows)}
+            assert len(discs) >= 2, discs
 
 
 def test_theta_command():
@@ -167,12 +170,16 @@ def test_cache_version_bump_invalidates(tmp_path, monkeypatch):
 
 
 def test_cache_corrupt_recomputes(tmp_path, capsys):
+    # a file that is not JSON, or JSON but not an object, is recomputed
+    # with a warning
     cfg = Config(cache_dir=str(tmp_path))
     cache_roundtrip(cfg, "op", {"a": 2}, lambda: 5)
     path = cli.cache_path(cfg, "op", {"a": 2})
-    with open(path, "w") as fh:
-        fh.write("{ not json")
-    assert cache_roundtrip(cfg, "op", {"a": 2}, lambda: 6) == 6
+    for content in ("{ not json", "[]", '"x"'):
+        with open(path, "w") as fh:
+            fh.write(content)
+        assert cache_roundtrip(cfg, "op", {"a": 2}, lambda: 6) == 6, content
+        assert "corrupt cache file" in capsys.readouterr().err, content
 
 
 def test_cache_atomic_under_concurrent_readers(tmp_path, monkeypatch):
@@ -230,6 +237,10 @@ def test_csv_header_matches_json_keys(capsys):
     emit_report(rows, "csv")
     header = capsys.readouterr().out.splitlines()[0].split(",")
     assert header == json_keys
+    # rows with different keys: the header is their union in first-seen
+    # order, and a row lacking a key leaves its cell empty
+    emit_report([{"a": 1, "b": 2}, {"a": 3, "p": {"D": 4}, "b": 5}], "csv")
+    assert capsys.readouterr().out.splitlines() == ["a,b,p.D", "1,2,", "3,5,4"]
 
 
 def test_float_seventeen_digits(capsys):

@@ -1,13 +1,15 @@
 """Special-function contracts, checked against independent quadrature and
 series oracles."""
 
+import ast
 import math
+import pathlib
 import random
 from fractions import Fraction
 
 import mpmath
 import pytest
-from mpmath import mp, mpf, mpc
+from mpmath import mp, mpf
 
 from shintani import specfun as sf
 
@@ -48,14 +50,14 @@ def test_gamma_upper_rejects_bad_s():
 
 
 # ---------------------------------------------------------------------------
-# exponential integral
+# exponential integral, through E_1(y) = -Ei(y)
 # ---------------------------------------------------------------------------
 
 def test_ei_negative_quadrature_oracle():
     # Ei(-1) = -int_1^oo e^-t/t dt
     oracle = -mpmath.quad(lambda t: mpmath.e ** (-t) / t, [1, mpmath.inf])
-    assert abs(sf.exp_integral_ei(-1).value - oracle) < 1e-25
-    assert abs(sf.exp_integral_ei(-10).value - mpf("-4.15696892968532438e-6")) < 1e-18
+    assert abs(-sf.e_kappa(1, -1).value - oracle) < 1e-25
+    assert abs(-sf.e_kappa(1, -10).value - mpf("-4.15696892968532438e-6")) < 1e-18
 
 
 def test_ei_principal_value_oracle():
@@ -67,17 +69,7 @@ def test_ei_principal_value_oracle():
         fact *= m
         acc += Fraction(1, m * fact)
     oracle = mpmath.euler + mpf(acc.numerator) / acc.denominator
-    assert abs(sf.exp_integral_ei(1).value - oracle) < 1e-25
-
-
-@pytest.mark.parametrize("y", [-45, -12.5, -3, -0.7, 0.3, 8.0, 31.0, 80.0, 120.0])
-def test_ei_matches_mpmath_across_branches(y):
-    assert abs(sf.exp_integral_ei(y).value - mpmath.ei(y)) < 1e-25 * (1 + abs(mpmath.ei(y)))
-
-
-def test_ei_rejects_zero():
-    with pytest.raises(ValueError):
-        sf.exp_integral_ei(0)
+    assert abs(-sf.e_kappa(1, 1).value - oracle) < 1e-25
 
 
 # ---------------------------------------------------------------------------
@@ -123,28 +115,11 @@ def test_e_kappa_rejects_zero():
 
 
 # ---------------------------------------------------------------------------
-# erfc
-# ---------------------------------------------------------------------------
-
-def test_erfc_values_and_reflection():
-    assert abs(sf.erfc(0).value - 1) < 1e-28
-    oracle = 2 / mpmath.sqrt(mpmath.pi) * mpmath.quad(
-        lambda w: mpmath.e ** (-w * w), [1, mpmath.inf])
-    assert abs(sf.erfc(1).value - oracle) < 1e-25
-    x = mpf("0.73")
-    assert abs(sf.erfc(-x).value - (2 - sf.erfc(x).value)) < 1e-12
-
-
-# ---------------------------------------------------------------------------
-# beta integrals
+# beta integral
 # ---------------------------------------------------------------------------
 
 def test_beta_tail_at_zero():
-    assert abs(sf.beta_fns(0, 0, "tail").value - 2) < 1e-25
-
-
-def test_beta_complementary_at_zero():
-    assert abs(sf.beta_fns(0, 0, "complementary").value - (-2)) < 1e-25
+    assert abs(sf.beta_fns(0, 0).value - 2) < 1e-25
 
 
 def test_beta_tail_quadrature_oracle():
@@ -152,111 +127,25 @@ def test_beta_tail_quadrature_oracle():
         for v in (mpf("0.1"), mpf(1), mpf(10)):
             oracle = mpmath.quad(
                 lambda t: mpmath.e ** (-v * t) * t ** (mpf(-1.5) - k), [1, mpmath.inf])
-            assert abs(sf.beta_fns(k, v, "tail").value - oracle) < 1e-10
-
-
-def test_beta_complementary_matches_integral_when_defined():
-    # for k = 0 the continuation is genuinely needed; compare against the
-    # termwise-integrated series summed independently at higher precision
-    with mp.workdps(60):
-        v = mpf("0.37")
-        acc = mpf(0)
-        term = mpf(1)
-        for m in range(0, 80):
-            acc += term / (m - mpf("0.5"))
-            term = term * (-v) / (m + 1)
-    assert abs(sf.beta_fns(0, mpf("0.37"), "complementary").value - acc) < 1e-24
+            assert abs(sf.beta_fns(k, v).value - oracle) < 1e-10
 
 
 # ---------------------------------------------------------------------------
-# cal_F
-# ---------------------------------------------------------------------------
-
-def test_cal_F_term_by_term_oracle():
-    w = mpf(1)
-    sp = mpmath.sqrt(mpmath.pi)
-    t1 = sp / 2 * mpmath.e ** w * mpmath.erfc(1)
-    t2 = -sp * mpmath.quad(lambda t: mpmath.e ** (t * t) * mpmath.erfc(t), [0, 1])
-    t3 = mpmath.log(2) + mpmath.euler / 2
-    assert abs(sf.cal_F(1).value - (t1 + t2 + t3)) < 1e-9
-
-
-def test_cal_F_laplacian_relation():
-    # 4 Delta_{3/2} [F(4 pi m v) e(m tau)] = -e(m tau) at m = 1
-    from shintani.thetacore import fd_operators
-    m = 1
-    tau = mpc("0.3", "0.8")
-
-    def f(t):
-        v = t.imag
-        return sf.cal_F(4 * mpmath.pi * m * v).value * mpmath.e ** (2j * mpmath.pi * m * t)
-
-    _, lap = fd_operators(f, mpf(3) / 2, tau, step=1e-3)
-    target = -mpmath.e ** (2j * mpmath.pi * m * tau)
-    assert abs(4 * lap - target) < 1e-4
-
-
-def test_cal_F_small_w_expansion():
-    # the displayed formula diverges like (sqrt(pi)/2) w^(-1/2) as w -> 0+
-    # (the erfc term contributes no log); after subtracting that and the
-    # explicit log(w)/2, the remainder tends to -1 + log 2 + gamma/2
-    limit = -1 + mpmath.log(2) + mpmath.euler / 2
-    for w in (mpf("1e-6"), mpf("1e-7")):
-        rem = sf.cal_F(w).value - mpmath.sqrt(mpmath.pi) / 2 / mpmath.sqrt(w) \
-            - mpmath.log(w) / 2
-        assert abs(rem - limit) < 0.01
-
-
-def test_cal_F_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        sf.cal_F(0)
-
-
-# ---------------------------------------------------------------------------
-# Hurwitz zeta / polygamma / polynomials
+# Hurwitz zeta at negative integers / Bernoulli polynomials
 # ---------------------------------------------------------------------------
 
 def test_hurwitz_zeta_negative_integers_exact_bernoulli():
-    for j in range(9):
-        for num in range(1, 6):
-            rho = Fraction(num, 5)
-            got = sf.hurwitz_zeta(-j, rho).value
-            expect = -sf.bernoulli_poly(j + 1, rho) / (j + 1)
-            ev = mpf(expect.numerator) / expect.denominator
-            assert abs(got - ev) < 1e-27 * (1 + abs(ev))
-
-
-def test_hurwitz_zeta_series_oracle():
-    direct = sum(mpf(1) / n ** 2 for n in range(1, 4000)) + mpf(1) / 3999  # tail est
-    got = sf.hurwitz_zeta(2, 1).value
-    assert abs(got - mpmath.pi ** 2 / 6) < 1e-25
-    assert abs(got - direct) < 1e-3
-    assert abs(sf.hurwitz_zeta(0, Fraction(1, 3)).value - mpf(1) / 6) < 1e-25
-
-
-def test_hurwitz_zeta_rejects_pole():
-    with pytest.raises(ValueError):
-        sf.hurwitz_zeta(1, 0.5)
-
-
-def test_polygamma_series_oracle():
-    # psi(1) = -gamma, psi'(1) = pi^2/6, against the defining series
-    assert abs(sf.polygamma(0, 1).value + mpmath.euler) < 1e-25
-    assert abs(sf.polygamma(1, 1).value - mpmath.pi ** 2 / 6) < 1e-25
-    series = sum(mpf(1) / (1 + n) ** 2 for n in range(100000))
-    assert abs(sf.polygamma(1, 1).value - series) < 1e-4
-
-
-def test_polygamma_recurrence():
-    k, x = 2, mpf("0.7")
-    lhs = sf.polygamma(k, x + 1).value - sf.polygamma(k, x).value
-    rhs = (-1) ** k * mpmath.factorial(k) / x ** (k + 1)
-    assert abs(lhs - rhs) < 1e-10
-
-
-def test_polygamma_rejects_poles():
-    with pytest.raises(ValueError):
-        sf.polygamma(1, -2)
+    # dirichlet_L sums mpmath's zeta(s, r/|delta|); the exact route uses
+    # zeta(-j, rho) = -B_{j+1}(rho)/(j+1)
+    deltas = [d for d in range(-40, 41) if sf.is_fundamental_discriminant(d)]
+    assert len(deltas) == 27
+    with mp.workdps(40):   # values reach 1e8; compare beyond 1e-25 absolute
+        for delta in deltas:
+            for s in range(0, -7, -1):
+                got = sf.dirichlet_L(delta, s).value
+                expect = sf.dirichlet_L_exact_nonpositive(delta, s)
+                assert abs(got - mpf(expect.numerator) / expect.denominator) < 1e-25, \
+                    (delta, s)
 
 
 def test_bernoulli_poly_exact():
@@ -275,16 +164,6 @@ def test_bernoulli_reflection():
     for n in range(11):
         for x in (Fraction(0), Fraction(1, 3), Fraction(1, 2)):
             assert sf.bernoulli_poly(n, 1 - x) == (-1) ** n * sf.bernoulli_poly(n, x)
-
-
-def test_hermite_values_and_addition():
-    assert sf.hermite_poly(0, 0.37) == 1
-    assert sf.hermite_poly(2, 0) == -2
-    n, a, b = 4, mpf("0.3"), mpf("0.5")
-    lhs = sf.hermite_poly(n, a + b)
-    rhs = sum(math.comb(n, j) * (2 * a) ** (n - j) * sf.hermite_poly(j, b)
-              for j in range(n + 1))
-    assert abs(lhs - rhs) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -361,3 +240,48 @@ def test_fundamental_discriminants():
                     -3, -4, -7, -8, -11, -15, -19, -20, -23, -24}
     for d in range(-25, 26):
         assert sf.is_fundamental_discriminant(d) == (d in fundamentals), d
+
+
+# ---------------------------------------------------------------------------
+# reach
+# ---------------------------------------------------------------------------
+
+def _specfun_references(path, tree):
+    """Names of specfun functions referenced in one module of the package,
+    not counting a function's references to itself."""
+    own = path.name == "specfun.py"
+    names = {}      # local name -> specfun name
+    modules = set()  # local names bound to the specfun module
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            for a in node.names:
+                if node.module == "specfun" or (node.module or "").endswith(".specfun"):
+                    names[a.asname or a.name] = a.name
+                elif a.name == "specfun":
+                    modules.add(a.asname or a.name)
+    found = set()
+    for stmt in tree.body:
+        owner = stmt.name if own and isinstance(stmt, ast.FunctionDef) else None
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                name = node.id if own else names.get(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.value.id in modules:
+                name = node.attr
+            else:
+                continue
+            if name and name != owner:
+                found.add(name)
+    return found
+
+
+def test_specfun_public_functions_are_called():
+    # every public function of specfun is reached from the package itself,
+    # not only from its unit tests
+    pkg = pathlib.Path(sf.__file__).parent
+    public = {node.name for node in ast.parse((pkg / "specfun.py").read_text()).body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    used = set()
+    for path in pkg.glob("*.py"):
+        used |= _specfun_references(path, ast.parse(path.read_text()))
+    assert public - used == set()
