@@ -6,7 +6,7 @@ lift-coeff.  Output is JSON by default (--format csv for flat tables);
 floats are printed with 17 significant digits, exact rationals as "p/q".
 Exit codes: 0 success; 1 identity-suite failure or a failed computation
 (an uncaught ArithmeticError); 2 usage error, including arguments the
-library rejects with ValueError.  Each command runs inside
+library rejects with ValueError or NotImplementedError.  Each command runs inside
 mpmath.workdps(--precision), so the caller's mp.dps is left as it was.
 """
 
@@ -160,12 +160,13 @@ def cache_roundtrip(config, op, params, compute):
 # ---------------------------------------------------------------------------
 
 class _Group(click.Group):
-    """Reports a ValueError from any command as a usage error (exit 2)."""
+    """Reports a ValueError or NotImplementedError from any command as a
+    usage error (exit 2)."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except ValueError as exc:
+        except (ValueError, NotImplementedError) as exc:
             raise click.UsageError(str(exc), ctx) from exc
 
 

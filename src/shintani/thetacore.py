@@ -281,13 +281,9 @@ def theta_truncated(ctx, z, by_D=False):
 
 def _e2star_np(z, order=48):
     a_plus = e2_star_data(order).a_plus
-    out = np.full(z.shape, 1.0 + 0j)
-    qq = np.exp(2j * np.pi * z)
-    qn = np.ones_like(qq)
-    for n in range(1, order + 1):
-        qn = qn * qq
-        out += a_plus[n] * qn
-    return out - 3 / (np.pi * z.imag)
+    coeffs = np.array([a_plus[n] for n in range(order + 1)], dtype=np.float64)
+    return (np.polynomial.polynomial.polyval(np.exp(2j * np.pi * z), coeffs)
+            - 3 / (np.pi * z.imag))
 
 
 def _disc_forms(delta, D, a_max, b_max):
@@ -311,6 +307,16 @@ def _disc_forms(delta, D, a_max, b_max):
 
 
 LIFT_KERNEL_DICTIONARY = -1.0   # times 1/|delta|; see docstring below
+LIFT_PRUNE_BOUND = 1e-20        # drop forms whose scaled term stays below this
+
+
+def _min_abs_p(a, C, ylow, T):
+    """min of |p| = |a y + C/y| over y in [ylow, T], per form (a != 0): 0 if
+    the geodesic crosses (y^2 = -C/a), else an endpoint or 2 sqrt(aC)."""
+    r = C / a
+    ends = np.minimum(np.abs(a * ylow + C / ylow), np.abs(a * T + C / T))
+    pmin = np.where((r >= ylow * ylow) & (r <= T * T), 2 * np.sqrt(np.abs(a * C)), ends)
+    return np.where((-r >= ylow * ylow) & (-r <= T * T), 0.0, pmin)
 
 
 def lift_coefficient_quadrature(delta, D, v=0.25, T=6.0, grid=12, radius=40,
@@ -324,6 +330,11 @@ def lift_coefficient_quadrature(delta, D, v=0.25, T=6.0, grid=12, radius=40,
     cusp counterterm vanishes identically; square |Delta| D would need the
     a+-(0) subtraction and is not supported by this routine.
 
+    One array pass per x-node covers all its y-nodes.  On its segment a
+    form's scaled term is at most T sqrt(p^2 + |Delta| D) e^(-4 pi v p^2 /
+    |Delta|) at the least |p|; forms whose bound is below LIFT_PRUNE_BOUND
+    are dropped and their integrated bound added to the error estimate.
+
     The kernel-pairing value differs from the trace normalization of the
     Fourier expansion by the constant factor -1/|delta| (same family as the
     phi0 kernel/preimage dictionary); the constant was measured across
@@ -332,8 +343,16 @@ def lift_coefficient_quadrature(delta, D, v=0.25, T=6.0, grid=12, radius=40,
     Returns (coefficient, error_estimate) with the estimate taken from a
     half-resolution pass.
     """
+    if delta >= 0 or not is_fundamental_discriminant(delta):
+        raise ValueError("delta must be a negative fundamental discriminant")
     if D <= 0:
         raise ValueError("needs D > 0")
+    if grid < 1 or radius < 1:
+        raise ValueError("grid and radius must be at least 1")
+    if not v > 0:
+        raise ValueError("v must be positive")
+    if not T > 1:
+        raise ValueError("T must exceed 1")
     disc = abs(delta) * D
     if _isqrt(disc) ** 2 == disc:
         raise NotImplementedError(
@@ -343,45 +362,45 @@ def lift_coefficient_quadrature(delta, D, v=0.25, T=6.0, grid=12, radius=40,
     if len(forms) == 0:
         raise ValueError("no forms of this discriminant in the search box")
     q = abs(delta)
+    a, b, c, chi = forms.T
+    gx, gw = np.polynomial.legendre.leggauss(8)
+    # sqrt(s + disc) e^(-4 pi v s / q) decreases in s = p^2 past s_peak
+    s_peak = q / (8 * math.pi * v) - disc
 
     def integrate(nx, ny):
-        gx, gw = np.polynomial.legendre.leggauss(8)
-        total = 0.0 + 0j
+        total, dropped = 0.0 + 0j, 0.0
         xedges = np.linspace(-0.5, 0.5, nx + 1)
-        a, b, c, chi = forms.T
         for xi0, xi1 in zip(xedges[:-1], xedges[1:]):
             xm, xh = (xi0 + xi1) / 2, (xi1 - xi0) / 2
             for xnode, xwt in zip(gx, gw):
                 x = xm + xh * xnode
                 ylow = math.sqrt(max(1 - x * x, 0.75))
                 # geometric y-panels concentrated at the bottom
-                ratio = (T / ylow) ** (1.0 / ny)
-                yedges = ylow * ratio ** np.arange(ny + 1)
-                for y0, y1 in zip(yedges[:-1], yedges[1:]):
-                    ym, yh = (y0 + y1) / 2, (y1 - y0) / 2
-                    ys = ym + yh * gx
-                    zs = x + 1j * ys
-                    e2 = _e2star_np(zs, order)
-                    vals = np.zeros_like(zs)
-                    for i, zz in enumerate(zs):
-                        yy = ys[i]
-                        p = -(a * (x * x + yy * yy) + b * x + c) / yy
-                        qbar = a * np.conj(zz) ** 2 + b * np.conj(zz) + c
-                        AD = (2 * math.sqrt(v) * (chi * qbar *
-                              np.exp(-4 * math.pi * v * (p * p + disc) / q)).sum()
-                              / (math.sqrt(q) * yy * yy))
-                        vals[i] = e2[i] * np.conj(AD)
-                    total += xwt * xh * (gw * yh * vals).sum()
-        return total
+                yedges = ylow * ((T / ylow) ** (1.0 / ny)) ** np.arange(ny + 1)
+                ym, yh = (yedges[1:] + yedges[:-1]) / 2, (yedges[1:] - yedges[:-1]) / 2
+                ys = (ym[:, None] + yh[:, None] * gx).ravel()
+                s = np.maximum(_min_abs_p(a, a * x * x + b * x + c, ylow, T) ** 2, s_peak)
+                bound = T * np.sqrt(s + disc) * np.exp(-4 * math.pi * v * s / q)
+                keep = bound >= LIFT_PRUNE_BOUND
+                ak, bk, ck = a[keep], b[keep], c[keep]
+                yy, zb = ys[:, None], x - 1j * ys[:, None]
+                p = -(ak * (x * x + yy * yy) + bk * x + ck) / yy
+                theta = (chi[keep] * (ak * zb ** 2 + bk * zb + ck)
+                         * np.exp(-4 * math.pi * v * p * p / q)).sum(axis=1)
+                # E2* times the (positive) weights and A_D's 1/y^2
+                w = xwt * xh * (yh[:, None] * gw).ravel() / (ys * ys)
+                e2 = _e2star_np(x + 1j * ys, order) * w
+                total += (e2 * np.conj(theta)).sum()
+                dropped += bound[~keep].sum() * np.abs(e2).sum()
+        return total, dropped
 
-    coarse = integrate(grid, grid)
-    fine = integrate(2 * grid, 2 * grid)
-    scale = math.sqrt(q) * math.exp(4 * math.pi * D * v)
+    coarse, drop_c = integrate(grid, grid)
+    fine, drop_f = integrate(2 * grid, 2 * grid)
+    # sqrt|Delta| e^(4 pi D v) times A_D's 2 sqrt(v) e^(-4 pi D v) / sqrt|Delta|
+    scale = 2 * math.sqrt(v)
     if normalized:
         scale *= LIFT_KERNEL_DICTIONARY / q
-    coeff = scale * fine
-    est = abs(scale * (fine - coarse))
-    return coeff, est
+    return scale * fine, abs(scale) * (abs(fine - coarse) + drop_c + drop_f)
 
 
 def lift_constant_term(delta, k, a_plus_0, prec=DEFAULT_PRECISION):

@@ -67,6 +67,19 @@ def test_usage_error_exit_code():
         (["l-value", "--delta", "3"], "sign condition violated"),
         (["f-series", "--delta", "5"],
          "delta must be a negative fundamental discriminant"),
+        (["lift-coeff", "--delta", "-4", "--D", "3", "--grid", "0"],
+         "grid and radius must be at least 1"),
+        (["lift-coeff", "--delta", "-4", "--D", "3", "--grid", "-1"],
+         "grid and radius must be at least 1"),
+        (["lift-coeff", "--delta", "-4", "--D", "3", "--v", "-1"], "v must be positive"),
+        (["lift-coeff", "--delta", "-4", "--D", "3", "--v", "0"], "v must be positive"),
+        (["lift-coeff", "--delta", "-4", "--D", "3", "--radius", "0"],
+         "grid and radius must be at least 1"),
+        (["lift-coeff", "--delta", "5", "--D", "1"],
+         "delta must be a negative fundamental discriminant"),
+        # and so is what it rejects with NotImplementedError
+        (["lift-coeff", "--delta", "-3", "--D", "3"],
+         "square |delta| D needs the cusp counterterm"),
     ]:
         r = CliRunner().invoke(cli.main, args)
         assert r.exit_code == 2, (args, r.output)

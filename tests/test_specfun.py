@@ -246,18 +246,18 @@ def test_fundamental_discriminants():
 # reach
 # ---------------------------------------------------------------------------
 
-def _specfun_references(path, tree):
-    """Names of specfun functions referenced in one module of the package,
+def _references(module, path, tree):
+    """Names of `module`'s functions referenced in one module of the package,
     not counting a function's references to itself."""
-    own = path.name == "specfun.py"
-    names = {}      # local name -> specfun name
-    modules = set()  # local names bound to the specfun module
+    own = path.name == f"{module}.py"
+    names = {}      # local name -> name in `module`
+    modules = set()  # local names bound to `module`
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             for a in node.names:
-                if node.module == "specfun" or (node.module or "").endswith(".specfun"):
+                if node.module == module or (node.module or "").endswith(f".{module}"):
                     names[a.asname or a.name] = a.name
-                elif a.name == "specfun":
+                elif a.name == module:
                     modules.add(a.asname or a.name)
     found = set()
     for stmt in tree.body:
@@ -275,13 +275,33 @@ def _specfun_references(path, tree):
     return found
 
 
-def test_specfun_public_functions_are_called():
-    # every public function of specfun is reached from the package itself,
-    # not only from its unit tests
+def _unreached(module):
+    """Public functions of `module` that nothing in the package references."""
     pkg = pathlib.Path(sf.__file__).parent
-    public = {node.name for node in ast.parse((pkg / "specfun.py").read_text()).body
+    public = {node.name for node in ast.parse((pkg / f"{module}.py").read_text()).body
               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
     used = set()
     for path in pkg.glob("*.py"):
-        used |= _specfun_references(path, ast.parse(path.read_text()))
-    assert public - used == set()
+        used |= _references(module, path, ast.parse(path.read_text()))
+    return public - used
+
+
+def test_specfun_public_functions_are_called():
+    # every public function of specfun is reached from the package itself,
+    # not only from its unit tests
+    assert _unreached("specfun") == set()
+
+
+# Paper formulas that only tests reach, each checked against a second route
+# by the named test in test_thetacore.py: phi_sh0_lattice against phi_sh0's
+# kernel normalization, lift_constant_term against the -H(|delta|) constant
+# of the Eisenstein lift.
+THETACORE_ORACLES = {"phi_sh0_lattice": "test_normalization_dictionary_measured",
+                     "lift_constant_term": "test_lift_constant_term_values"}
+
+
+def test_thetacore_public_functions_are_called():
+    assert _unreached("thetacore") == set(THETACORE_ORACLES)
+    tests = ast.parse((pathlib.Path(__file__).parent / "test_thetacore.py").read_text())
+    defined = {node.name for node in tests.body if isinstance(node, ast.FunctionDef)}
+    assert set(THETACORE_ORACLES.values()) <= defined

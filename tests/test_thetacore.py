@@ -308,6 +308,98 @@ def test_lift_quadrature_acceptance_pairs():
         assert est <= 5e-2 * abs(target)
 
 
+def _lift_oracle_raw(delta, D, v, grid, T=6.0, radius=40, order=48):
+    """The lift's two raw kernel pairings (coarse, fine) by the per-point
+    loop: every y-point of every y-panel of every x-node summed over the
+    whole radius box, with E2* by powers of q."""
+    import numpy as np
+    from shintani.forms import e2_star_data
+    a_plus = e2_star_data(order).a_plus
+    forms = th._disc_forms(delta, D, radius, radius)
+    q, disc = abs(delta), abs(delta) * D
+    a, b, c, chi = forms.T
+
+    def e2star(z):
+        out, qq = np.full(z.shape, 1.0 + 0j), np.exp(2j * np.pi * z)
+        qn = np.ones_like(qq)
+        for n in range(1, order + 1):
+            qn = qn * qq
+            out += a_plus[n] * qn
+        return out - 3 / (np.pi * z.imag)
+
+    def integrate(nx, ny):
+        gx, gw = np.polynomial.legendre.leggauss(8)
+        total = 0.0 + 0j
+        xedges = np.linspace(-0.5, 0.5, nx + 1)
+        for xi0, xi1 in zip(xedges[:-1], xedges[1:]):
+            xm, xh = (xi0 + xi1) / 2, (xi1 - xi0) / 2
+            for xnode, xwt in zip(gx, gw):
+                x = xm + xh * xnode
+                ylow = math.sqrt(max(1 - x * x, 0.75))
+                ratio = (T / ylow) ** (1.0 / ny)
+                yedges = ylow * ratio ** np.arange(ny + 1)
+                for y0, y1 in zip(yedges[:-1], yedges[1:]):
+                    ym, yh = (y0 + y1) / 2, (y1 - y0) / 2
+                    ys = ym + yh * gx
+                    zs = x + 1j * ys
+                    e2 = e2star(zs)
+                    vals = np.zeros_like(zs)
+                    for i, zz in enumerate(zs):
+                        yy = ys[i]
+                        p = -(a * (x * x + yy * yy) + b * x + c) / yy
+                        qbar = a * np.conj(zz) ** 2 + b * np.conj(zz) + c
+                        AD = (2 * math.sqrt(v) * (chi * qbar *
+                              np.exp(-4 * math.pi * v * (p * p + disc) / q)).sum()
+                              / (math.sqrt(q) * yy * yy))
+                        vals[i] = e2[i] * np.conj(AD)
+                    total += xwt * xh * (gw * yh * vals).sum()
+        return total
+
+    return integrate(grid, grid), integrate(2 * grid, 2 * grid)
+
+
+def test_lift_quadrature_matches_per_point_oracle():
+    # the array pass with pruned forms against the per-point loop over the
+    # whole box; the estimate is a difference of two passes, so both are
+    # compared relative to the coefficient
+    for delta, D in ((-4, 3), (-3, 4), (-3, 7), (-4, 8)):
+        for grid in (3, 5):
+            for v in (0.25, 0.4):
+                coarse, fine = _lift_oracle_raw(delta, D, v, grid)
+                for normalized in (True, False):
+                    scale = math.sqrt(abs(delta)) * math.exp(4 * math.pi * D * v)
+                    if normalized:
+                        scale *= th.LIFT_KERNEL_DICTIONARY / abs(delta)
+                    want, want_est = scale * fine, abs(scale * (fine - coarse))
+                    got, est = th.lift_coefficient_quadrature(
+                        delta, D, v=v, grid=grid, normalized=normalized)
+                    case = (delta, D, grid, v, normalized)
+                    assert abs(got - want) <= 1e-13 * abs(want), case
+                    assert abs(est - want_est) <= 1e-13 * abs(want), case
+
+
+def test_lift_quadrature_memory():
+    # one x-node at a time: a points-by-forms broadcast of the grid-12 fine
+    # pass would hold ~130 MB per complex temporary
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        th.lift_coefficient_quadrature(-4, 3, grid=12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20, peak
+
+
+def test_lift_rejects_bad_arguments():
+    # the CLI checks the others (test_usage_error_exit_code); T is no option there
+    with pytest.raises(ValueError, match="T must exceed 1"):
+        th.lift_coefficient_quadrature(-4, 3, T=1.0)
+    for delta in (-5, 0):
+        with pytest.raises(ValueError, match="negative fundamental discriminant"):
+            th.lift_coefficient_quadrature(delta, 1)
+
+
 def test_e2star_np_matches_multiprecision():
     import numpy as np
     from shintani.forms import e2_star
