@@ -106,8 +106,12 @@ def closed_cycle_integral(G_eval, Q, k=0, nodes=16, prec=DEFAULT_PRECISION,
         assert (t1 > t0) == want_increasing
 
         def integrand(t):
-            sech = 1 / mpmath.cosh(t)
-            w = mpc(mpmath.tanh(t), sech)
+            # sech t and tanh t from one exponential
+            et = mpmath.exp(t)
+            ret = 1 / et
+            cosh2 = et + ret
+            sech = 2 / cosh2
+            w = mpc((et - ret) / cosh2, sech)
             z = center + radius * w
             qz = Q.a * z * z + Q.b * z + Q.c
             return G_eval(z) * qz ** k * (-1j * radius * sech * w)

@@ -19,7 +19,8 @@ a weight 2-kappa q-series.
 
 All of them are evaluated by one summation routine, _series, over
 coefficient tables coerced once per object and precision; it stops where
-the terms left fall 10 digits below the working precision.
+the terms left fall 10 digits below the working precision, and sums the
+nonnegative-index part by Horner's rule in fixed-point integers.
 """
 
 import math
@@ -29,6 +30,7 @@ from functools import lru_cache
 
 import mpmath
 from mpmath import mp, mpf, mpc
+from mpmath.libmp import fzero, from_man_exp, round_nearest, to_fixed
 
 from .specfun import DEFAULT_PRECISION, beta_fns, e_kappa, _coerce, _workdps
 from .qforms import hurwitz_class_number, divisor_sigma1, _divisors
@@ -150,26 +152,64 @@ def _table(f, name):
     return tables[key]
 
 
+SERIES_GUARD_BITS = 24     # fixed-point bits carried past mp.prec by _series
+
+
+def _fixed_table(f, name):
+    """The coefficients of f.<name> from its lowest nonnegative index n0 up,
+    dense, as fixed-point integer pairs (re, im) with `bits` fractional bits:
+    (bits, n0, re, im).  bits is mp.prec plus the guard, plus what the
+    leading coefficient lies below 1, so the fixed-point rounding stays
+    below the leading term's last bits.  Cached beside _table's entry, per
+    working precision."""
+    tables = vars(f).setdefault("_tables", {})
+    key = (name, "fixed", mp.prec)
+    if key not in tables:
+        ns, cs, _ = _table(f, name)
+        first = next(i for i, n in enumerate(ns) if n >= 0)
+        n0 = ns[first]
+        bits = mp.prec + SERIES_GUARD_BITS + max(0, -mpmath.mag(cs[first]))
+        re, im = [0] * (ns[-1] - n0 + 1), [0] * (ns[-1] - n0 + 1)
+        for n, c in zip(ns[first:], cs[first:]):
+            parts = c._mpc_ if isinstance(c, mpc) else (mpf(c)._mpf_, fzero)
+            re[n - n0], im[n - n0] = (to_fixed(x, bits) for x in parts)
+        tables[key] = (bits, n0, re, im)
+    return tables[key]
+
+
 def _series(f, z):
     """sum c_n q^n, q = e(z), over the holomorphic coefficients of f (a
     QExpansion's coeffs or Fourier data's a_plus), at the working precision.
 
-    Terms are summed upward from the lowest index, stopping at the first
-    index past which the float sum of |c_n| |q|^n drops below
-    10^-(dps + 10); returns (value, that dropped sum, q).
+    Terms are dropped from the top index down while the float sum of the
+    dropped |c_n| |q|^n stays below 10^-(dps + 10); returns (value, that
+    dropped sum, q).  The principal part (n < 0) is summed in mpmath, the
+    rest by Horner's rule in fixed-point integers (_fixed_table).
     """
-    ns, cs, mags = _table(f, "coeffs" if isinstance(f, QExpansion) else "a_plus")
-    q = mpmath.e ** (2j * mpmath.pi * z)
+    name = "coeffs" if isinstance(f, QExpansion) else "a_plus"
+    ns, cs, mags = _table(f, name)
+    q = mpmath.exp(2j * mpmath.pi * z)
     absq, cut = float(abs(q)), 10.0 ** -(mp.dps + 10)
     keep, dropped = len(ns), 0.0
-    while keep and ns[keep - 1] > 0 and dropped + mags[keep - 1] * absq ** ns[keep - 1] < cut:
-        keep -= 1
-        dropped += mags[keep] * absq ** ns[keep]
-    acc, qn, m = mpc(0), mpc(1), 0
+    while keep and ns[keep - 1] > 0:
+        term = mags[keep - 1] * absq ** ns[keep - 1]
+        if dropped + term >= cut:
+            break
+        keep, dropped = keep - 1, dropped + term
+    acc = mpc(0)
     for n, c in zip(ns[:keep], cs):
-        while m < n:
-            qn, m = qn * q, m + 1
-        acc += c * (qn if n >= 0 else q ** n)
+        if n >= 0:
+            break
+        acc += c * q ** n
+    if keep and ns[keep - 1] >= 0:
+        bits, n0, re, im = _fixed_table(f, name)
+        qr, qi = (to_fixed(x, bits) for x in q._mpc_)
+        ar = ai = 0
+        for k in range(ns[keep - 1] - n0, -1, -1):
+            ar, ai = ((ar * qr - ai * qi) >> bits) + re[k], ((ar * qi + ai * qr) >> bits) + im[k]
+        head = mp.make_mpc((from_man_exp(ar, -bits, mp.prec, round_nearest),
+                            from_man_exp(ai, -bits, mp.prec, round_nearest)))
+        acc += head * q ** n0 if n0 else head
     return acc, dropped, q
 
 
@@ -223,8 +263,17 @@ def eval_modular(f, z, prec=DEFAULT_PRECISION):
     val, tail = _evaluate(f, zstar, prec)
     weight = f.weight if isinstance(f, QExpansion) else f.kappa
     if weight:
-        val = val * hyperbolic.moebius_j(gamma, z) ** (-weight)
+        jw = _power(hyperbolic.moebius_j(gamma, z), abs(weight))
+        val = val / jw if weight > 0 else val * jw
     return val, tail
+
+
+def _power(j, n):
+    """j^n for an integer n >= 1, by multiplication."""
+    out = j
+    for _ in range(n - 1):
+        out *= j
+    return out
 
 
 def xi_symbolic(G, prec=DEFAULT_PRECISION):
@@ -277,7 +326,11 @@ def e2_star(z, order=64, prec=DEFAULT_PRECISION):
 def e2_star_modular(z, order=64, prec=DEFAULT_PRECISION):
     """E2* evaluated through the fundamental domain (weight-2 cocycle)."""
     zstar, gamma = hyperbolic.reduce_to_fundamental(z)
-    return e2_star(zstar, order, prec) * hyperbolic.moebius_j(gamma, z) ** (-2)
+    value = e2_star(zstar, order, prec)
+    if gamma[1][0] == 0:        # a translation: j = d = +-1
+        return value
+    j = hyperbolic.moebius_j(gamma, z)
+    return value / (j * j)
 
 
 def e32_star_coeffs(D_max, prec=DEFAULT_PRECISION):

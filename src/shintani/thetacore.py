@@ -279,10 +279,21 @@ def theta_truncated(ctx, z, by_D=False):
 # direct lift quadrature (k = 0, completed weight-2 Eisenstein input)
 # ---------------------------------------------------------------------------
 
-def _e2star_np(z, order=48):
+@lru_cache(maxsize=None)
+def _e2star_coeffs(order):
     a_plus = e2_star_data(order).a_plus
-    coeffs = np.array([a_plus[n] for n in range(order + 1)], dtype=np.float64)
-    return (np.polynomial.polynomial.polyval(np.exp(2j * np.pi * z), coeffs)
+    return np.array([a_plus[n] for n in range(order + 1)], dtype=np.float64)
+
+
+def _e2star_np(z, order=48):
+    """E2* in float64 at an array of points, the series cut after the first
+    index whose tail at the lowest point is below 1e-17 (about 9 terms at
+    height sqrt(3)/2)."""
+    coeffs = _e2star_coeffs(order)
+    terms = np.abs(coeffs) * np.exp(-2 * np.pi * z.imag.min()) ** np.arange(order + 1)
+    tails = np.cumsum(terms[::-1])[::-1] - terms      # sum past each index
+    cut = int(np.argmax(tails < 1e-17)) + 1
+    return (np.polynomial.polynomial.polyval(np.exp(2j * np.pi * z), coeffs[:cut])
             - 3 / (np.pi * z.imag))
 
 
@@ -308,6 +319,7 @@ def _disc_forms(delta, D, a_max, b_max):
 
 LIFT_KERNEL_DICTIONARY = -1.0   # times 1/|delta|; see docstring below
 LIFT_PRUNE_BOUND = 1e-20        # drop forms whose scaled term stays below this
+LIFT_ROUNDING_UNITS = 32        # float64 units of the absolute sum in the estimate
 
 
 def _min_abs_p(a, C, ylow, T):
@@ -317,6 +329,38 @@ def _min_abs_p(a, C, ylow, T):
     ends = np.minimum(np.abs(a * ylow + C / ylow), np.abs(a * T + C / T))
     pmin = np.where((r >= ylow * ylow) & (r <= T * T), 2 * np.sqrt(np.abs(a * C)), ends)
     return np.where((-r >= ylow * ylow) & (-r <= T * T), 0.0, pmin)
+
+
+def _above_T_bound(disc, q, v, T):
+    """A closed-form bound for |int_{-1/2}^{1/2} int_T^oo E2*(z) conj(theta(z))
+    dy dx / y^2|, the part of F above y = T that the quadrature leaves out;
+    inf unless m(T) below is positive and past the peak of g.
+
+    A form (a, b, c) of discriminant disc has, with u = x + b/(2a),
+    |p| >= m(y) + |a| u^2 / y, m(y) = |a| y - disc/(4 |a| y), and m(y) >= m(T)
+    + |a| (y - T).  Its term |Q(zbar)| e^(-beta p^2) / y^2 = g(|p|) / y, g(p) =
+    sqrt(p^2 + disc) e^(-beta p^2), beta = 4 pi v/q, decreases past the peak,
+    and g(m + w) <= (sqrt(m^2 + disc) + 1/(e beta m)) e^(-beta m^2 - beta m w).
+    The sum over b (u spaced 1/(2|a|)) is at most 1 + 2 sqrt(pi |a| T/(beta m(T))),
+    the y-integral gives 1/(2 beta |a| m(T)), and |E2*| <= 1 + 3/(pi T) +
+    24 sum n^2 e^(-2 pi n T).  Both signs of a are summed, a = 1, 2, ...
+    """
+    beta = 4 * math.pi * v / q
+    r = math.exp(-2 * math.pi * T)
+    e2 = 1 + 3 / (math.pi * T) + 24 * r * (1 + r) / (1 - r) ** 3
+    s_peak = q / (8 * math.pi * v) - disc
+    total, a = 0.0, 1
+    while True:
+        m = a * T - disc / (4 * a * T)
+        if m <= 0 or m * m < s_peak:
+            return math.inf
+        term = (e2 * math.exp(-beta * m * m)
+                * (a + (math.sqrt(disc) + 1 / (math.e * beta * m)) / T)
+                * (1 + 2 * math.sqrt(math.pi * a * T / (beta * m))) / (beta * m * a))
+        total += term
+        if term <= 1e-30 * total:
+            return total
+        a += 1
 
 
 def lift_coefficient_quadrature(delta, D, v=0.25, T=6.0, grid=12, radius=40,
@@ -340,8 +384,10 @@ def lift_coefficient_quadrature(delta, D, v=0.25, T=6.0, grid=12, radius=40,
     phi0 kernel/preimage dictionary); the constant was measured across
     (delta, D, v) and is frozen in the tests.  normalized=True applies it,
     normalized=False returns the raw kernel pairing.
-    Returns (coefficient, error_estimate) with the estimate taken from a
-    half-resolution pass.
+    Returns (coefficient, error_estimate): the estimate is the change from a
+    half-resolution pass, plus the pruned forms' bound, plus
+    LIFT_ROUNDING_UNITS float64 units of the sum of the terms' magnitudes,
+    plus _above_T_bound for the part of F above y = T.
     """
     if delta >= 0 or not is_fundamental_discriminant(delta):
         raise ValueError("delta must be a negative fundamental discriminant")
@@ -368,7 +414,7 @@ def lift_coefficient_quadrature(delta, D, v=0.25, T=6.0, grid=12, radius=40,
     s_peak = q / (8 * math.pi * v) - disc
 
     def integrate(nx, ny):
-        total, dropped = 0.0 + 0j, 0.0
+        total, dropped, size = 0.0 + 0j, 0.0, 0.0
         xedges = np.linspace(-0.5, 0.5, nx + 1)
         for xi0, xi1 in zip(xedges[:-1], xedges[1:]):
             xm, xh = (xi0 + xi1) / 2, (xi1 - xi0) / 2
@@ -385,22 +431,25 @@ def lift_coefficient_quadrature(delta, D, v=0.25, T=6.0, grid=12, radius=40,
                 ak, bk, ck = a[keep], b[keep], c[keep]
                 yy, zb = ys[:, None], x - 1j * ys[:, None]
                 p = -(ak * (x * x + yy * yy) + bk * x + ck) / yy
-                theta = (chi[keep] * (ak * zb ** 2 + bk * zb + ck)
-                         * np.exp(-4 * math.pi * v * p * p / q)).sum(axis=1)
+                terms = (chi[keep] * (ak * zb ** 2 + bk * zb + ck)
+                         * np.exp(-4 * math.pi * v * p * p / q))
                 # E2* times the (positive) weights and A_D's 1/y^2
                 w = xwt * xh * (yh[:, None] * gw).ravel() / (ys * ys)
                 e2 = _e2star_np(x + 1j * ys, order) * w
-                total += (e2 * np.conj(theta)).sum()
+                total += (e2 * np.conj(terms.sum(axis=1))).sum()
                 dropped += bound[~keep].sum() * np.abs(e2).sum()
-        return total, dropped
+                size += np.abs(e2) @ np.abs(terms).sum(axis=1)
+        return total, dropped, size
 
-    coarse, drop_c = integrate(grid, grid)
-    fine, drop_f = integrate(2 * grid, 2 * grid)
+    coarse, drop_c, _ = integrate(grid, grid)
+    fine, drop_f, size = integrate(2 * grid, 2 * grid)
     # sqrt|Delta| e^(4 pi D v) times A_D's 2 sqrt(v) e^(-4 pi D v) / sqrt|Delta|
     scale = 2 * math.sqrt(v)
     if normalized:
         scale *= LIFT_KERNEL_DICTIONARY / q
-    return scale * fine, abs(scale) * (abs(fine - coarse) + drop_c + drop_f)
+    rounding = LIFT_ROUNDING_UNITS * np.finfo(float).eps * size
+    above = _above_T_bound(disc, q, v, T)
+    return scale * fine, abs(scale) * (abs(fine - coarse) + drop_c + drop_f + rounding + above)
 
 
 def lift_constant_term(delta, k, a_plus_0, prec=DEFAULT_PRECISION):

@@ -8,7 +8,7 @@ from functools import lru_cache
 
 import mpmath
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, mpc
 
 from shintani import forms as fo
@@ -171,6 +171,51 @@ def test_height_cut_within_reported_tail(name, order, x, y):
         q = mpmath.exp(2j * mpmath.pi * z)
         full = sum(mpmath.mpmathify(c) * q ** n for n, c in f.coeffs.items())
         assert abs(value - full) <= tail + 1e-35
+
+
+def _plain_series(f, z):
+    """sum c_n q^n term by term in mpmath, 64 bits past the working
+    precision, over the terms _series keeps (the same height cut); returns
+    (value, dropped, q, sum of |c_n q^n|)."""
+    ns, cs, mags = fo._table(f, "coeffs" if isinstance(f, fo.QExpansion) else "a_plus")
+    q = mpmath.exp(2j * mpmath.pi * z)
+    absq, cut = float(abs(q)), 10.0 ** -(mp.dps + 10)
+    keep, dropped = len(ns), 0.0
+    while keep and ns[keep - 1] > 0 and dropped + mags[keep - 1] * absq ** ns[keep - 1] < cut:
+        keep -= 1
+        dropped += mags[keep] * absq ** ns[keep]
+    with mp.workprec(mp.prec + 64):
+        terms = [mpmath.mpmathify(c) * q ** n for n, c in zip(ns[:keep], cs)]
+        return mpmath.fsum(terms), dropped, q, mpmath.fsum(abs(t) for t in terms)
+
+
+_SERIES_OBJECTS = {
+    "E2*": fo.e2_star_data(64),
+    "E4": F["E4"],
+    "Delta": F["DeltaCusp"],
+    "j": F["j"],
+    # complex, with a principal part and a leading coefficient far below 1
+    "complex": HarmonicFourierData(
+        2, {n: complex(math.cos(n), math.sin(3 * n)) * (1e-12 if n == 0 else 1)
+            for n in range(-2, 20)}, {}, 20),
+}
+
+
+@settings(max_examples=80)
+@given(name=st.sampled_from(sorted(_SERIES_OBJECTS)), digits=st.sampled_from([15, 30, 50]),
+       x=st.floats(-0.5, 0.5), y=st.floats(math.sqrt(3) / 2, 3))
+def test_fixed_point_series_matches_plain_sum(name, digits, x, y):
+    # the Horner sum in fixed-point integers against term-by-term mpmath:
+    # a few units of the working precision's last place of sum |c_n q^n|,
+    # with the same height cut, dropped tail and q
+    f = _SERIES_OBJECTS[name]
+    with mp.workdps(digits):
+        z = mpc(x, y)
+        value, dropped, q = fo._series(f, z)
+        want, want_dropped, want_q, size = _plain_series(f, z)
+        assert q == want_q and dropped == want_dropped
+        assert abs(value - want) <= 4 * mpf(2) ** -mp.prec * size, (
+            float(abs(value - want) / (mpf(2) ** -mp.prec * size)))
 
 
 def test_xi_e2_star():

@@ -5,6 +5,7 @@ import random
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, mpc
 
 from shintani import hyperbolic as hy
@@ -189,6 +190,66 @@ def test_reduce_to_fundamental_random():
         assert abs(z.real) <= 0.5 + 1e-20
         assert abs(z) >= 1 - 1e-20
         assert abs(hy.apply_moebius(g, z0) - z) < 1e-12
+
+
+def _reduce_exact_loop(z, max_steps=10000):
+    # the exact T/S loop as the reduction ran before its word was chosen in
+    # floats: the oracle for the word
+    z = mpc(z)
+    g = ((1, 0), (0, 1))
+    S = ((0, -1), (1, 0))
+    eps = mpf(10) ** (-(mp.dps - 5))
+    for _ in range(max_steps):
+        n = int(mpmath.floor(z.real + mpf(1) / 2))
+        if z.real - n > mpf(1) / 2 - eps:
+            n += 1
+        if n:
+            z = z - n
+            g = qf.mat_mul(((1, -n), (0, 1)), g)
+        r2 = abs(z) ** 2
+        if r2 < 1 - eps or (r2 < 1 + eps and z.real > eps):
+            z = -1 / z
+            g = qf.mat_mul(S, g)
+            continue
+        return z, g
+    raise ArithmeticError("no termination")
+
+
+_heights = st.floats(-8, 1).map(lambda e: mpf(10) ** e)
+_points = st.one_of(
+    st.builds(mpc, st.floats(-3, 3), _heights),
+    # on the lines x = k +- 1/2
+    st.builds(lambda k, s, y: mpc(k + s * mpf(1) / 2, y),
+              st.integers(-3, 3), st.sampled_from([-1, 1]), _heights),
+    # on the unit circle and its translates
+    st.builds(lambda k, t: k + mpmath.expjpi(t), st.integers(-2, 2), st.floats(0.001, 0.999)),
+    st.builds(lambda k: mpc(k, 1), st.integers(-2, 2)),
+    # near cusps p/q, where the word is long
+    st.builds(lambda p, q, y: mpc(mpf(p) / q, y),
+              st.integers(-40, 40), st.integers(1, 40), _heights),
+)
+
+
+@settings(max_examples=300)
+@given(z0=_points)
+def test_reduce_to_fundamental_matches_exact_loop(z0):
+    # the word chosen in floats is the exact loop's word, ties included, and
+    # the point is no further from gamma z0 than the exact loop's
+    z, g = hy.reduce_to_fundamental(z0)
+    want_z, want_g = _reduce_exact_loop(z0)
+    assert g == want_g
+    (a, b), (c, d) = g
+    with mp.workdps(mp.dps + 40):
+        exact = (a * z0 + b) / (c * z0 + d)
+    assert abs(z - exact) <= abs(want_z - exact) + mpf(2) ** (8 - mp.prec) * abs(exact)
+
+
+def test_reduce_to_fundamental_beyond_float_range():
+    # x past the float range leaves the whole word to the exact loop
+    z0 = mpc(mpf("1e400"), 2)
+    z, g = hy.reduce_to_fundamental(z0)
+    assert g == _reduce_exact_loop(z0)[1]
+    assert abs(z.real) <= 0.5 and abs(z - mpc(0, 2)) < 1e-20
 
 
 def test_reduce_to_fundamental_rejects_lower_half():

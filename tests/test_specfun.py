@@ -305,3 +305,26 @@ def test_thetacore_public_functions_are_called():
     tests = ast.parse((pathlib.Path(__file__).parent / "test_thetacore.py").read_text())
     defined = {node.name for node in tests.body if isinstance(node, ast.FunctionDef)}
     assert set(THETACORE_ORACLES.values()) <= defined
+
+
+# Public functions of forms and hyperbolic that only tests and the benchmark
+# reach.  e2_star_modular is the benchmark's evaluator; each one is checked
+# against a second route by the named test: e2_star_modular against the
+# brute-force E2* sum, eval_qexp's value and tail against a 90-digit full
+# sum, geodesic_of's arcs by p_z(Q) = 0 on them, act_on_form by
+# p_{gamma z}(Q) = p_z(gamma^-1 Q).
+MODULAR_ORACLES = {
+    ("forms", "e2_star_modular"): ("test_forms.py", "test_e2_star_data_matches_direct"),
+    ("forms", "eval_qexp"): ("test_forms.py", "test_height_cut_within_reported_tail"),
+    ("hyperbolic", "geodesic_of"): ("test_hyperbolic.py", "test_geodesic_membership"),
+    ("hyperbolic", "act_on_form"): ("test_hyperbolic.py", "test_transformation_rules"),
+}
+
+
+def test_forms_and_hyperbolic_public_functions_are_called():
+    unreached = {(m, name) for m in ("forms", "hyperbolic") for name in _unreached(m)}
+    assert unreached == set(MODULAR_ORACLES)
+    here = pathlib.Path(__file__).parent
+    for path, test in MODULAR_ORACLES.values():
+        tests = ast.parse((here / path).read_text())
+        assert test in {node.name for node in tests.body if isinstance(node, ast.FunctionDef)}

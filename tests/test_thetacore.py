@@ -360,7 +360,8 @@ def _lift_oracle_raw(delta, D, v, grid, T=6.0, radius=40, order=48):
 
 def test_lift_quadrature_matches_per_point_oracle():
     # the array pass with pruned forms against the per-point loop over the
-    # whole box; the estimate is a difference of two passes, so both are
+    # whole box; the estimate is a difference of two passes plus the bound
+    # for F above y = T (added here to the oracle's difference), so both are
     # compared relative to the coefficient
     for delta, D in ((-4, 3), (-3, 4), (-3, 7), (-4, 8)):
         for grid in (3, 5):
@@ -371,11 +372,34 @@ def test_lift_quadrature_matches_per_point_oracle():
                     if normalized:
                         scale *= th.LIFT_KERNEL_DICTIONARY / abs(delta)
                     want, want_est = scale * fine, abs(scale * (fine - coarse))
+                    unit = 2 * math.sqrt(v) * (abs(th.LIFT_KERNEL_DICTIONARY) / abs(delta)
+                                               if normalized else 1)
+                    want_est += unit * th._above_T_bound(abs(delta) * D, abs(delta), v, 6.0)
                     got, est = th.lift_coefficient_quadrature(
                         delta, D, v=v, grid=grid, normalized=normalized)
                     case = (delta, D, grid, v, normalized)
                     assert abs(got - want) <= 1e-13 * abs(want), case
                     assert abs(est - want_est) <= 1e-13 * abs(want), case
+
+
+@pytest.mark.parametrize("delta, D", [(-4, 3), (-3, 7)])
+@pytest.mark.parametrize("grid", [4, 8, 10])
+def test_lift_error_estimate_bounds_error(delta, D, grid):
+    # at T = 6 the part of F above y = T is what the fine and coarse passes
+    # share: for (-4, 3) it is the 3.3e-12 that the pass difference misses
+    coeff, est = th.lift_coefficient_quadrature(delta, D, grid=grid)
+    target = float(12 * hurwitz_class_number(abs(delta)) * hurwitz_class_number(D)
+                   / math.sqrt(abs(delta)))
+    assert abs(coeff.real - target) <= est, (abs(coeff.real - target), est)
+    assert abs(coeff.imag) <= est
+
+
+def test_above_T_bound_scales():
+    # the bound follows the a = +-1 terms' decay e^(-beta m(T)^2); it is
+    # infinite once an a = +-1 geodesic reaches above T
+    b6, b7 = (th._above_T_bound(12, 4, 0.25, T) for T in (6.0, 7.0))
+    assert 1e-11 < b6 < 1e-9 and b7 < b6 * 1e-3
+    assert th._above_T_bound(400, 4, 0.25, 6.0) == math.inf
 
 
 def test_lift_quadrature_memory():
