@@ -52,8 +52,7 @@ from .specfun import (DEFAULT_PRECISION, gamma_upper, e_kappa,
                       kronecker_symbol, bernoulli_poly_eval, _coerce, _workdps)
 from .qforms import (class_reps, automorph_generator, genus_char,
                      square_normalize, _isqrt, _xgcd)
-from .quadrature import (gauss_legendre, integrate_gl, integrate_gl_doubling,
-                         integrate_periodic_doubling)
+from .quadrature import integrate_cc_doubling, integrate_periodic_doubling
 from .hyperbolic import apply_moebius
 from .forms import HarmonicFourierData, eval_harmonic, eval_modular, xi_symbolic
 
@@ -147,7 +146,8 @@ def _ray_quadrature(G_fun, r, c0, T, k, tol, nodes):
     """int_c0^T G(r + iy) y^k dy with dyadic panels toward the bottom.
 
     q-series objects vary fastest at small heights, so the interval below
-    height 1 is split dyadically; each panel uses node-doubling GL.
+    height 1 is split dyadically; each panel uses the nested Clenshaw-Curtis
+    rule from `nodes`.
     """
     lo, hi = mpf(c0), mpf(T)
     if hi == lo:
@@ -168,7 +168,7 @@ def _ray_quadrature(G_fun, r, c0, T, k, tol, nodes):
     used = 0
     f = lambda y: G_fun(mpc(r, 0) + 1j * y) * y ** k
     for a, b in zip(edges[:-1], edges[1:]):
-        val, err, n = integrate_gl_doubling(f, a, b, n0=nodes, tol=tol, nmax=4096)
+        val, err, n = integrate_cc_doubling(f, a, b, n0=nodes, tol=tol, nmax=4096)
         total += val
         toterr += float(err)
         used = max(used, n)
@@ -212,7 +212,7 @@ def _ray_counterterms(G, k, r, T, prec):
 
 
 def reg_cycle_integral(G, Q, k=0, T=2, c_plus=1, prec=DEFAULT_PRECISION,
-                       evaluator=None, nodes=64, tol=1e-22):
+                       evaluator=None, nodes=16, tol=1e-22):
     """Regularized cycle integral of G along the infinite geodesic of Q.
 
     Q must have square discriminant f^2 (any representative; it is
@@ -259,38 +259,37 @@ def _alt_ray(G, xiG, G_fun, k, r, c0, T, prec, nodes, tol):
         # xi G without its constant term, as holomorphic Fourier data
         xi_data = HarmonicFourierData(xiG.weight, {n: c for n, c in xiG.coeffs.items() if n},
                                       {}, xiG.order)
-        xg = lambda z: eval_harmonic(xi_data, z, prec)
+        c_B = sgn * (1j) ** (k + 1) / (k + 1)
+        c_xi = sgn * (1j) ** (-k) * mpmath.factorial(k) / mpmath.factorial(2 * k + 1)
+        c_d = [mpmath.factorial(d + k) / mpmath.factorial(d + 1)
+               * sum(math.comb(2 * k + 1, j) for j in range(k - d + 1))
+               * (-1j * Tm) ** (-k - d - 1) for d in range(k + 1)]
 
-        # G against B_{k+1} along the period at height T
-        fB = lambda x: (G_fun(rr + x + 1j * Tm) - am0 * Tm ** (-1 - 2 * k)) \
-            * bernoulli_poly_eval(k + 1, x + 1j * Tm)
-        iB = integrate_gl(fB, mpf(0), mpf(1), 2 * nodes)
-        acc = quad + sgn * (1j) ** (k + 1) / (k + 1) * iB
+        def line(x):
+            # one period at height T: G against B_{k+1}, and xi G against
+            # polygamma and against Bernoulli polynomials of the real part;
+            # the xi G terms enter conjugated, which commutes with the
+            # real-weighted rule
+            w = x + 1j * Tm
+            acc = c_B * (G_fun(rr + w) - am0 * Tm ** (-1 - 2 * k)) \
+                * bernoulli_poly_eval(k + 1, w)
+            xg = eval_harmonic(xi_data, rr + w, prec)
+            if xg:
+                inner = mpf(2) ** (2 * k - 1) * (mpmath.psi(k, w) + sgn * mpmath.psi(k, 1 - w))
+                for d, c in enumerate(c_d):
+                    inner += c * bernoulli_poly_eval(d + 1, x)
+                acc -= c_xi * mpmath.conj(xg * inner)
+            return acc
 
-        # xi G against polygamma
-        fpsi = lambda x: xg(rr + x + 1j * Tm) * (
-            mpmath.psi(k, x + 1j * Tm) + sgn * mpmath.psi(k, 1 - x - 1j * Tm))
-        ipsi = integrate_gl(fpsi, mpf(0), mpf(1), 2 * nodes)
-        acc -= sgn * (1j) ** (-k) * mpf(2) ** (2 * k - 1) * mpmath.factorial(k) \
-            / mpmath.factorial(2 * k + 1) * mpmath.conj(ipsi)
-
-        # xi G against Bernoulli polynomials of the real part, y-powers
-        for d in range(k + 1):
-            comb = sum(math.comb(2 * k + 1, j) for j in range(k - d + 1))
-            fBd = lambda x: xg(rr + x + 1j * Tm) * bernoulli_poly_eval(d + 1, x) \
-                * (-1j * Tm) ** (-k - d - 1)
-            iBd = integrate_gl(fBd, mpf(0), mpf(1), 2 * nodes)
-            acc -= sgn * (1j) ** (-k) * mpmath.factorial(k) / mpmath.factorial(2 * k + 1) \
-                * mpmath.factorial(d + k) / mpmath.factorial(d + 1) * comb \
-                * mpmath.conj(iBd)
-
+        iline, err_line, _ = integrate_cc_doubling(line, 0, 1, n0=nodes, tol=tol)
+        acc = quad + iline
         if am0:
             acc += am0 * (-mpmath.log(Tm)) if k == 0 else am0 * Tm ** (-k) / k
-        return acc, err
+        return acc, err + float(err_line)
 
 
 def reg_cycle_integral_alt(G, Q, k=0, T=2, c_plus=1, prec=DEFAULT_PRECISION,
-                           evaluator=None, nodes=64, tol=1e-22):
+                           evaluator=None, nodes=16, tol=1e-22):
     """The Bernoulli/polygamma representation of the regularized integral.
 
     Needs xi_{2k+2} G, taken symbolically from the Fourier data.  Agrees
@@ -316,11 +315,14 @@ def reg_cycle_integral_alt(G, Q, k=0, T=2, c_plus=1, prec=DEFAULT_PRECISION,
 # the two evaluation lemmas (line integrals with closed forms)
 # ---------------------------------------------------------------------------
 
-def bernoulli_unit_integral(j, n, prec=DEFAULT_PRECISION, nodes=64):
+LEMMA_TOL = 1e-16   # doubling tolerance of the lemma checks' quadrature
+
+
+def bernoulli_unit_integral(j, n, prec=DEFAULT_PRECISION):
     """(quadrature, closed form) for int_0^1 B_j(x) e(nx) dx."""
     with _workdps(prec):
-        f = lambda x: bernoulli_poly_eval(j, x) * mpmath.e ** (2j * mpmath.pi * n * x)
-        quad = integrate_gl(f, mpf(0), mpf(1), nodes)
+        f = lambda x: bernoulli_poly_eval(j, x) * mpmath.exp(2j * mpmath.pi * n * x)
+        quad = integrate_cc_doubling(f, 0, 1, tol=LEMMA_TOL)[0]
         if n == 0:
             closed = mpc(1) if j == 0 else mpc(0)
         elif j == 0:
@@ -331,13 +333,13 @@ def bernoulli_unit_integral(j, n, prec=DEFAULT_PRECISION, nodes=64):
         return quad, closed
 
 
-def bernoulli_height_integral(kk, n, y, prec=DEFAULT_PRECISION, nodes=64):
+def bernoulli_height_integral(kk, n, y, prec=DEFAULT_PRECISION):
     """(quadrature, closed form) for int_{iy}^{iy+1} B_k(z) e(nz) dz."""
     with _workdps(prec):
         ym = mpf(y)
         f = lambda x: bernoulli_poly_eval(kk, x + 1j * ym) \
-            * mpmath.e ** (2j * mpmath.pi * n * (x + 1j * ym))
-        quad = integrate_gl(f, mpf(0), mpf(1), nodes)
+            * mpmath.exp(2j * mpmath.pi * n * (x + 1j * ym))
+        quad = integrate_cc_doubling(f, 0, 1, tol=LEMMA_TOL)[0]
         if n == 0:
             closed = (1j * ym) ** kk
         elif kk == 0:
@@ -348,29 +350,23 @@ def bernoulli_height_integral(kk, n, y, prec=DEFAULT_PRECISION, nodes=64):
         return quad, closed
 
 
-def polygamma_height_integral(kk, n, y, prec=DEFAULT_PRECISION, nodes=64,
-                              _psi_cache=None):
+def polygamma_height_integral(kk, n, y, prec=DEFAULT_PRECISION, _psi_cache=None):
     """(quadrature, closed form) for
-    int_{iy}^{iy+1} (psi^(k)(z) + (-1)^k psi^(k)(1-z)) e(nz) dz."""
+    int_{iy}^{iy+1} (psi^(k)(z) + (-1)^k psi^(k)(1-z)) e(nz) dz.
+
+    _psi_cache memoizes the polygamma factor by (k, y, node) across n."""
     with _workdps(prec):
         ym = mpf(y)
-        xs, ws = gauss_legendre(nodes)
-        if _psi_cache is None:
-            _psi_cache = {}
-        key = (kk, float(ym), nodes)
-        if key not in _psi_cache:
-            vals = []
-            for xnode in xs:
-                x = (1 + xnode) / 2
-                z = x + 1j * ym
-                vals.append(mpmath.psi(kk, z) + mpf(-1) ** kk * mpmath.psi(kk, 1 - z))
-            _psi_cache[key] = vals
-        vals = _psi_cache[key]
-        quad = mpc(0)
-        for xnode, w, pv in zip(xs, ws, vals):
-            x = (1 + xnode) / 2
-            quad += w * pv * mpmath.e ** (2j * mpmath.pi * n * (x + 1j * ym))
-        quad = quad / 2
+        psi = {} if _psi_cache is None else _psi_cache
+
+        def f(x):
+            z = x + 1j * ym
+            key = (kk, ym, x)
+            if key not in psi:
+                psi[key] = mpmath.psi(kk, z) + mpf(-1) ** kk * mpmath.psi(kk, 1 - z)
+            return psi[key] * mpmath.exp(2j * mpmath.pi * n * z)
+
+        quad = integrate_cc_doubling(f, 0, 1, tol=LEMMA_TOL)[0]
         if n == 0:
             if kk == 0:
                 closed = 2 * mpmath.log(ym)
@@ -384,15 +380,19 @@ def polygamma_height_integral(kk, n, y, prec=DEFAULT_PRECISION, nodes=64,
 
 
 def lemma_integral_checks(k_max=4, n_max=3, ys=(0.5, 1, 2), prec=DEFAULT_PRECISION):
-    """Quadrature-vs-closed-form errors for both evaluation lemmas."""
+    """Quadrature-vs-closed-form errors for both evaluation lemmas; the
+    unit integrals do not depend on y and are reported once."""
+    ks, ns = range(k_max + 1), range(-n_max, n_max + 1)
     report = []
+    for kk in ks:
+        for n in ns:
+            qa, ca = bernoulli_unit_integral(kk, n, prec)
+            report.append({"lemma": "bernoulli-unit", "k": kk, "n": n, "y": None,
+                           "abs_error": float(abs(qa - ca))})
     psi_cache = {}
     for y in ys:
-        for kk in range(k_max + 1):
-            for n in range(-n_max, n_max + 1):
-                qa, ca = bernoulli_unit_integral(kk, n, prec)
-                report.append({"lemma": "bernoulli-unit", "k": kk, "n": n, "y": None,
-                               "abs_error": float(abs(qa - ca))})
+        for kk in ks:
+            for n in ns:
                 qb, cb = bernoulli_height_integral(kk, n, y, prec)
                 report.append({"lemma": "bernoulli-height", "k": kk, "n": n, "y": y,
                                "abs_error": float(abs(qb - cb))})

@@ -1,72 +1,45 @@
-"""Gauss-Legendre quadrature with high-precision nodes, and the nested
-trapezoid rule for periodic integrands.
+"""Nested quadrature rules: Clenshaw-Curtis on a finite interval and the
+trapezoid rule over one period of a periodic integrand.
 
-Gauss-Legendre nodes are seeded from numpy's float64 rule and
-Newton-polished in mpmath, then cached per (n, dps).  Integrands may be
-complex valued; intervals are finite (the analytic integrands in this
-package are truncated explicitly).
+Both double their node count until two successive levels agree to the
+tolerance, and both nest: every node of one level is a node of the next,
+so each doubling evaluates the integrand only at the new nodes.
+Clenshaw-Curtis is the trapezoid rule in theta = arccos x applied to
+f(cos theta); its nodes cos(j pi / n) are explicit, and each weight is one
+cosine sum (Trefethen, "Is Gauss quadrature better than Clenshaw-Curtis?",
+SIAM Rev. 50 (2008)).  Nodes and weights are cached per (n, mp.prec).
+
+For real-analytic integrands both rules converge geometrically, so the
+error estimate is the change under the one doubling taken, or, once three
+levels exist, the last change squared over the one before plus a rounding
+floor.  Integrands may be complex valued; intervals are finite (the
+analytic integrands in this package are truncated explicitly).
 """
 
-import itertools
-
-import numpy as np
 import mpmath
 from mpmath import mp, mpf
 
-_NODE_CACHE = {}
+_CC_CACHE = {}
 
 
-def _legendre_and_derivative(n, x):
-    # P_n(x) and P_n'(x) by the three-term recurrence
-    p0, p1 = mpf(1), x
-    for k in range(1, n):
-        p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
-    dp = n * (x * p1 - p0) / (x * x - 1)
-    return p1, dp
-
-
-def gauss_legendre(n, dps=None):
-    """Nodes and weights on [-1, 1] at dps working digits, ascending.
-
-    The rule is symmetric (numpy's seeds are exactly so, and Newton's
-    iteration commutes with x -> -x), so only the nonnegative half is
-    polished and the other half is its mirror image.
-    """
-    if dps is None:
-        dps = mp.dps
-    key = (n, dps)
-    if key in _NODE_CACHE:
-        return _NODE_CACHE[key]
-    with mp.workdps(dps + 10):
-        seeds, _ = np.polynomial.legendre.leggauss(n)
-        nodes, weights = [], []
-        for s in seeds[n // 2:]:
-            x = mpf(float(s))
-            for _ in range(60):
-                p, dp = _legendre_and_derivative(n, x)
-                dx = p / dp
-                x = x - dx
-                if abs(dx) < mpf(10) ** (-dps - 5):
-                    break
-            _, dp = _legendre_and_derivative(n, x)
-            nodes.append(x)
-            weights.append(2 / ((1 - x * x) * dp * dp))
-        odd = n % 2
-        nodes = [-x for x in reversed(nodes[odd:])] + nodes
-        weights = weights[odd:][::-1] + weights
-    _NODE_CACHE[key] = (nodes, weights)
-    return nodes, weights
-
-
-def integrate_gl(f, a, b, n=128):
-    """Gauss-Legendre integral of f over [a, b] with n nodes."""
-    a, b = mpf(a), mpf(b)
-    nodes, weights = gauss_legendre(n)
-    mid, half = (a + b) / 2, (b - a) / 2
-    acc = 0
-    for x, w in zip(nodes, weights):
-        acc += w * f(mid + half * x)
-    return half * acc
+def clenshaw_curtis(n):
+    """Nodes cos(j pi / n), j = 0..n, and weights of the (n + 1)-point
+    Clenshaw-Curtis rule on [-1, 1] at mp.prec, for even n."""
+    if n < 2 or n % 2:
+        raise ValueError("Clenshaw-Curtis needs an even n >= 2")
+    key = (n, mp.prec)
+    if key not in _CC_CACHE:
+        half = n // 2
+        nodes = [mpmath.cospi(mpf(j) / n) for j in range(n + 1)]
+        cos = nodes + nodes[-2:0:-1]            # cos(m pi / n), m < 2n
+        coef = [mpf(2) / (4 * k * k - 1) for k in range(1, half + 1)]
+        coef[-1] /= 2
+        weights = [(1 - mpmath.fdot(coef, [cos[2 * k * j % (2 * n)]
+                                           for k in range(1, half + 1)])) * 2 / n
+                   for j in range(half + 1)]
+        weights[0] /= 2
+        _CC_CACHE[key] = nodes, weights + weights[half - 1::-1]
+    return _CC_CACHE[key]
 
 
 def _until_converged(levels, tol, nmax):
@@ -86,15 +59,44 @@ def _until_converged(levels, tol, nmax):
         prev = cur
 
 
-def integrate_gl_doubling(f, a, b, n0=64, tol=1e-20, nmax=2048):
-    """Node-doubling Gauss-Legendre; returns (value, error_estimate, n_used).
+def _error_estimate(changes, width, size):
+    """The change under a single doubling; after more, the last change
+    squared over the one before (the rule's error is at most that while the
+    changes shrink geometrically) plus the rounding floor eps |width| size,
+    size being the float sum of |f| over the samples."""
+    if len(changes) < 2:
+        return changes[-1]
+    last, before = changes[-1], changes[-2]
+    rate = last * last / before if before else last
+    return rate + mp.eps * abs(width) * size
 
-    The error estimate is the change under the final doubling; failure to
-    converge below tol raises.
-    """
-    levels = ((integrate_gl(f, a, b, n0 << i), n0 << i) for i in itertools.count())
-    value, changes, n = _until_converged(levels, tol, nmax)
-    return value, changes[-1], n
+
+def integrate_cc_doubling(f, a, b, n0=16, tol=1e-20, nmax=4096):
+    """Nested Clenshaw-Curtis rule for f over [a, b] (n0 even); returns
+    (value, error_estimate, n_used) after n_used + 1 evaluations of f.
+    Convergence and failure as in _until_converged, the estimate as in
+    _error_estimate."""
+    a, b = mpf(a), mpf(b)
+    mid, half = (a + b) / 2, (b - a) / 2
+    size = 0.0       # float sum of |f| over the samples
+
+    def samples(xs):
+        nonlocal size
+        vals = [f(mid + half * x) for x in xs]
+        size += sum(abs(complex(v)) for v in vals)
+        return vals
+
+    def levels():
+        n = n0
+        vals = samples(clenshaw_curtis(n)[0])
+        while True:
+            yield half * mpmath.fdot(clenshaw_curtis(n)[1], vals), n
+            new = samples(clenshaw_curtis(2 * n)[0][1::2])
+            vals = [v for pair in zip(vals, new) for v in pair] + vals[-1:]
+            n *= 2
+
+    value, changes, n = _until_converged(levels(), tol, nmax)
+    return value, _error_estimate(changes, b - a, size), n
 
 
 def integrate_periodic_doubling(f, a, b, n0=16, tol=1e-20, nmax=4096):
@@ -103,11 +105,8 @@ def integrate_periodic_doubling(f, a, b, n0=16, tol=1e-20, nmax=4096):
 
     For a real-analytic periodic f the equispaced rule converges
     geometrically.  Each doubling samples only the new midpoints, so n_used
-    is also the number of evaluations of f.  Convergence and failure as in
-    integrate_gl_doubling.  After one doubling the error estimate is its
-    change; after more, the last change squared over the one before (the
-    rule's error is at most that while the changes shrink geometrically),
-    plus a rounding floor eps |b - a| sum |f| over the samples.
+    is also the number of evaluations of f.  Convergence, failure and the
+    error estimate as in integrate_cc_doubling.
     """
     a0, width = mpf(a), mpf(b) - mpf(a)
     size = 0.0       # float sum of |f| over the samples
@@ -131,8 +130,4 @@ def integrate_periodic_doubling(f, a, b, n0=16, tol=1e-20, nmax=4096):
             n *= 2
 
     value, changes, n = _until_converged(levels(), tol, nmax)
-    if len(changes) < 2:
-        return value, changes[-1], n
-    last, before = changes[-1], changes[-2]
-    rate = last * last / before if before else last
-    return value, rate + mp.eps * abs(width) * size, n
+    return value, _error_estimate(changes, width, size), n

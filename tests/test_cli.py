@@ -314,10 +314,10 @@ def test_command_leaves_mp_dps_unchanged(args, code, monkeypatch):
 def test_output_independent_of_cache_state(monkeypatch):
     # a default-precision run prints the same from cold caches as after a
     # --precision 50 run has filled the per-precision caches (coefficient
-    # tables, e2_star_data, Gauss-Legendre nodes)
+    # tables, e2_star_data, Clenshaw-Curtis nodes and weights)
     def cold_caches():
         forms.e2_star_data.cache_clear()
-        monkeypatch.setattr(quadrature, "_NODE_CACHE", {})
+        monkeypatch.setattr(quadrature, "_CC_CACHE", {})
 
     cmds = [["cycle-trace", "--delta", "-4", "--D", "3"],
             ["verify", "--identity", "hecke", "--delta", "-4", "--D", "3"]]

@@ -107,14 +107,14 @@ def test_reg_cusp_form_direct_oracle():
     ev = lambda z: fo.eval_modular(D, z)[0]
     Q = QForm(0, 3, 1)
     k = 5
-    from shintani.quadrature import integrate_gl_doubling
+    from shintani.quadrature import integrate_cc_doubling
     r = mpf(-1) / 3
 
     def integrand(y):
         z = mpc(r, 0) + 1j * y
         return ev(z) * (3j * y) ** k * 1j
 
-    direct, _, _ = integrate_gl_doubling(integrand, mpf("0.02"), mpf(12),
+    direct, _, _ = integrate_cc_doubling(integrand, mpf("0.02"), mpf(12),
                                          n0=128, tol=1e-14, nmax=2048)
     res = cy.reg_cycle_integral(data, Q, k=k, T=2, evaluator=ev)
     assert abs(direct - res.value) < 1e-8
@@ -150,6 +150,33 @@ def test_synthetic_one_term_kminus():
     rd = cy.reg_cycle_integral(data, QForm(0, 3, 1), 1, T=2)
     ra = cy.reg_cycle_integral_alt(data, QForm(0, 3, 1), 1, T=2)
     assert abs(rd.value - ra.value) < 1e-6
+
+
+def test_reg_rays_match_counterterm_closed_form():
+    # for finite Fourier data the counterterms are exact antiderivatives of
+    # the ray integrand, so the regularized integral is
+    # f^k i^(k+1) (CT(r-, c-) + (-1)^(k+1) CT(r+, c+)), CT taken at each
+    # ray's lower end; on acceptance criterion 5's ten synthetic instances
+    # and settings both routes meet it, inside their reported error
+    prec = Precision(30)
+    rng = random.Random(2024)
+    with mp.workdps(40):
+        for k, count in enumerate((4, 3, 3)):
+            for _ in range(count):
+                G = synthetic_data(k, rng)
+                Q = QForm(0, 3, rng.choice([1, 2]))
+                _, f, r_plus, q, r_minus = cy._square_ray_data(Q)
+                exact = mpf(f) ** k * (1j) ** (k + 1) * (
+                    cy._ray_counterterms(G, k, r_minus, mpf(1) / (q * q), prec)
+                    + (-1) ** (k + 1) * cy._ray_counterterms(G, k, r_plus, 1, prec))
+                runs = [cy.reg_cycle_integral(G, Q, k, T=T, prec=prec, nodes=32, tol=1e-14)
+                        for T in (1, 2, 5)]
+                runs.append(cy.reg_cycle_integral_alt(G, Q, k, T=2, prec=prec, nodes=32,
+                                                      tol=1e-14))
+                for res in runs:
+                    err = abs(res.value - exact)
+                    assert err < 1e-24 and err <= res.quadrature_error, \
+                        (k, res.method, res.T_used, err, res.quadrature_error)
 
 
 # ---------------------------------------------------------------------------
@@ -247,14 +274,14 @@ def test_hecke_identity_square_discriminant_route():
 
 # nodes of every class's cycle integral on the grid below, in class_reps
 # order (closed pairs: trapezoid samples; square pairs: the larger of the two
-# rays' Gauss-Legendre orders)
+# rays' final Clenshaw-Curtis levels n, each taking n + 1 samples per panel)
 HECKE_GRID_NODES = {
-    (-3, 3): (128, 128), (-3, 4): (32, 32), (-3, 7): (32, 32), (-3, 8): (64, 64),
-    (-3, 11): (128, 128), (-3, 12): (128, 128, 128, 128), (-3, 15): (64, 64),
+    (-3, 3): (64, 64), (-3, 4): (32, 32), (-3, 7): (32, 32), (-3, 8): (64, 64),
+    (-3, 11): (128, 128), (-3, 12): (64, 64, 64, 64), (-3, 15): (64, 64),
     (-3, 16): (32, 64, 32, 64), (-3, 19): (128, 128), (-3, 20): (64, 64, 64, 64),
-    (-4, 3): (32, 32), (-4, 4): (128, 128), (-4, 7): (64, 64), (-4, 8): (64, 64),
+    (-4, 3): (32, 32), (-4, 4): (64, 64), (-4, 7): (64, 64), (-4, 8): (64, 64),
     (-4, 11): (64, 64), (-4, 12): (64, 64), (-4, 15): (64, 64, 64, 64), (-7, 3): (32, 32),
-    (-7, 4): (64, 64), (-7, 7): (128, 128, 128, 128, 128, 128), (-7, 8): (128, 128),
+    (-7, 4): (64, 64), (-7, 7): (64, 64, 64, 64, 64, 64), (-7, 8): (128, 128),
     (-8, 3): (64, 64), (-8, 4): (64, 64), (-8, 7): (128, 128), (-11, 3): (128, 128),
     (-11, 4): (64, 64), (-15, 3): (64, 64), (-15, 4): (64, 64, 64, 64), (-19, 3): (128, 128),
     (-20, 3): (64, 64, 64, 64),
@@ -307,9 +334,9 @@ def test_hecke_identity_grid():
 
 
 def test_hecke_grid_error_bounded():
-    # the reported error bounds the observed one on all 30 pairs: closed
-    # pairs report the trapezoid rule's geometric rate plus its rounding
-    # floor, square pairs the last change of the rays' Gauss-Legendre rule
+    # the reported error bounds the observed one on all 30 pairs: both the
+    # closed pairs' trapezoid rule and the square pairs' Clenshaw-Curtis
+    # rays report the geometric rate plus a rounding floor
     for pair, (err, qerr, _) in _hecke_grid().items():
         assert err <= qerr, (pair, err, qerr)
 

@@ -1,52 +1,48 @@
-"""Quadrature rules: the mirrored Gauss-Legendre build and the nested
-periodic trapezoid rule."""
+"""Quadrature rules: nested Clenshaw-Curtis and the nested periodic
+trapezoid rule."""
 
-import numpy as np
 import pytest
 import mpmath
-from mpmath import mp, mpf
+from mpmath import mpf
 
-from shintani.quadrature import gauss_legendre, integrate_periodic_doubling
-
-
-def _full_gauss_legendre(n, dps):
-    """Every node Newton-polished from its own numpy seed (no mirroring)."""
-    def p_and_dp(x):
-        p0, p1 = mpf(1), x
-        for k in range(1, n):
-            p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
-        return p1, n * (x * p1 - p0) / (x * x - 1)
-
-    with mp.workdps(dps + 10):
-        seeds, _ = np.polynomial.legendre.leggauss(n)
-        nodes, weights = [], []
-        for s in seeds:
-            x = mpf(float(s))
-            for _ in range(60):
-                p, dp = p_and_dp(x)
-                dx = p / dp
-                x = x - dx
-                if abs(dx) < mpf(10) ** (-dps - 5):
-                    break
-            dp = p_and_dp(x)[1]
-            nodes.append(x)
-            weights.append(2 / ((1 - x * x) * dp * dp))
-    return nodes, weights
+from shintani.quadrature import (clenshaw_curtis, integrate_cc_doubling,
+                                 integrate_periodic_doubling)
 
 
-@pytest.mark.parametrize("n", [64, 128])
-def test_gauss_legendre_mirror_bit_identical(n):
-    nodes, weights = gauss_legendre(n, 30)
-    ref_nodes, ref_weights = _full_gauss_legendre(n, 30)
-    assert [x._mpf_ for x in nodes] == [x._mpf_ for x in ref_nodes]
-    assert [w._mpf_ for w in weights] == [w._mpf_ for w in ref_weights]
-    assert all(a < b for a, b in zip(nodes, nodes[1:]))
+def test_clenshaw_curtis_nested_samples():
+    # int_{-1}^{2} e^{ix} / (1 + x^2) dx against mpmath's own quadrature
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return mpmath.exp(1j * x) / (1 + x * x)
+
+    val, err, n = integrate_cc_doubling(f, -1, 2, n0=8, tol=1e-25)
+    exact = mpmath.quad(lambda x: mpmath.exp(1j * x) / (1 + x * x), [-1, 2])
+    assert abs(val - exact) < 1e-28
+    assert abs(val - exact) <= err
+    assert len(calls) == n + 1 and len(set(calls)) == n + 1
+    # the reversed interval gives the negated value
+    back, _, _ = integrate_cc_doubling(f, 2, -1, n0=8, tol=1e-25)
+    assert abs(back + val) < 1e-28
 
 
-def test_gauss_legendre_odd_order_keeps_zero_node():
-    nodes, weights = gauss_legendre(7, 30)
-    assert len(nodes) == len(weights) == 7 and nodes[3] == 0
-    assert abs(sum(weights) - 2) < 1e-28
+@pytest.mark.parametrize("n", [2, 8, 64])
+def test_clenshaw_curtis_exact_on_polynomials(n):
+    # the (n + 1)-point rule integrates every polynomial of degree <= n
+    nodes, weights = clenshaw_curtis(n)
+    assert len(nodes) == len(weights) == n + 1
+    for deg in range(n + 1):
+        exact = mpf(2) / (deg + 1) if deg % 2 == 0 else 0
+        assert abs(mpmath.fdot(weights, [x ** deg for x in nodes]) - exact) < 1e-28
+
+
+def test_clenshaw_curtis_raises_past_nmax():
+    f = lambda x: 1 / (mpf("0.0001") + x * x)
+    with pytest.raises(ArithmeticError):
+        integrate_cc_doubling(f, -1, 1, n0=8, nmax=64)
+    with pytest.raises(ValueError):
+        clenshaw_curtis(7)
 
 
 def test_periodic_trapezoid_nested_samples():
