@@ -284,7 +284,7 @@ def cmd_f_series(config, delta, dmax):
 @click.pass_obj
 def cmd_e32(config, dmax):
     """Holomorphic coefficients H(D) of the weight-3/2 Eisenstein series."""
-    holo, _ = forms.e32_star_coeffs(dmax, config.prec)
+    holo = forms.e32_star_coeffs(dmax)
     emit_report([{"D": D, "H": v} for D, v in sorted(holo.items())], config.fmt)
 
 

@@ -1,5 +1,5 @@
 r"""
-Twisted traces of CM values and the identity-verification suite.
+Twisted traces of CM values and the identity-verification steps.
 
 tr+_delta(F, D), for D < 0 with sgn(delta) D = 0, 1 mod 4, sums
 chi_delta(Q) F(z_Q) / |stabilizer| over the positive definite classes of
@@ -7,22 +7,22 @@ discriminant |delta| D.  With F = 1 and delta = 1 this is the Hurwitz
 class number.  The generating series of twisted singular moduli collects
 tr+_delta(J, D)/sqrt(|D|) against q^|D| behind the principal term q^delta.
 
-identity_suite packages the numeric checks of the closed-form identities
+identity_steps packages the numeric checks of the closed-form identities
 (Hecke/Eisenstein trace, class number formula, the square-discriminant
 L-value, the square-trace dichotomy) into IdentityReport records.
 """
 
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
-from mpmath import mp, mpf, mpc
+from mpmath import mpf, mpc
 
 from .specfun import (DEFAULT_PRECISION, dirichlet_L, dirichlet_L_exact_nonpositive,
                       is_fundamental_discriminant, _coerce, _workdps)
-from .qforms import (class_reps, genus_char, stabilizer_order,
-                     hurwitz_class_number, _isqrt)
+from .qforms import class_reps, genus_char, stabilizer_order, hurwitz_class_number
 from .hyperbolic import cm_point
 from .forms import build_standard_forms, eval_modular, e2_star_data
 from . import cycles
@@ -32,7 +32,6 @@ from . import cycles
 class TraceResult:
     value: object
     class_count: int
-    stabilizer_weighted: bool
     params: dict
 
 
@@ -95,13 +94,13 @@ def trace_cm(F, delta, D, prec=DEFAULT_PRECISION):
             if chi == 0:
                 continue
             w = stabilizer_order(Q)
-            z = cm_point(Q).z
+            z = cm_point(Q)
             if exact:
                 acc += Fraction(chi) * Fraction(F_eval(z)) / w
             else:
                 acc += chi * F_eval(z) / w
             count += 1
-        return TraceResult(acc, count, True, {"delta": delta, "D": D})
+        return TraceResult(acc, count, {"delta": delta, "D": D})
 
 
 def f_series(delta, D_max, order=128, prec=DEFAULT_PRECISION):
@@ -143,10 +142,11 @@ def _check(identity_id, params, target, compute, prec, tol):
 def identity_steps(D_list=(3, 4), prec=DEFAULT_PRECISION, hecke_tol=1e-5,
                    lvalue_tol=1e-5, class_number_tol=1e-10, square_trace_tol=1e-10,
                    square_trace_Dmax=25):
-    """The identities of identity_suite in report order, as {name: step}.
+    """The closed-form identity checks in report order, as {name: step}.
 
     step(delta) runs one identity for one delta and returns its reports;
     a delta that is not a negative fundamental discriminant gets none.
+    Individual failures are recorded in the reports, never raised.
     """
     G = e2_star_data(64, prec)
 
@@ -176,7 +176,8 @@ def identity_steps(D_list=(3, 4), prec=DEFAULT_PRECISION, hecke_tol=1e-5,
         # square-trace dichotomy: tr+(1, D)/sqrt|D| = H(|delta|) iff |D| square
         tr = lambda aD: _coerce(trace_cm(1, delta, -aD, prec).value) / mpmath.sqrt(aD)
         return [_check("square-trace", {"delta": delta, "D": -aD},
-                       H if _isqrt(aD) ** 2 == aD else 0, lambda: tr(aD), prec, square_trace_tol)
+                       H if math.isqrt(aD) ** 2 == aD else 0, lambda: tr(aD), prec,
+                       square_trace_tol)
                 for aD in range(1, square_trace_Dmax + 1) if _admissible_cm(delta, -aD)]
 
     def step(rows):
@@ -186,14 +187,3 @@ def identity_steps(D_list=(3, 4), prec=DEFAULT_PRECISION, hecke_tol=1e-5,
     return {"class-number": step(class_number), "square-lvalue": step(square_lvalue),
             "hecke": step(hecke), "square-trace": step(square_trace)}
 
-
-def identity_suite(delta_list=(-3, -4), D_list=(3, 4), prec=DEFAULT_PRECISION,
-                   hecke_tol=1e-5, lvalue_tol=1e-5, class_number_tol=1e-10,
-                   square_trace_tol=1e-10, square_trace_Dmax=25):
-    """Run the closed-form identity checks; returns a list of IdentityReport.
-
-    Individual failures are recorded in the reports, never raised.
-    """
-    steps = identity_steps(D_list, prec, hecke_tol, lvalue_tol, class_number_tol,
-                           square_trace_tol, square_trace_Dmax)
-    return [r for delta in delta_list for step in steps.values() for r in step(delta)]

@@ -31,10 +31,10 @@ of G, each ray contributes
 
 and the full integral is f^k i^(k+1) (S(r-, c-, T) + (-1)^(k+1) S(r+, c+, T)),
 where the minus-ray is the transported image of the bottom end at the cusp
-r+ = p/q in lowest terms, with c- = 1/(c+ q^2).  The counterterms are
-antiderivatives of the integrand's Fourier modes, so the value does not
-depend on T; which ray carries the unsigned slot only matters for even k
-and is pinned by the weight-2 Eisenstein trace identity.
+r+ = p/q in lowest terms, with c+ = 1 and c- = 1/(c+ q^2) = 1/q^2.  The
+counterterms are antiderivatives of the integrand's Fourier modes, so the
+value does not depend on T; which ray carries the unsigned slot only
+matters for even k and is pinned by the weight-2 Eisenstein trace identity.
 
 The alternative representation trades the counterterms for line integrals
 of G against Bernoulli polynomials and of xi G against polygamma functions
@@ -50,8 +50,7 @@ from mpmath import mp, mpf, mpc
 
 from .specfun import (DEFAULT_PRECISION, gamma_upper, e_kappa,
                       kronecker_symbol, bernoulli_poly_eval, _coerce, _workdps)
-from .qforms import (class_reps, automorph_generator, genus_char,
-                     square_normalize, _isqrt, _xgcd)
+from .qforms import class_reps, automorph_generator, genus_char, square_normalize, _xgcd
 from .quadrature import integrate_cc_doubling, integrate_periodic_doubling
 from .hyperbolic import apply_moebius
 from .forms import HarmonicFourierData, eval_harmonic, eval_modular, xi_symbolic
@@ -82,7 +81,7 @@ def closed_cycle_integral(G_eval, Q, k=0, nodes=16, prec=DEFAULT_PRECISION,
     the base point on the semicircle (default pi/2, the top).
     """
     D = Q.disc
-    if D <= 0 or _isqrt(D) ** 2 == D:
+    if D <= 0 or math.isqrt(D) ** 2 == D:
         raise ValueError("closed_cycle_integral needs non-square disc > 0")
     if Q.a == 0:
         raise ValueError("a = 0 forms have square discriminant")
@@ -92,7 +91,7 @@ def closed_cycle_integral(G_eval, Q, k=0, nodes=16, prec=DEFAULT_PRECISION,
         theta0 = mpmath.pi / 2 if base_angle is None else mpf(base_angle)
         z0 = center + radius * mpmath.e ** (1j * theta0)
         t0 = mpmath.atanh(mpmath.cos(theta0))
-        M = automorph_generator(Q).matrix
+        M = automorph_generator(Q)
         # orientation: toward the endpoint (-b + sqrt D)/(2a), i.e. along
         # increasing t (decreasing angle) when a > 0
         want_increasing = Q.a > 0
@@ -211,7 +210,7 @@ def _ray_counterterms(G, k, r, T, prec):
         return acc
 
 
-def reg_cycle_integral(G, Q, k=0, T=2, c_plus=1, prec=DEFAULT_PRECISION,
+def reg_cycle_integral(G, Q, k=0, T=2, prec=DEFAULT_PRECISION,
                        evaluator=None, nodes=16, tol=1e-22):
     """Regularized cycle integral of G along the infinite geodesic of Q.
 
@@ -223,18 +222,13 @@ def reg_cycle_integral(G, Q, k=0, T=2, c_plus=1, prec=DEFAULT_PRECISION,
     """
     if T <= 0:
         raise ValueError("T must be positive")
-    if c_plus <= 0:
-        raise ValueError("c_plus must be positive")
     QN, f, r_plus, q, r_minus = _square_ray_data(Q)
     with _workdps(prec):
         G_fun = evaluator if evaluator is not None else (lambda z: eval_harmonic(G, z, prec))
-        c_minus = Fraction(1, 1) / (Fraction(c_plus) * q * q)
-        quad_p, err_p, n_p = _ray_quadrature(G_fun, _coerce(r_plus),
-                                             _coerce(c_plus), mpf(T),
+        quad_p, err_p, n_p = _ray_quadrature(G_fun, _coerce(r_plus), 1, mpf(T),
                                              k, tol, nodes)
-        quad_m, err_m, n_m = _ray_quadrature(G_fun, _coerce(r_minus),
-                                             _coerce(c_minus), mpf(T),
-                                             k, tol, nodes)
+        quad_m, err_m, n_m = _ray_quadrature(G_fun, _coerce(r_minus), mpf(1) / (q * q),
+                                             mpf(T), k, tol, nodes)
         S_plus = quad_p + _ray_counterterms(G, k, r_plus, T, prec)
         S_minus = quad_m + _ray_counterterms(G, k, r_minus, T, prec)
         # the bottom-end chart carries the unsigned ray; only even k is
@@ -288,7 +282,7 @@ def _alt_ray(G, xiG, G_fun, k, r, c0, T, prec, nodes, tol):
         return acc, err + float(err_line)
 
 
-def reg_cycle_integral_alt(G, Q, k=0, T=2, c_plus=1, prec=DEFAULT_PRECISION,
+def reg_cycle_integral_alt(G, Q, k=0, T=2, prec=DEFAULT_PRECISION,
                            evaluator=None, nodes=16, tol=1e-22):
     """The Bernoulli/polygamma representation of the regularized integral.
 
@@ -302,9 +296,9 @@ def reg_cycle_integral_alt(G, Q, k=0, T=2, c_plus=1, prec=DEFAULT_PRECISION,
     xiG = xi_symbolic(G, prec)
     with _workdps(prec):
         G_fun = evaluator if evaluator is not None else (lambda z: eval_harmonic(G, z, prec))
-        c_minus = Fraction(1, 1) / (Fraction(c_plus) * q * q)
-        S_plus, e1 = _alt_ray(G, xiG, G_fun, k, r_plus, Fraction(c_plus), T, prec, nodes, tol)
-        S_minus, e2 = _alt_ray(G, xiG, G_fun, k, r_minus, c_minus, T, prec, nodes, tol)
+        S_plus, e1 = _alt_ray(G, xiG, G_fun, k, r_plus, 1, T, prec, nodes, tol)
+        S_minus, e2 = _alt_ray(G, xiG, G_fun, k, r_minus, mpf(1) / (q * q), T, prec,
+                               nodes, tol)
         # ray labeling as in reg_cycle_integral
         total = mpf(f) ** k * (1j) ** (k + 1) * (S_minus + (-1) ** (k + 1) * S_plus)
         return CycleIntegralResult(total, "regularized-alternative",
@@ -407,8 +401,7 @@ def lemma_integral_checks(k_max=4, n_max=3, ys=(0.5, 1, 2), prec=DEFAULT_PRECISI
 # traces and L-values
 # ---------------------------------------------------------------------------
 
-def trace_cycle(G, delta, D, k=0, prec=DEFAULT_PRECISION, T=2, c_plus=1,
-                nodes=16, evaluator=None):
+def trace_cycle(G, delta, D, k=0, prec=DEFAULT_PRECISION, T=2, evaluator=None):
     """tr_delta(G, D) = sum over classes of disc |delta| D of
     chi_delta(Q) times the (regularized, if needed) cycle integral."""
     delta = int(delta)
@@ -421,7 +414,7 @@ def trace_cycle(G, delta, D, k=0, prec=DEFAULT_PRECISION, T=2, c_plus=1,
     if (-1) ** (k + 1) * delta <= 0:
         raise ValueError("sign condition (-1)^(k+1) delta > 0 violated")
     disc = abs(delta) * D
-    square = _isqrt(disc) ** 2 == disc
+    square = math.isqrt(disc) ** 2 == disc
     if evaluator is None:
         evaluator = lambda z: eval_modular(G, z, prec)[0]
     with _workdps(prec):
@@ -432,10 +425,9 @@ def trace_cycle(G, delta, D, k=0, prec=DEFAULT_PRECISION, T=2, c_plus=1,
             if chi == 0:
                 continue
             if square:
-                res = reg_cycle_integral(G, Q, k, T=T, c_plus=c_plus, prec=prec,
-                                         evaluator=evaluator)
+                res = reg_cycle_integral(G, Q, k, T=T, prec=prec, evaluator=evaluator)
             else:
-                res = closed_cycle_integral(evaluator, Q, k, nodes=nodes, prec=prec)
+                res = closed_cycle_integral(evaluator, Q, k, prec=prec)
             acc += chi * res.value
             qerr += res.quadrature_error
         return acc, qerr
@@ -471,28 +463,6 @@ def sigma_exp_sum(delta, prec=DEFAULT_PRECISION):
             if term < target and n > q:
                 break
         return 2 * mpmath.sqrt(q) / mpmath.pi * acc
-
-
-def complementary_trace(F_xi, delta, d, k=0, prec=DEFAULT_PRECISION):
-    """Finite sum of principal-part coefficients against geodesic real parts:
-
-        sum over reps (0, f, c) of disc f^2 = (|delta| d)^2 of
-        sum_{n < 0} a_F(n) (4 pi n)^k e(n r),   r = -c/f.
-    """
-    f = abs(int(delta)) * Fraction(d)
-    if f.denominator != 1:
-        raise ValueError("|delta| d must be an integer at level 1")
-    f = int(f)
-    with _workdps(prec):
-        acc = mpc(0)
-        for Q in class_reps(f * f).reps:
-            r = Fraction(-Q.c, Q.b)
-            for n, c in F_xi.coeffs.items():
-                if n >= 0 or not c:
-                    continue
-                acc += _coerce(c) * (4 * mpmath.pi * n) ** k \
-                    * mpmath.e ** (2j * mpmath.pi * n * _coerce(r))
-        return acc
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ import mpmath
 from mpmath import mp, mpf, mpc
 from mpmath.libmp import fzero, from_man_exp, round_nearest, to_fixed
 
-from .specfun import DEFAULT_PRECISION, beta_fns, e_kappa, _coerce, _workdps
+from .specfun import DEFAULT_PRECISION, e_kappa, _coerce, _workdps
 from .qforms import hurwitz_class_number, divisor_sigma1, _divisors
 from . import hyperbolic
 
@@ -47,19 +47,6 @@ class QExpansion:
     coeffs: dict          # n -> coefficient (int / Fraction / mpf / mpc)
     order: int            # coefficients kept for n_min <= n <= order
     n_min: int = 0
-
-    def coeff(self, n):
-        return self.coeffs.get(n, 0)
-
-    def to_json(self):
-        def enc(v):
-            if isinstance(v, Fraction):
-                return str(v)
-            if isinstance(v, int):
-                return v
-            return mpmath.nstr(v, 17)
-        return {"weight": self.weight, "n_min": self.n_min, "order": self.order,
-                "coeffs": {str(n): enc(v) for n, v in sorted(self.coeffs.items())}}
 
 
 def _series_mul(A, B, order):
@@ -125,10 +112,6 @@ class HarmonicFourierData:
     a_minus: dict = field(default_factory=dict)   # n -> complex (0 allowed)
     order: int = 64
     label: str = ""
-
-    def holomorphic_expansion(self):
-        return QExpansion(self.kappa, dict(self.a_plus),
-                          self.order, n_min=min(self.a_plus, default=0))
 
 
 # ---------------------------------------------------------------------------
@@ -214,30 +197,30 @@ def _series(f, z):
 
 
 def _evaluate(f, z, prec):
-    """(value, tail) of a QExpansion or HarmonicFourierData at z in H."""
-    with _workdps(prec):
-        z = mpc(z)
-        y = z.imag
-        if y <= 0:
-            raise ValueError("z must lie in the upper half-plane")
-        if isinstance(f, QExpansion):
-            # allow coefficient growth up to a factor 2 per index past the order
-            absq = math.exp(-2 * math.pi * float(y))
-            if 2 * absq >= 1:
-                raise TailBoundError(
-                    "q-series tail does not converge at this height; "
-                    "reduce to the fundamental domain first")
-            acc, dropped, _ = _series(f, z)
-            ns, _, mags = _table(f, "coeffs")
-            top = max((m for n, m in zip(ns, mags) if n >= f.order - 5), default=0.0)
-            return acc, top * 2 * absq ** (f.order + 1) / (1 - 2 * absq) + dropped
-        acc, dropped, q = _series(f, z)
-        for n, c in zip(*_table(f, "a_minus")[:2]):
-            if n:
-                acc += c * e_kappa(f.kappa, 4 * mpmath.pi * n * y, prec).value * q ** n
-            else:
-                acc += c * (mpmath.log(y) if f.kappa == 1 else y ** (1 - f.kappa))
-        return acc, dropped
+    """(value, tail) of a QExpansion or HarmonicFourierData at z in H, at
+    the working precision; prec is passed on to E_kappa."""
+    z = mpc(z)
+    y = z.imag
+    if y <= 0:
+        raise ValueError("z must lie in the upper half-plane")
+    if isinstance(f, QExpansion):
+        # allow coefficient growth up to a factor 2 per index past the order
+        absq = math.exp(-2 * math.pi * float(y))
+        if 2 * absq >= 1:
+            raise TailBoundError(
+                "q-series tail does not converge at this height; "
+                "reduce to the fundamental domain first")
+        acc, dropped, _ = _series(f, z)
+        ns, _, mags = _table(f, "coeffs")
+        top = max((m for n, m in zip(ns, mags) if n >= f.order - 5), default=0.0)
+        return acc, top * 2 * absq ** (f.order + 1) / (1 - 2 * absq) + dropped
+    acc, dropped, q = _series(f, z)
+    for n, c in zip(*_table(f, "a_minus")[:2]):
+        if n:
+            acc += c * e_kappa(f.kappa, 4 * mpmath.pi * n * y, prec).value * q ** n
+        else:
+            acc += c * (mpmath.log(y) if f.kappa == 1 else y ** (1 - f.kappa))
+    return acc, dropped
 
 
 def eval_qexp(f, z, prec=DEFAULT_PRECISION):
@@ -248,24 +231,29 @@ def eval_qexp(f, z, prec=DEFAULT_PRECISION):
     large for a series with a principal part) raises TailBoundError
     suggesting fundamental-domain reduction.
     """
-    return _evaluate(f, z, prec)
+    with _workdps(prec):
+        return _evaluate(f, z, prec)
 
 
 def eval_harmonic(G, z, prec=DEFAULT_PRECISION):
     """G+(z) + G-(z) from the Fourier data, E_kappa-based."""
-    return _evaluate(G, z, prec)[0]
+    with _workdps(prec):
+        return _evaluate(G, z, prec)[0]
 
 
 def eval_modular(f, z, prec=DEFAULT_PRECISION):
     """(value, tail) of a genuinely modular QExpansion or HarmonicFourierData,
-    evaluated after moving z into F."""
-    zstar, gamma = hyperbolic.reduce_to_fundamental(z)
-    val, tail = _evaluate(f, zstar, prec)
+    evaluated after moving z into F.  Reduction, series and cocycle all run
+    at prec's working precision."""
     weight = f.weight if isinstance(f, QExpansion) else f.kappa
-    if weight:
-        jw = _power(hyperbolic.moebius_j(gamma, z), abs(weight))
-        val = val / jw if weight > 0 else val * jw
-    return val, tail
+    with _workdps(prec):
+        zstar, gamma = hyperbolic.reduce_to_fundamental(z)
+        val, tail = _evaluate(f, zstar, prec)
+        (_, _), (c, d) = gamma
+        if weight and (c or d ** weight != 1):
+            jw = _power(hyperbolic.moebius_j(gamma, z), abs(weight))
+            val = val / jw if weight > 0 else val * jw
+        return val, tail
 
 
 def _power(j, n):
@@ -314,37 +302,14 @@ def e2_star_data(order=64, prec=DEFAULT_PRECISION):
     return HarmonicFourierData(2, a_plus, {0: am0}, order, label="E2*")
 
 
-def e2_star(z, order=64, prec=DEFAULT_PRECISION):
-    """E2*(z) = 1 - 24 sum sigma_1(n) q^n - 3/(pi y), directly."""
-    with _workdps(prec):
-        z = mpc(z)
-        # -3/(pi y) in two roundings, not the data's rounded a-(0) times 1/y:
-        # the Hecke and L-value residuals the CLI prints carry these bits
-        return _series(e2_star_data(order, prec), z)[0] - 3 / (mpmath.pi * z.imag)
-
-
 def e2_star_modular(z, order=64, prec=DEFAULT_PRECISION):
     """E2* evaluated through the fundamental domain (weight-2 cocycle)."""
-    zstar, gamma = hyperbolic.reduce_to_fundamental(z)
-    value = e2_star(zstar, order, prec)
-    if gamma[1][0] == 0:        # a translation: j = d = +-1
-        return value
-    j = hyperbolic.moebius_j(gamma, z)
-    return value / (j * j)
+    return eval_modular(e2_star_data(order, prec), z, prec)[0]
 
 
-def e32_star_coeffs(D_max, prec=DEFAULT_PRECISION):
-    """Holomorphic coefficients H(D) of the weight-3/2 Eisenstein series,
-    plus an evaluator (n, v) -> (1/16 pi) v^(-1/2) beta_{3/2}(4 pi n^2 v)
-    for the non-holomorphic part."""
+def e32_star_coeffs(D_max):
+    """Holomorphic coefficients H(D), 0 <= D <= D_max, of the weight-3/2
+    Eisenstein series."""
     if D_max < 0:
         raise ValueError("D_max must be >= 0")
-    holo = {D: hurwitz_class_number(D) for D in range(D_max + 1)}
-
-    def nonholo(n, v):
-        with _workdps(prec):
-            vv = mpf(v)
-            b = beta_fns(0, 4 * mpmath.pi * n * n * vv, prec).value
-            return b / (16 * mpmath.pi * mpmath.sqrt(vv))
-
-    return holo, nonholo
+    return {D: hurwitz_class_number(D) for D in range(D_max + 1)}

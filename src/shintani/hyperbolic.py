@@ -39,20 +39,13 @@ def form_polynomials(Q, z):
     return p, qz, r
 
 
-@dataclass(frozen=True)
-class CMPoint:
-    z: object
-    source: QForm
-
-
 def cm_point(Q):
     """CM point of a positive definite form: the root of Q(z, 1) in H."""
     if Q.disc >= 0:
         raise ValueError("cm_point requires disc < 0")
     if Q.a <= 0:
         raise ValueError("cm_point requires a positive definite form (a > 0)")
-    z = mpc(-Q.b, mpmath.sqrt(-Q.disc)) / (2 * Q.a)
-    return CMPoint(z, Q)
+    return mpc(-Q.b, mpmath.sqrt(-Q.disc)) / (2 * Q.a)
 
 
 @dataclass(frozen=True)
@@ -63,14 +56,6 @@ class Geodesic:
     end: object = None
     x0: object = None
     upward: bool = None
-
-    @property
-    def center(self):
-        return (self.start + self.end) / 2
-
-    @property
-    def radius(self):
-        return abs(self.end - self.start) / 2
 
 
 def geodesic_of(Q):
@@ -107,6 +92,7 @@ def moebius_j(gamma, z):
     return c * mpc(z) + d
 
 
+REDUCTION_MAX_STEPS = 10000   # T/S steps before reduction gives up
 _UNIT = 2.0 ** -52      # float rounding, with room
 _CLEAR = 2.0 ** -30     # least clearance of a decision taken in floats
 
@@ -159,7 +145,7 @@ def _moebius_fixed(gamma, z):
                         from_man_exp(im, -bits, mp.prec, round_nearest)))
 
 
-def reduce_to_fundamental(z, max_steps=10000):
+def reduce_to_fundamental(z):
     """Move z into F = {|x| <= 1/2, |z| >= 1} by T/S words.
 
     Returns (z', gamma) with gamma z = z'.  Boundary ties go to x = -1/2
@@ -173,14 +159,14 @@ def reduce_to_fundamental(z, max_steps=10000):
         raise ValueError("z must lie in the upper half-plane")
     # the exact loop's tie width is 10^-(dps-5)
     g, steps, inside = _float_word(float(z.real), float(z.imag), 10.0 ** (5 - mp.dps),
-                                   max_steps)
+                                   REDUCTION_MAX_STEPS)
     if g != ((1, 0), (0, 1)):
         z = _moebius_fixed(g, z)
     if inside:
         return z, g
     eps, half = mpf(10) ** (-(mp.dps - 5)), mpf(0.5)
     S = ((0, -1), (1, 0))
-    for _ in range(max_steps - steps):
+    for _ in range(REDUCTION_MAX_STEPS - steps):
         n = int(mpmath.floor(z.real + half))
         # keep x = +1/2 ties on the -1/2 side
         if z.real - n > half - eps:

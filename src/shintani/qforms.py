@@ -78,19 +78,6 @@ def mat_inv(M):
 # reduction
 # ---------------------------------------------------------------------------
 
-def _isqrt(n):
-    return math.isqrt(n)
-
-
-def is_reduced_definite(Q):
-    a, b, c = Q.a, Q.b, Q.c
-    if not (-a < b <= a <= c):
-        return False
-    if a == c and b < 0:
-        return False
-    return True
-
-
 def is_reduced_indefinite(Q):
     # |sqrt(D) - 2|a|| < b < sqrt(D), exact integer comparisons
     D = Q.disc
@@ -107,7 +94,7 @@ def _rho_step(Q):
     if c == 0:
         raise ValueError("rho step undefined for c = 0 (square discriminant ray)")
     ac = abs(c)
-    s0 = _isqrt(D) if D > 0 else None
+    s0 = math.isqrt(D) if D > 0 else None
     if D > 0 and ac < s0:
         # b' = largest value <= floor(sqrt D) congruent to -b mod 2|c|
         bp = -Q.b + 2 * ac * ((s0 + Q.b) // (2 * ac))
@@ -147,7 +134,7 @@ def reduce(Q):
                 continue
             break
         return Q, M
-    if _isqrt(D) ** 2 == D:
+    if math.isqrt(D) ** 2 == D:
         raise ValueError("square discriminant: use square_normalize")
     M = IDENTITY
     guard = 0
@@ -173,7 +160,7 @@ def square_normalize(Q):
     Returns (normal form, M) with Q o M equal to the normal form.
     """
     D = Q.disc
-    f = _isqrt(D)
+    f = math.isqrt(D)
     if D <= 0 or f * f != D:
         raise ValueError("square_normalize expects positive square discriminant")
     # primitive null vectors of Q from the rational roots of Q(x, 1)
@@ -230,10 +217,6 @@ class ClassList:
         return {"disc": self.disc, "regime": self.regime,
                 "reps": [[Q.a, Q.b, Q.c] for Q in self.reps]}
 
-    @staticmethod
-    def from_json(d):
-        return ClassList(d["disc"], tuple(QForm(*t) for t in d["reps"]), d["regime"])
-
 
 def class_reps(disc):
     """Gamma-inequivalence class representatives of discriminant disc.
@@ -247,7 +230,7 @@ def class_reps(disc):
         raise ValueError("disc must be a nonzero integer = 0, 1 mod 4")
     if disc < 0:
         reps = []
-        amax = _isqrt(-disc // 3) if disc <= -3 else 1
+        amax = math.isqrt(-disc // 3) if disc <= -3 else 1
         for a in range(1, amax + 1):
             for b in range(-a + 1, a + 1):
                 num = b * b - disc
@@ -260,7 +243,7 @@ def class_reps(disc):
                     continue
                 reps.append(QForm(a, b, c))
         return ClassList(disc, tuple(sorted(reps)), "definite")
-    f = _isqrt(disc)
+    f = math.isqrt(disc)
     if f * f == disc:
         return ClassList(disc, tuple(QForm(0, f, c) for c in range(f)), "square")
     # all reduced indefinite forms, grouped into rho-cycles
@@ -321,14 +304,14 @@ def pell_fundamental_4(D):
     falls back to a direct search.
     """
     D = int(D)
-    s0 = _isqrt(D)
+    s0 = math.isqrt(D)
     if D <= 0 or s0 * s0 == D:
         raise ValueError("needs positive non-square D")
     if D <= 20:
         u = 1
         while True:
             t2 = 4 + D * u * u
-            t = _isqrt(t2)
+            t = math.isqrt(t2)
             if t * t == t2:
                 return t, u
             u += 1
@@ -369,33 +352,23 @@ def _cf_period_bound(D):
     return max(64, int(3 * math.isqrt(D) * (math.log(D) + 1)))
 
 
-@dataclass(frozen=True)
-class Automorph:
-    matrix: tuple
-
-    @property
-    def trace(self):
-        return self.matrix[0][0] + self.matrix[1][1]
-
-
 def automorph_generator(Q):
     """Generator of the infinite cyclic stabilizer of an indefinite form.
 
-    M = [[(t-bu)/2, -cu], [au, (t+bu)/2]] with (a, b, c) = Q / content(Q)
-    and (t, u) the fundamental solution of t^2 - (disc/content^2) u^2 = 4;
-    a form and its multiples share the stabilizer.  Fixes Q under
-    substitution.
+    Returns the matrix M = [[(t-bu)/2, -cu], [au, (t+bu)/2]] with
+    (a, b, c) = Q / content(Q) and (t, u) the fundamental solution of
+    t^2 - (disc/content^2) u^2 = 4; a form and its multiples share the
+    stabilizer.  Fixes Q under substitution.
     """
     D = Q.disc
-    if D <= 0 or _isqrt(D) ** 2 == D:
+    if D <= 0 or math.isqrt(D) ** 2 == D:
         raise ValueError("automorphs require positive non-square discriminant")
     g = Q.content
     t, u = pell_fundamental_4(D // (g * g))
     a, b, c = Q.a // g, Q.b // g, Q.c // g
     M = (((t - b * u) // 2, -c * u), (a * u, (t + b * u) // 2))
-    aut = Automorph(M)
     assert Q.compose(M) == Q
-    return aut
+    return M
 
 
 # ---------------------------------------------------------------------------
@@ -406,13 +379,16 @@ class GenusCharSearchError(RuntimeError):
     pass
 
 
-def genus_char(delta, Q, search_radius=50):
+GENUS_SEARCH_RADIUS = 50    # coordinate box genus_char searches for a represented value
+
+
+def genus_char(delta, Q):
     """The genus character chi_delta(Q) = (delta/n) on represented values.
 
     Requires disc(Q) = |delta| * D with sgn(delta) D a discriminant.
     Returns 0 when gcd(a, b, c, delta) > 1; otherwise searches a growing
     coordinate box for a represented n != 0 coprime to delta and fails
-    loudly if none shows up within search_radius.  Negative represented
+    loudly if none shows up within GENUS_SEARCH_RADIUS.  Negative represented
     values go through the Kronecker symbol's sign convention, which gives
     chi(-Q) = sgn(delta) chi(Q).
     """
@@ -431,7 +407,7 @@ def genus_char(delta, Q, search_radius=50):
         return 1 if Q.content >= 1 else 0
     if math.gcd(Q.content, q) > 1:
         return 0
-    for radius in range(1, search_radius + 1):
+    for radius in range(1, GENUS_SEARCH_RADIUS + 1):
         for x in range(-radius, radius + 1):
             for y in range(-radius, radius + 1):
                 if max(abs(x), abs(y)) != radius:
@@ -440,7 +416,7 @@ def genus_char(delta, Q, search_radius=50):
                 if n != 0 and math.gcd(abs(n), q) == 1:
                     return kronecker_symbol(delta, n)
     raise GenusCharSearchError(
-        f"no represented value coprime to {delta} within radius {search_radius} for {Q}")
+        f"no represented value coprime to {delta} within radius {GENUS_SEARCH_RADIUS} for {Q}")
 
 
 def stabilizer_order(Q):

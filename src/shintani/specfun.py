@@ -14,7 +14,6 @@ which reject NaN.
                               ((-1)^(kappa+1)/(kappa-1)!) *
                                   (e^y sum_{j=0}^{kappa-2} y^(-j-1) j! - Ei(y))
                                                                     kappa > 0
-* beta_fns(k, v)       -- beta_{3/2+k}(v) = int_1^oo e^-vt t^(-3/2-k) dt, v >= 0.
 * bernoulli_poly       -- exact rational Bernoulli polynomial values.
 * kronecker_symbol     -- the Kronecker symbol (Delta/n), exact integers.
 * dirichlet_L          -- L_Delta(s) for fundamental Delta at s = 1 and at
@@ -106,26 +105,6 @@ def e_kappa(kappa, y, prec=DEFAULT_PRECISION):
             acc += yy ** (-j - 1) * fact
         return SpecialValue((mpf(-1) ** (kappa + 1) / mpmath.factorial(kappa - 1))
                             * (mpmath.e ** yy * acc - mpmath.ei(yy)))
-
-
-# ---------------------------------------------------------------------------
-# the beta integral
-# ---------------------------------------------------------------------------
-
-def beta_fns(k, v, prec=DEFAULT_PRECISION):
-    r"""beta_{3/2+k}(v) = int_1^oo e^-vt t^(-3/2-k) dt for integer k >= 0
-    and v >= 0."""
-    k = int(k)
-    if k < 0:
-        raise ValueError("beta_fns requires k >= 0")
-    with _workdps(prec):
-        vv = mpf(v)
-        if vv < 0:
-            raise ValueError("beta_fns requires v >= 0")
-        if vv == 0:
-            return SpecialValue(mpf(2) / (2 * k + 1))
-        return SpecialValue(mpmath.quad(
-            lambda t: mpmath.e ** (-vv * t) * t ** (mpf(-1.5) - k), [1, mpmath.inf]))
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from mpmath import mp, mpf, mpc
 
 from .specfun import (DEFAULT_PRECISION, gamma_upper, is_fundamental_discriminant,
                       dirichlet_L, _workdps)
-from .qforms import QForm, genus_char, _isqrt
+from .qforms import QForm, genus_char
 from .hyperbolic import form_polynomials
 from .forms import e2_star_data
 
@@ -218,7 +218,7 @@ def fd_operators(f, kappa, z, step=1e-3):
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _theta_forms(delta, k, radius):
+def _theta_forms(delta, radius):
     """Admissible forms |a|,|b|,|c| <= radius with their characters,
     grouped as flat arrays (a, b, c, D, chi)."""
     q = abs(delta)
@@ -250,7 +250,7 @@ def theta_truncated(ctx, z, by_D=False):
     tail_bound).  The tail bound is the heuristic Gaussian boundary-shell
     estimate; if it exceeds 1e-3 relative the radius should be raised.
     """
-    arr = _theta_forms(ctx.delta, ctx.k, ctx.truncation_radius)
+    arr = _theta_forms(ctx.delta, ctx.truncation_radius)
     q = abs(ctx.delta)
     k = ctx.k
     v = float(ctx.v)
@@ -363,13 +363,15 @@ def _above_T_bound(disc, q, v, T):
         a += 1
 
 
-def lift_coefficient_quadrature(delta, D, v=0.25, T=6.0, grid=12, radius=40,
-                                order=48, normalized=True):
+def lift_coefficient_quadrature(delta, D, v=0.25, grid=12, radius=40, normalized=True):
     """The q^D Fourier coefficient of sqrt|Delta| I(E2*) by 2D quadrature
     over the truncated fundamental domain (k = 0).
 
     Restricts the theta kernel to discriminant-|Delta| D forms, integrates
     E2*(z) conj(A_D(v, z)) over F_T, and scales by sqrt|Delta| e^(4 pi D v).
+    The cut height is T = max(6, sqrt(|Delta| D)/2 + 3): the a = +-1
+    geodesics of discriminant |Delta| D reach height sqrt(|Delta| D)/2, and a
+    fixed T below them leaves an O(1) part of F unintegrated.
     For non-square |Delta| D every term decays square-exponentially and the
     cusp counterterm vanishes identically; square |Delta| D would need the
     a+-(0) subtraction and is not supported by this routine.
@@ -397,13 +399,12 @@ def lift_coefficient_quadrature(delta, D, v=0.25, T=6.0, grid=12, radius=40,
         raise ValueError("grid and radius must be at least 1")
     if not v > 0:
         raise ValueError("v must be positive")
-    if not T > 1:
-        raise ValueError("T must exceed 1")
     disc = abs(delta) * D
-    if _isqrt(disc) ** 2 == disc:
+    if math.isqrt(disc) ** 2 == disc:
         raise NotImplementedError(
             "square |delta| D needs the cusp counterterm; only the "
             "square-exponentially decaying (non-square) case is implemented")
+    T = max(6.0, math.sqrt(disc) / 2 + 3)
     forms = _disc_forms(delta, D, radius, radius)
     if len(forms) == 0:
         raise ValueError("no forms of this discriminant in the search box")
@@ -435,7 +436,7 @@ def lift_coefficient_quadrature(delta, D, v=0.25, T=6.0, grid=12, radius=40,
                          * np.exp(-4 * math.pi * v * p * p / q))
                 # E2* times the (positive) weights and A_D's 1/y^2
                 w = xwt * xh * (yh[:, None] * gw).ravel() / (ys * ys)
-                e2 = _e2star_np(x + 1j * ys, order) * w
+                e2 = _e2star_np(x + 1j * ys) * w
                 total += (e2 * np.conj(terms.sum(axis=1))).sum()
                 dropped += bound[~keep].sum() * np.abs(e2).sum()
                 size += np.abs(e2) @ np.abs(terms).sum(axis=1)

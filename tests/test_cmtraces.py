@@ -55,7 +55,7 @@ def test_trace_representative_independence():
             continue
         w = qf.stabilizer_order(QT)
         from shintani.forms import eval_modular
-        acc += chi * eval_modular(J, hy.cm_point(QT).z)[0] / w
+        acc += chi * eval_modular(J, hy.cm_point(QT))[0] / w
     assert abs(base.value - acc) < 1e-9
 
 
@@ -89,7 +89,8 @@ def test_f_series_stable_under_order_doubling():
 
 
 def test_identity_suite_reports():
-    reports = cm.identity_suite((-3,), (4,), square_trace_Dmax=9)
+    steps = cm.identity_steps((4,), square_trace_Dmax=9)
+    reports = [r for step in steps.values() for r in step(-3)]
     by_id = {}
     for r in reports:
         by_id.setdefault(r.identity_id, []).append(r)

@@ -240,20 +240,6 @@ def test_l_star_value_and_sigma_sum():
     assert abs(v - cy.sigma_exp_sum(-3)) < 1e-8
 
 
-def test_complementary_trace_examples():
-    J = build_standard_forms(32)["J"]
-    # no principal part -> 0
-    E4 = build_standard_forms(8)["E4"]
-    assert abs(cy.complementary_trace(E4, -3, 1, 0)) < 1e-25
-    # J has principal part q^-1; hand-expanded three-term sum over (0,3,c)
-    got = cy.complementary_trace(J, -3, 1, 0)
-    expect = sum(mpmath.e ** (2j * mpmath.pi * (-1) * mpf(-c) / 3) for c in range(3))
-    assert abs(got - expect) < 1e-24
-    # linearity
-    two_J = fo.QExpansion(0, {n: 2 * c for n, c in J.coeffs.items()}, J.order, J.n_min)
-    assert abs(cy.complementary_trace(two_J, -3, 1, 0) - 2 * got) < 1e-24
-
-
 def test_combinatorial_identity_small():
     for k in range(9):
         for d in range(k + 1):

@@ -23,15 +23,15 @@ F = fo.build_standard_forms(64)
 # ---------------------------------------------------------------------------
 
 def test_delta_normalized():
-    assert F["DeltaCusp"].coeff(1) == 1
-    assert F["DeltaCusp"].coeff(0) == 0
-    assert F["DeltaCusp"].coeff(2) == -24
+    assert F["DeltaCusp"].coeffs.get(1, 0) == 1
+    assert F["DeltaCusp"].coeffs.get(0, 0) == 0
+    assert F["DeltaCusp"].coeffs.get(2, 0) == -24
 
 
 def test_j_coefficient_independent_route():
     # series division oracle: j - 1728 = E6^2/Delta, computed independently
-    assert F["j"].coeff(-1) == 1
-    assert F["j"].coeff(1) == 196884
+    assert F["j"].coeffs.get(-1, 0) == 1
+    assert F["j"].coeffs.get(1, 0) == 196884
     order = 16
     sigma = lambda n, k: sum(d ** k for d in range(1, n + 1) if n % d == 0)
     e6 = [1] + [-504 * sigma(n, 5) for n in range(1, order + 1)]
@@ -42,17 +42,17 @@ def test_j_coefficient_independent_route():
     inv = fo._series_inv(delta, order)
     other = fo._series_mul(e6_2, inv, order)   # (j - 1728) * q
     for n in range(-1, 10):
-        assert F["j"].coeff(n) - (1728 if n == 0 else 0) == other[n + 1]
+        assert F["j"].coeffs.get(n, 0) - (1728 if n == 0 else 0) == other[n + 1]
 
 
 def test_j_first_coefficients_positive():
     for n in range(1, 11):
-        c = F["j"].coeff(n)
+        c = F["j"].coeffs.get(n, 0)
         assert isinstance(c, int) and c > 0
 
 
 def test_J_constant_term_zero():
-    assert F["J"].coeff(0) == 0
+    assert F["J"].coeffs.get(0, 0) == 0
 
 
 def test_build_rejects_tiny_order():
@@ -106,22 +106,27 @@ def test_weight_functional_equation():
 # E2*
 # ---------------------------------------------------------------------------
 
+def _e2_star(z):
+    # E2* summed from its Fourier data at z itself, with no reduction
+    return fo.eval_harmonic(fo.e2_star_data(64), z)
+
+
 def test_e2_star_weight_two():
     z = mpc("0.3", "1.1")
-    lhs = fo.e2_star(-1 / z)
-    rhs = z ** 2 * fo.e2_star(z)
+    lhs = _e2_star(-1 / z)
+    rhs = z ** 2 * _e2_star(z)
     assert abs(lhs - rhs) < 1e-12
 
 
 def test_e2_star_periodicity():
     z = mpc("0.27", "0.95")
-    assert abs(fo.e2_star(z + 1) - fo.e2_star(z)) < 1e-25
+    assert abs(_e2_star(z + 1) - _e2_star(z)) < 1e-25
 
 
-def _e2_star_oracle(z):
+def _e2_star_oracle(z, digits=50):
     # 1 - 24 sum sigma_1(n) q^n - 3/(pi y), sigma_1 by trial division, summed
-    # until the terms drop below 1e-45
-    with mp.workdps(50):
+    # until the terms drop below 10^-(digits - 5)
+    with mp.workdps(digits):
         z = mpc(z)
         q = mpmath.exp(2j * mpmath.pi * z)
         acc, n = mpc(1), 0
@@ -129,7 +134,7 @@ def _e2_star_oracle(z):
             n += 1
             term = 24 * sum(d for d in range(1, n + 1) if n % d == 0) * q ** n
             acc -= term
-            if abs(term) < mpf(10) ** -45:
+            if abs(term) < mpf(10) ** (5 - digits):
                 return acc - 3 / (mpmath.pi * z.imag)
 
 
@@ -139,23 +144,39 @@ def test_e2_star_data_matches_direct():
     assert G.kappa == 2 and G.a_plus[0] == 1 and G.a_plus[1] == -24
     for _ in range(20):
         z = mpc(rng.uniform(-1, 1), rng.uniform(0.7, 2.5))
-        assert abs(fo.e2_star(z, 48) - fo.eval_harmonic(G, z)) < 1e-12
+        assert abs(fo.eval_harmonic(G, z) - _e2_star_oracle(z)) <= 1e-25
     # against the brute-force oracle, inside F and below it
     inside = [mpc(rng.uniform(-0.5, 0.5), rng.uniform(1.0, 2.5)) for _ in range(10)]
     below = [mpc(rng.uniform(-1, 1), rng.uniform(0.2, 0.8)) for _ in range(10)]
     G64 = fo.e2_star_data(64)
     for z in inside + below:
         exact = _e2_star_oracle(z)
-        assert abs(fo.e2_star(z) - exact) <= 1e-25
+        assert abs(fo.eval_harmonic(G64, z) - exact) <= 1e-25
         assert abs(fo.e2_star_modular(z) - exact) <= 1e-25
         assert abs(fo.eval_modular(G64, z)[0] - exact) <= 1e-25
+
+
+@pytest.mark.parametrize("evaluate", [
+    lambda z, prec: fo.eval_modular(fo.e2_star_data(64, prec), z, prec)[0],
+    lambda z, prec: fo.e2_star_modular(z, 64, prec),
+], ids=["eval_modular", "e2_star_modular"])
+def test_modular_evaluation_holds_requested_precision(evaluate):
+    # called at 15 digits, Precision(50) still holds: reduction, series and
+    # cocycle all run at its working precision
+    with mp.workdps(70):
+        z = mpf(1) / 3 + 1j * (mpf(1) / 7)
+    exact = _e2_star_oracle(z, 70)
+    with mp.workdps(15):
+        value = evaluate(z, Precision(50))
+    with mp.workdps(70):
+        assert abs(value - exact) <= mpf("1e-45"), float(abs(value - exact))
 
 
 @lru_cache(maxsize=None)
 def _form(name, order):
     # E2*'s holomorphic part to q^order, or J with coefficients up to q^order
     if name == "E2*":
-        return fo.e2_star_data(order).holomorphic_expansion()
+        return fo.QExpansion(2, dict(fo.e2_star_data(order).a_plus), order)
     return fo.build_standard_forms(order + 1)["J"]
 
 
@@ -221,7 +242,7 @@ def test_fixed_point_series_matches_plain_sum(name, digits, x, y):
 def test_xi_e2_star():
     xi = fo.xi_symbolic(fo.e2_star_data(16))
     assert xi.weight == 0
-    assert abs(xi.coeff(0) - 3 / mpmath.pi) < 1e-25
+    assert abs(xi.coeffs.get(0, 0) - 3 / mpmath.pi) < 1e-25
     assert all(n == 0 for n in xi.coeffs if xi.coeffs[n] != 0)
 
 
@@ -285,18 +306,9 @@ def test_kappa_one_log_convention():
 # ---------------------------------------------------------------------------
 
 def test_e32_coefficients():
-    holo, nonholo = fo.e32_star_coeffs(8)
+    holo = fo.e32_star_coeffs(8)
     assert holo[0] == Fraction(-1, 12)
     assert holo[3] == Fraction(1, 3)
     assert holo[4] == Fraction(1, 2)
     assert holo[1] == 0 and holo[2] == 0
     assert holo[7] == 1 and holo[8] == 1
-    # beta_{3/2}(0) = 2 makes the n = 0 term 1/(8 pi sqrt v)
-    v = mpf("0.7")
-    assert abs(nonholo(0, v) - 1 / (8 * mpmath.pi * mpmath.sqrt(v))) < 1e-20
-
-
-def test_qexpansion_json_roundtrip():
-    d = F["E4"].to_json()
-    assert d["weight"] == 4
-    assert d["coeffs"]["1"] == 240

@@ -115,22 +115,6 @@ def test_e_kappa_rejects_zero():
 
 
 # ---------------------------------------------------------------------------
-# beta integral
-# ---------------------------------------------------------------------------
-
-def test_beta_tail_at_zero():
-    assert abs(sf.beta_fns(0, 0).value - 2) < 1e-25
-
-
-def test_beta_tail_quadrature_oracle():
-    for k in range(5):
-        for v in (mpf("0.1"), mpf(1), mpf(10)):
-            oracle = mpmath.quad(
-                lambda t: mpmath.e ** (-v * t) * t ** (mpf(-1.5) - k), [1, mpmath.inf])
-            assert abs(sf.beta_fns(k, v).value - oracle) < 1e-10
-
-
-# ---------------------------------------------------------------------------
 # Hurwitz zeta at negative integers / Bernoulli polynomials
 # ---------------------------------------------------------------------------
 
@@ -246,6 +230,10 @@ def test_fundamental_discriminants():
 # reach
 # ---------------------------------------------------------------------------
 
+PKG = pathlib.Path(sf.__file__).parent
+TESTS = pathlib.Path(__file__).parent
+
+
 def _references(module, path, tree):
     """Names of `module`'s functions referenced in one module of the package,
     not counting a function's references to itself."""
@@ -275,56 +263,78 @@ def _references(module, path, tree):
     return found
 
 
-def _unreached(module):
-    """Public functions of `module` that nothing in the package references."""
-    pkg = pathlib.Path(sf.__file__).parent
-    public = {node.name for node in ast.parse((pkg / f"{module}.py").read_text()).body
-              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
-    used = set()
-    for path in pkg.glob("*.py"):
-        used |= _references(module, path, ast.parse(path.read_text()))
-    return public - used
+def _attributes(node, owners=()):
+    """Attribute names read under node, not counting a method's reads of its
+    own name."""
+    found = set()
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.FunctionDef):
+            found |= _attributes(child, owners + (child.name,))
+            continue
+        if isinstance(child, ast.Attribute) and child.attr not in owners:
+            found.add(child.attr)
+        found |= _attributes(child, owners)
+    return found
 
 
-def test_specfun_public_functions_are_called():
-    # every public function of specfun is reached from the package itself,
-    # not only from its unit tests
-    assert _unreached("specfun") == set()
+def _click_registered(fn):
+    # @main.command(...) and @click.group(...) register the function with the CLI
+    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+               and d.func.attr in ("command", "group") for d in fn.decorator_list)
 
 
-# Paper formulas that only tests reach, each checked against a second route
-# by the named test in test_thetacore.py: phi_sh0_lattice against phi_sh0's
-# kernel normalization, lift_constant_term against the -H(|delta|) constant
-# of the Eisenstein lift.
-THETACORE_ORACLES = {"phi_sh0_lattice": "test_normalization_dictionary_measured",
-                     "lift_constant_term": "test_lift_constant_term_values"}
+def _unreached():
+    """(module, name) for every public function of the package that nothing
+    in the package references, and (module, "Class.attr") for every public
+    method or property whose attribute name nothing in the package reads."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in PKG.glob("*.py")}
+    attrs = set().union(*(_attributes(tree) for tree in trees.values()))
+    out = set()
+    for module, tree in trees.items():
+        used = set().union(*(_references(module, PKG / f"{m}.py", t) for m, t in trees.items()))
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_") \
+                    and node.name not in used and not _click_registered(node):
+                out.add((module, node.name))
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                out |= {(module, f"{node.name}.{fn.name}") for fn in node.body
+                        if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+                        and fn.name not in attrs}
+    return out
 
 
-def test_thetacore_public_functions_are_called():
-    assert _unreached("thetacore") == set(THETACORE_ORACLES)
-    tests = ast.parse((pathlib.Path(__file__).parent / "test_thetacore.py").read_text())
-    defined = {node.name for node in tests.body if isinstance(node, ast.FunctionDef)}
-    assert set(THETACORE_ORACLES.values()) <= defined
-
-
-# Public functions of forms and hyperbolic that only tests and the benchmark
-# reach.  e2_star_modular is the benchmark's evaluator; each one is checked
-# against a second route by the named test: e2_star_modular against the
-# brute-force E2* sum, eval_qexp's value and tail against a 90-digit full
-# sum, geodesic_of's arcs by p_z(Q) = 0 on them, act_on_form by
-# p_{gamma z}(Q) = p_z(gamma^-1 Q).
-MODULAR_ORACLES = {
+# Names that only tests and the benchmark reach, each checked against a
+# second route by the named test.  e2_star_modular is the benchmark's
+# evaluator, checked against the brute-force E2* sum; eval_qexp's value and
+# tail against a 90-digit full sum; geodesic_of's arcs by p_z(Q) = 0 on
+# them; act_on_form by p_{gamma z}(Q) = p_z(gamma^-1 Q); phi_sh0_lattice
+# against phi_sh0's kernel normalization; lift_constant_term against the
+# -H(|delta|) constant of the Eisenstein lift.  The last three are the
+# acceptance criteria's entry points: the alternative representation
+# against the regularized definition (criterion 5), the lemma integrals'
+# quadrature against their closed forms (criterion 7), and the binomial
+# identity's two sides against each other (criterion 8).
+ORACLES = {
     ("forms", "e2_star_modular"): ("test_forms.py", "test_e2_star_data_matches_direct"),
     ("forms", "eval_qexp"): ("test_forms.py", "test_height_cut_within_reported_tail"),
     ("hyperbolic", "geodesic_of"): ("test_hyperbolic.py", "test_geodesic_membership"),
     ("hyperbolic", "act_on_form"): ("test_hyperbolic.py", "test_transformation_rules"),
+    ("thetacore", "phi_sh0_lattice"): ("test_thetacore.py",
+                                       "test_normalization_dictionary_measured"),
+    ("thetacore", "lift_constant_term"): ("test_thetacore.py", "test_lift_constant_term_values"),
+    ("cycles", "reg_cycle_integral_alt"): ("test_acceptance.py",
+                                           "test_criterion_05_regularized_well_defined"),
+    ("cycles", "lemma_integral_checks"): ("test_acceptance.py",
+                                          "test_criterion_07_lemma_integrals"),
+    ("cycles", "combinatorial_identity_sides"): ("test_acceptance.py",
+                                                 "test_criterion_08_combinatorial_identity"),
 }
 
 
-def test_forms_and_hyperbolic_public_functions_are_called():
-    unreached = {(m, name) for m in ("forms", "hyperbolic") for name in _unreached(m)}
-    assert unreached == set(MODULAR_ORACLES)
-    here = pathlib.Path(__file__).parent
-    for path, test in MODULAR_ORACLES.values():
-        tests = ast.parse((here / path).read_text())
+def test_package_public_names_are_reached():
+    # every public function, method and property of the package is reached
+    # from the package itself, or is an oracle with its second-route test
+    assert _unreached() == set(ORACLES)
+    for path, test in ORACLES.values():
+        tests = ast.parse((TESTS / path).read_text())
         assert test in {node.name for node in tests.body if isinstance(node, ast.FunctionDef)}

@@ -48,7 +48,7 @@ def test_phi0_nonzero_at_cm_point():
     ctx = th.ThetaContext(-3, 0, mpc(0.1, 0.9))
     Q = QForm(1, 1, 1)
     from shintani.hyperbolic import cm_point
-    z = cm_point(Q).z
+    z = cm_point(Q)
     val = th.phi_sh0(ctx, Q, z, "kernel")
     # at the CM point |Q(z,1)| = 0, so the exponent is +4 pi v D (D = -1)
     assert abs(val) > 0
@@ -102,7 +102,7 @@ def test_eta_singularity_guard():
     ctx = th.ThetaContext(-3, 0, mpc(0.1, 0.9))
     Q = QForm(1, 1, 1)
     from shintani.hyperbolic import cm_point
-    z = cm_point(Q).z + mpf("1e-9")
+    z = cm_point(Q) + mpf("1e-9")
     with pytest.raises(ArithmeticError):
         th.eta(ctx, Q, z)
 
@@ -394,6 +394,17 @@ def test_lift_error_estimate_bounds_error(delta, D, grid):
     assert abs(coeff.imag) <= est
 
 
+@pytest.mark.parametrize("delta, D", [(-4, 39), (-3, 52), (-8, 15), (-7, 24)])
+def test_lift_cut_height_follows_discriminant(delta, D):
+    # |delta| D > 36: the a = +-1 geodesics reach above y = 6, and at a fixed
+    # T = 6 the error was O(1) (2.6 at (-4, 39))
+    coeff, est = th.lift_coefficient_quadrature(delta, D, grid=8)
+    target = float(12 * hurwitz_class_number(abs(delta)) * hurwitz_class_number(D)
+                   / math.sqrt(abs(delta)))
+    err = abs(coeff - target)
+    assert err <= est and err <= 1e-4, (err, est)
+
+
 def test_above_T_bound_scales():
     # the bound follows the a = +-1 terms' decay e^(-beta m(T)^2); it is
     # infinite once an a = +-1 geodesic reaches above T
@@ -416,9 +427,7 @@ def test_lift_quadrature_memory():
 
 
 def test_lift_rejects_bad_arguments():
-    # the CLI checks the others (test_usage_error_exit_code); T is no option there
-    with pytest.raises(ValueError, match="T must exceed 1"):
-        th.lift_coefficient_quadrature(-4, 3, T=1.0)
+    # the CLI checks the others (test_usage_error_exit_code)
     for delta in (-5, 0):
         with pytest.raises(ValueError, match="negative fundamental discriminant"):
             th.lift_coefficient_quadrature(delta, 1)
@@ -426,12 +435,12 @@ def test_lift_rejects_bad_arguments():
 
 def test_e2star_np_matches_multiprecision():
     import numpy as np
-    from shintani.forms import e2_star
+    from shintani.forms import e2_star_data, eval_harmonic
     xs, ys = np.meshgrid(np.linspace(-0.5, 0.5, 9), np.linspace(0.8, 6.0, 9))
     zs = (xs + 1j * ys).ravel()
     got = th._e2star_np(zs, 48)
     for zv, gv in zip(zs, got):
-        assert abs(gv - complex(e2_star(mpc(zv), 48))) <= 1e-12
+        assert abs(gv - complex(eval_harmonic(e2_star_data(48), mpc(zv)))) <= 1e-12
 
 
 def test_lift_rejects_square_disc():
