@@ -239,14 +239,13 @@ def cmd_cm_trace(config, delta, dd, fname):
 @main.command("cycle-trace")
 @click.option("--delta", type=int, required=True)
 @click.option("--D", "dd", type=int, required=True)
-@click.option("--k", type=int, default=0, show_default=True)
 @click.pass_obj
-def cmd_cycle_trace(config, delta, dd, k):
+def cmd_cycle_trace(config, delta, dd):
     """Twisted trace of cycle integrals of the completed weight-2
-    Eisenstein series."""
+    Eisenstein series (weight 2, so k = 0)."""
     G = forms.e2_star_data(64, config.prec)
-    tr, qerr = cycles.trace_cycle(G, delta, dd, k, prec=config.prec)
-    emit_report([{"delta": delta, "D": dd, "k": k, "value": tr,
+    tr, qerr = cycles.trace_cycle(G, delta, dd, 0, prec=config.prec)
+    emit_report([{"delta": delta, "D": dd, "k": 0, "value": tr,
                   "quadrature_error": qerr}], config.fmt)
 
 
@@ -299,12 +298,7 @@ def cmd_verify(config, which, deltas, ds):
     """Run the closed-form identity suite; exit 1 if any check fails."""
     deltas = list(deltas) or [-3, -4]
     ds = list(ds) or [3, 4]
-    kw = {}
-    if config.tolerance is not None:
-        kw = {"hecke_tol": config.tolerance, "lvalue_tol": config.tolerance,
-              "class_number_tol": config.tolerance,
-              "square_trace_tol": config.tolerance}
-    steps = cmtraces.identity_steps(ds, config.prec, **kw)
+    steps = cmtraces.identity_steps(ds, config.prec, config.tolerance)
     if which != "all":
         steps = {which: steps[which]}
     reports = [r for d in deltas for step in steps.values() for r in step(d)]

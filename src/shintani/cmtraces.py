@@ -139,37 +139,42 @@ def _check(identity_id, params, target, compute, prec, tol):
                           float(abs(computed - target)), int((time.time() - t0) * 1000), tol)
 
 
-def identity_steps(D_list=(3, 4), prec=DEFAULT_PRECISION, hecke_tol=1e-5,
-                   lvalue_tol=1e-5, class_number_tol=1e-10, square_trace_tol=1e-10,
-                   square_trace_Dmax=25):
+# each identity's tolerance on abs_error, by step name
+IDENTITY_TOLS = {"class-number": 1e-10, "square-lvalue": 1e-5, "hecke": 1e-5,
+                 "square-trace": 1e-10}
+
+
+def identity_steps(D_list=(3, 4), prec=DEFAULT_PRECISION, tol=None, square_trace_Dmax=25):
     """The closed-form identity checks in report order, as {name: step}.
 
     step(delta) runs one identity for one delta and returns its reports;
     a delta that is not a negative fundamental discriminant gets none.
+    tol replaces every identity's tolerance (default: IDENTITY_TOLS).
     Individual failures are recorded in the reports, never raised.
     """
+    tols = IDENTITY_TOLS if tol is None else dict.fromkeys(IDENTITY_TOLS, tol)
     G = e2_star_data(64, prec)
 
     def class_number(delta, H):
         # Dirichlet class number formula, both evaluation routes
         L0 = lambda: Fraction(dirichlet_L_exact_nonpositive(delta, 0))
         L1 = lambda: mpmath.sqrt(-delta) * dirichlet_L(delta, 1, prec).value / mpmath.pi
-        return [_check("class-number-L0", {"delta": delta}, H, L0, prec, class_number_tol),
-                _check("class-number-L1", {"delta": delta}, H, L1, prec, class_number_tol)]
+        return [_check(name, {"delta": delta}, H, f, prec, tols["class-number"])
+                for name, f in (("class-number-L0", L0), ("class-number-L1", L1))]
 
     def square_lvalue(delta, H):
         # square-discriminant L-value = H(|delta|)^2, plus the sigma cross-check
         L = lambda: (cycles.l_star_value(G, delta, 0, prec=prec)[0]
                      / (12 * mpmath.sqrt(-delta)))
         sig = lambda: cycles.sigma_exp_sum(delta, prec)
-        return [_check("square-lvalue", {"delta": delta}, H * H, L, prec, lvalue_tol),
-                _check("sigma-sum", {"delta": delta}, H * H, sig, prec, lvalue_tol)]
+        return [_check(name, {"delta": delta}, H * H, f, prec, tols["square-lvalue"])
+                for name, f in (("square-lvalue", L), ("sigma-sum", sig))]
 
     def hecke(delta, H):
         # Hecke / Eisenstein trace identity over the D grid
         tr = lambda D: cycles.trace_cycle(G, delta, D, 0, prec=prec)[0]
         return [_check("hecke", {"delta": delta, "D": D}, 12 * H * hurwitz_class_number(D),
-                       lambda: tr(D), prec, hecke_tol)
+                       lambda: tr(D), prec, tols["hecke"])
                 for D in D_list if -D % 4 in (0, 1)]
 
     def square_trace(delta, H):
@@ -177,7 +182,7 @@ def identity_steps(D_list=(3, 4), prec=DEFAULT_PRECISION, hecke_tol=1e-5,
         tr = lambda aD: _coerce(trace_cm(1, delta, -aD, prec).value) / mpmath.sqrt(aD)
         return [_check("square-trace", {"delta": delta, "D": -aD},
                        H if math.isqrt(aD) ** 2 == aD else 0, lambda: tr(aD), prec,
-                       square_trace_tol)
+                       tols["square-trace"])
                 for aD in range(1, square_trace_Dmax + 1) if _admissible_cm(delta, -aD)]
 
     def step(rows):

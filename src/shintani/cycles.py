@@ -10,11 +10,14 @@ In hyperbolic arc length t the semicircle is
     z(t) = center + radius (tanh t + i sech t),
     dz/dt = -i radius sech t e^(i theta),
 
-theta being the polar angle, and the automorph translates t by the period
-2 log eps_Q.  Since G(z) Q(z,1)^k dz is invariant under the stabilizer, the
-integrand in t is periodic and real-analytic, so the equispaced trapezoid
-rule over one period converges geometrically (Trefethen and Weideman, SIAM
-Rev. 56 (2014)) and its samples nest under doubling.
+theta being the polar angle.  The automorph of trace tr translates t by
+the period 2 arccosh(tr/2) = 2 log eps_Q, with eps_Q = (tr + u sqrt(D/g^2))/2,
+g the content of Q and (tr, u) the least solution of tr^2 - (D/g^2) u^2 = 4
+(`pell_fundamental_4`, read off the principal form's rho-cycle).  Since
+G(z) Q(z,1)^k dz is invariant under the stabilizer, the integrand in t is
+periodic and real-analytic, so the equispaced trapezoid rule over one period
+converges geometrically (Trefethen and Weideman, SIAM Rev. 56 (2014)) and
+its samples nest under doubling.
 
 Regularized case (disc = f^2).  Normalize Q to (0, f, c); the geodesic is
 the vertical line Re(z) = r with r = -c/f, an infinite geodesic running
@@ -50,9 +53,8 @@ from mpmath import mp, mpf, mpc
 
 from .specfun import (DEFAULT_PRECISION, gamma_upper, e_kappa,
                       kronecker_symbol, bernoulli_poly_eval, _coerce, _workdps)
-from .qforms import class_reps, automorph_generator, genus_char, square_normalize, _xgcd
+from .qforms import class_reps, genus_char, pell_fundamental_4, square_normalize, _xgcd
 from .quadrature import integrate_cc_doubling, integrate_periodic_doubling
-from .hyperbolic import apply_moebius
 from .forms import HarmonicFourierData, eval_harmonic, eval_modular, xi_symbolic
 
 
@@ -89,19 +91,13 @@ def closed_cycle_integral(G_eval, Q, k=0, nodes=16, prec=DEFAULT_PRECISION,
         center = mpf(-Q.b) / (2 * Q.a)
         radius = mpmath.sqrt(D) / (2 * abs(Q.a))
         theta0 = mpmath.pi / 2 if base_angle is None else mpf(base_angle)
-        z0 = center + radius * mpmath.e ** (1j * theta0)
         t0 = mpmath.atanh(mpmath.cos(theta0))
-        M = automorph_generator(Q)
-        # orientation: toward the endpoint (-b + sqrt D)/(2a), i.e. along
-        # increasing t (decreasing angle) when a > 0
-        want_increasing = Q.a > 0
-        z1 = apply_moebius(M, z0)
-        t1 = mpmath.asinh((z1.real - center) / z1.imag)
-        if (t1 > t0) != want_increasing:
-            Minv = ((M[1][1], -M[0][1]), (-M[1][0], M[0][0]))
-            z1 = apply_moebius(Minv, z0)
-            t1 = mpmath.asinh((z1.real - center) / z1.imag)
-        assert (t1 > t0) == want_increasing
+        # one period 2 log eps_Q, toward the endpoint (-b + sqrt D)/(2a), i.e.
+        # along increasing t (decreasing angle) when a > 0
+        Dg = D // Q.content ** 2
+        tr, u = pell_fundamental_4(Dg)
+        period = 2 * mpmath.log((tr + u * mpmath.sqrt(Dg)) / 2)
+        t1 = t0 + period if Q.a > 0 else t0 - period
 
         def integrand(t):
             # sech t and tanh t from one exponential
@@ -402,10 +398,12 @@ def lemma_integral_checks(k_max=4, n_max=3, ys=(0.5, 1, 2), prec=DEFAULT_PRECISI
 # ---------------------------------------------------------------------------
 
 def trace_cycle(G, delta, D, k=0, prec=DEFAULT_PRECISION, T=2, evaluator=None):
-    """tr_delta(G, D) = sum over classes of disc |delta| D of
-    chi_delta(Q) times the (regularized, if needed) cycle integral."""
+    """tr_delta(G, D) = sum over classes of disc |delta| D of chi_delta(Q)
+    times the (regularized, if needed) cycle integral of G, of weight 2k+2."""
     delta = int(delta)
     D = int(D)
+    if G.kappa != 2 * k + 2:
+        raise ValueError(f"G has weight {G.kappa}, not 2k + 2 = {2 * k + 2}")
     if D <= 0:
         raise ValueError("trace_cycle needs D > 0")
     sD = D if delta > 0 else -D

@@ -4,9 +4,9 @@ Exact-arithmetic engine for integral binary quadratic forms.
 A form (a, b, c) means Q(x, y) = a x^2 + b xy + c y^2 with discriminant
 b^2 - 4ac.  SL_2(Z) acts by substitution; reduction, class enumeration for
 all three discriminant regimes (definite, indefinite non-square, square),
-automorphs via the Pell equation t^2 - D u^2 = 4, the genus character
-attached to a fundamental discriminant, and Hurwitz class numbers all live
-here.  Everything is exact integer / rational arithmetic.
+the Pell equation t^2 - D u^2 = 4 from the principal form's rho-cycle, the
+genus character attached to a fundamental discriminant, and Hurwitz class
+numbers all live here.  Everything is exact integer / rational arithmetic.
 """
 
 import math
@@ -292,83 +292,26 @@ def _divisors(m):
 
 
 # ---------------------------------------------------------------------------
-# automorphs / Pell
+# Pell
 # ---------------------------------------------------------------------------
 
 def pell_fundamental_4(D):
-    """Minimal (t, u), t, u > 0, with t^2 - D u^2 = 4 (D > 0 non-square).
-
-    Continued-fraction convergents of sqrt(D) are scanned for values
-    p^2 - D q^2 in {1, -1, 2, -2, 4, -4}; each yields a +4 solution, and
-    the classical theory guarantees the fundamental one appears.  Small D
-    falls back to a direct search.
-    """
+    """Minimal (t, u), t, u > 0, with t^2 - D u^2 = 4, D > 0 a non-square
+    discriminant: the product of the rho steps once around the cycle of the
+    reduced principal form R = (1, b, (b^2 - D)/4) is R's fundamental
+    automorph +-[[(t - bu)/2, -cu], [u, (t + bu)/2]] (Buchmann and Vollmer,
+    Binary Quadratic Forms, ch. 6)."""
     D = int(D)
     s0 = math.isqrt(D)
-    if D <= 0 or s0 * s0 == D:
-        raise ValueError("needs positive non-square D")
-    if D <= 20:
-        u = 1
-        while True:
-            t2 = 4 + D * u * u
-            t = math.isqrt(t2)
-            if t * t == t2:
-                return t, u
-            u += 1
-    # scan convergents of sqrt(D) over two full periods; every solution of
-    # x^2 - D y^2 = N with |N| <= 4 < sqrt(D) appears among them
-    cands = []
-    m, d, a = 0, 1, s0
-    p0, q0 = 1, 0
-    p1, q1 = a, 1
-    period_ends = 0
-    for _ in range(4 * _cf_period_bound(D)):
-        r = p1 * p1 - D * q1 * q1
-        if r == 4:
-            cands.append((p1, q1))
-        elif r == -4:
-            cands.append(((p1 * p1 + D * q1 * q1) // 2, p1 * q1))
-        elif r == 1:
-            cands.append((2 * p1, 2 * q1))
-        elif r == -1:
-            cands.append((2 * (p1 * p1 + D * q1 * q1), 4 * p1 * q1))
-        elif r == 2 or r == -2:
-            cands.append((p1 * p1 + D * q1 * q1, 2 * p1 * q1))
-        m = d * a - m
-        d = (D - m * m) // d
-        a = (s0 + m) // d
-        if a == 2 * s0:
-            period_ends += 1
-            if period_ends >= 2 and cands:
-                break
-        p0, p1 = p1, a * p1 + p0
-        q0, q1 = q1, a * q1 + q0
-    if not cands:
-        raise ArithmeticError(f"no Pell solution found for D = {D}")
-    return min(cands, key=lambda tu: tu[0])
-
-
-def _cf_period_bound(D):
-    return max(64, int(3 * math.isqrt(D) * (math.log(D) + 1)))
-
-
-def automorph_generator(Q):
-    """Generator of the infinite cyclic stabilizer of an indefinite form.
-
-    Returns the matrix M = [[(t-bu)/2, -cu], [au, (t+bu)/2]] with
-    (a, b, c) = Q / content(Q) and (t, u) the fundamental solution of
-    t^2 - (disc/content^2) u^2 = 4; a form and its multiples share the
-    stabilizer.  Fixes Q under substitution.
-    """
-    D = Q.disc
-    if D <= 0 or math.isqrt(D) ** 2 == D:
-        raise ValueError("automorphs require positive non-square discriminant")
-    g = Q.content
-    t, u = pell_fundamental_4(D // (g * g))
-    a, b, c = Q.a // g, Q.b // g, Q.c // g
-    M = (((t - b * u) // 2, -c * u), (a * u, (t + b * u) // 2))
-    assert Q.compose(M) == Q
-    return M
+    if D <= 0 or s0 * s0 == D or D % 4 not in (0, 1):
+        raise ValueError("needs a positive non-square discriminant D = 0, 1 mod 4")
+    b = s0 - (D - s0) % 2     # b and D of one parity
+    R = QForm(1, b, (b * b - D) // 4)
+    Q, M = _rho_step(R)       # rho without its check: R's cycle stays reduced
+    while Q != R:
+        Q, step = _rho_step(Q)
+        M = mat_mul(M, step)
+    return abs(M[0][0] + M[1][1]), abs(M[1][0])
 
 
 # ---------------------------------------------------------------------------

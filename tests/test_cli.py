@@ -57,6 +57,8 @@ def test_usage_error_exit_code():
     for args, message in [
         (["cycle-trace", "--delta", "-4", "--D", "2"],
          "sgn(delta) D must be 0 or 1 mod 4"),
+        # E2* has weight 2: cycle-trace has no --k
+        (["cycle-trace", "--delta", "5", "--D", "12", "--k", "1"], "No such option '--k'"),
         (["classes", "--disc", "2"],
          "disc must be a nonzero integer = 0, 1 mod 4"),
         (["chi", "--delta", "-5", "--form", "1,1,1"],

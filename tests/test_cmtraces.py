@@ -90,7 +90,11 @@ def test_f_series_stable_under_order_doubling():
 
 def test_identity_suite_reports():
     steps = cm.identity_steps((4,), square_trace_Dmax=9)
-    reports = [r for step in steps.values() for r in step(-3)]
+    named = [(name, r) for name, step in steps.items() for r in step(-3)]
+    # each identity keeps its own tolerance unless one tol replaces them all
+    assert all(r.tolerance == cm.IDENTITY_TOLS[name] for name, r in named)
+    assert {r.tolerance for r in cm.identity_steps(tol=1e-3)["class-number"](-3)} == {1e-3}
+    reports = [r for _, r in named]
     by_id = {}
     for r in reports:
         by_id.setdefault(r.identity_id, []).append(r)

@@ -232,6 +232,14 @@ def test_trace_rejects_bad_signs():
         cy.trace_cycle(E2, 5, 4, 0)      # (-1)^(k+1) delta < 0 at k = 0
 
 
+def test_trace_rejects_weight_other_than_2k_plus_2():
+    # E2* has weight 2, so k = 0 is its only cycle integral; k != 0 used to
+    # return a meaningless value on square pairs and exhaust the closed rule
+    for delta, D, k in ((5, 5, 1), (-3, 3, 2), (5, 12, 1)):
+        with pytest.raises(ValueError, match="weight 2, not 2k"):
+            cy.trace_cycle(E2, delta, D, k)
+
+
 def test_l_star_value_and_sigma_sum():
     L, _ = cy.l_star_value(E2, -3, 0, evaluator=E2_EVAL)
     v = L / (12 * mpmath.sqrt(3))

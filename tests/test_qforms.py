@@ -1,11 +1,13 @@
-"""Binary quadratic form engine: reduction, classes, automorphs,
-characters, class numbers.  Oracles are brute-force orbit searches and
-direct enumerations, independent of the implementation's code paths."""
+"""Binary quadratic form engine: reduction, classes, Pell solutions and the
+automorphs built from them, characters, class numbers.  Oracles are
+brute-force orbit searches and direct enumerations, independent of the
+implementation's code paths."""
 
 import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from shintani import qforms as qf
@@ -191,27 +193,34 @@ def brute_force_automorphs(Q, bound=10):
     return {M for M in hits if M[0][0] + M[1][1] == tmin}
 
 
+def automorph(Q):
+    # [[(t - bu)/2, -cu], [au, (t + bu)/2]] for Q/g and the least solution of
+    # t^2 - (disc/g^2) u^2 = 4, g the content: the stabilizer generator whose
+    # translation length 2 log eps_Q closed_cycle_integral integrates over
+    g = Q.content
+    t, u = qf.pell_fundamental_4(Q.disc // (g * g))
+    a, b, c = Q.a // g, Q.b // g, Q.c // g
+    return (((t - b * u) // 2, -c * u), (a * u, (t + b * u) // 2))
+
+
 def test_automorph_examples_brute_force():
     # the brute-force orbit search cannot tell a generator from its inverse;
-    # the implementation picks the t, u > 0 branch
-    assert qf.automorph_generator(QForm(1, 0, -3)) == ((2, 3), (1, 2))
-    assert qf.automorph_generator(QForm(1, 0, -3)) in \
-        brute_force_automorphs(QForm(1, 0, -3))
-    assert qf.automorph_generator(QForm(1, 1, -1)) == ((1, 1), (1, 2))
-    assert qf.automorph_generator(QForm(1, 1, -1)) in \
-        brute_force_automorphs(QForm(1, 1, -1))
+    # the Pell solution picks the t, u > 0 branch
+    assert automorph(QForm(1, 0, -3)) == ((2, 3), (1, 2))
+    assert automorph(QForm(1, 0, -3)) in brute_force_automorphs(QForm(1, 0, -3))
+    assert automorph(QForm(1, 1, -1)) == ((1, 1), (1, 2))
+    assert automorph(QForm(1, 1, -1)) in brute_force_automorphs(QForm(1, 1, -1))
 
 
 def test_automorph_imprimitive_forms():
     # a multiple g Q of a primitive form has Q's stabilizer, not a power of it
-    assert qf.automorph_generator(QForm(-4, 4, 2)) in \
-        brute_force_automorphs(QForm(-4, 4, 2))
+    assert automorph(QForm(-4, 4, 2)) in brute_force_automorphs(QForm(-4, 4, 2))
     for disc in (5, 8, 12, 13, 21, 33):
         for Q in qf.class_reps(disc).reps:
-            M = qf.automorph_generator(Q)
+            M = automorph(Q)
             for g in (2, 3):
                 gQ = QForm(g * Q.a, g * Q.b, g * Q.c)
-                assert qf.automorph_generator(gQ) == M
+                assert automorph(gQ) == M
                 assert gQ.compose(M) == gQ
 
 
@@ -228,7 +237,7 @@ def test_automorph_fixes_random_indefinite_forms():
         D = Q.disc
         if D <= 0 or D > 200 or math.isqrt(D) ** 2 == D:
             continue
-        M = qf.automorph_generator(Q)
+        M = automorph(Q)
         assert Q.compose(M) == Q
         count += 1
 
@@ -236,7 +245,7 @@ def test_automorph_fixes_random_indefinite_forms():
 def test_automorph_trace_and_powers():
     for disc in (12, 21, 40, 145):
         for Q in qf.class_reps(disc).reps:
-            M = qf.automorph_generator(Q)
+            M = automorph(Q)
             assert M[0][0] + M[1][1] > 2
             powers = {qf.IDENTITY}
             cur = qf.IDENTITY
@@ -267,6 +276,39 @@ def test_pell_large_entry():
     t, u = qf.pell_fundamental_4(61)
     assert t * t - 61 * u * u == 4
     assert (t, u) == (1523, 195)
+
+
+def _is_pell_trace(D, t):
+    v2, r = divmod(t * t - 4, D)
+    return t > 2 and r == 0 and math.isqrt(v2) ** 2 == v2
+
+
+def test_pell_solutions_are_fundamental():
+    # every solution of t^2 - D u^2 = 4 is a power of the fundamental one,
+    # eps = (t + u sqrt D)/2, and any solution has eps >= phi^2 (phi the
+    # golden ratio); so eps is fundamental iff it is no m-th power for a
+    # prime m <= log eps / log phi, i.e. iff the integer nearest
+    # 2 cosh(log eps / m) is no solution's trace.  Brute force over u cannot
+    # reach these t, which run to hundreds of digits.
+    Ds = [D for D in range(5, 2001) if D % 4 in (0, 1) and math.isqrt(D) ** 2 != D]
+    assert len(Ds) == 956
+    log_phi = math.log((1 + math.sqrt(5)) / 2)
+    for D in Ds:
+        t, u = qf.pell_fundamental_4(D)
+        assert t > 0 and u > 0 and t * t - D * u * u == 4, D
+        with mpmath.workdps(len(str(t)) + 20):
+            log_eps = mpmath.log((t + u * mpmath.sqrt(D)) / 2)
+            for m in range(2, int(log_eps / log_phi) + 1):
+                if all(m % p for p in range(2, math.isqrt(m) + 1)):
+                    root = int(mpmath.nint(2 * mpmath.cosh(log_eps / m)))
+                    assert not _is_pell_trace(D, root), (D, m)
+
+
+def test_pell_rejects_non_discriminants():
+    # the principal form needs D = 0, 1 mod 4
+    for D in (2, 3, 6, 7, 10, 11, 14, 15, 0, -4, 16, 25):
+        with pytest.raises(ValueError):
+            qf.pell_fundamental_4(D)
 
 
 # ---------------------------------------------------------------------------
