@@ -1,4 +1,4 @@
-"""Command-line front end, configuration, result cache and reporting.
+"""Command-line front end, configuration and reporting.
 
 Subcommands cover the library surface: class-number, classes, chi,
 cm-trace, cycle-trace, l-value, f-series, e32, verify, eta-check, theta,
@@ -12,10 +12,8 @@ mpmath.workdps(--precision), so the caller's mp.dps is left as it was.
 
 import json
 import math
-import os
 import random
 import sys
-import tempfile
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,19 +22,15 @@ import click
 import mpmath
 from mpmath import mpc, mpf
 
-from . import __version__
 from .specfun import Precision
 from .hyperbolic import form_polynomials
 from .qforms import QForm, class_reps, genus_char, hurwitz_class_number
 from . import cmtraces, cycles, forms, thetacore
 
-CODE_VERSION = __version__
-
 
 @dataclass(frozen=True)
 class Config:
     precision_digits: int = 30
-    cache_dir: str = ""
     fmt: str = "json"
     tolerance: float = None
 
@@ -109,53 +103,6 @@ def _flatten(d, prefix=""):
 
 
 # ---------------------------------------------------------------------------
-# cache
-# ---------------------------------------------------------------------------
-
-def cache_path(config, op, params):
-    key = "__".join(f"{k}={params[k]}" for k in sorted(params))
-    safe = "".join(ch if ch.isalnum() or ch in "=_.-" else "_" for ch in key)
-    return os.path.join(config.cache_dir, f"{op}__{safe}.json")
-
-
-def cache_roundtrip(config, op, params, compute):
-    """Read-through JSON cache keyed by (op, params, code version).
-
-    Writes go to a temp file followed by an atomic rename, so concurrent
-    readers see either the old or the new complete file.  A corrupt file
-    (unreadable, not JSON, or not a JSON object) is recomputed and
-    overwritten with a warning; a stale-version file silently.
-    """
-    if not config.cache_dir:
-        return compute()
-    os.makedirs(config.cache_dir, exist_ok=True)
-    path = cache_path(config, op, params)
-    if os.path.exists(path):
-        try:
-            with open(path) as fh:
-                payload = json.load(fh)
-            if not isinstance(payload, dict):
-                raise ValueError("cache payload is not a JSON object")
-            if payload.get("version") == CODE_VERSION:
-                return payload["value"]
-        except (ValueError, KeyError, OSError):
-            click.echo(f"warning: corrupt cache file {path}, recomputing",
-                       err=True)
-    value = _encode(compute())
-    payload = {"version": CODE_VERSION, "op": op,
-               "key": _encode(params), "value": value}
-    fd, tmp = tempfile.mkstemp(dir=config.cache_dir, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh, indent=1)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-    return value
-
-
-# ---------------------------------------------------------------------------
 # the command group
 # ---------------------------------------------------------------------------
 
@@ -173,18 +120,14 @@ class _Group(click.Group):
 @click.group(cls=_Group)
 @click.option("--precision", default=30, show_default=True,
               help="working precision in decimal digits")
-@click.option("--cache-dir", default=None,
-              help="result cache directory (or env SHINTANI_CACHE_DIR)")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
               default="json", show_default=True)
 @click.option("--tolerance", type=float, default=None,
               help="per-run override of identity tolerances")
 @click.pass_context
-def main(ctx, precision, cache_dir, fmt, tolerance):
+def main(ctx, precision, fmt, tolerance):
     """Quadratic-form classes, cycle-integral traces and theta-kernel checks."""
-    if cache_dir is None:
-        cache_dir = os.environ.get("SHINTANI_CACHE_DIR", "")
-    ctx.obj = Config(precision, cache_dir or "", fmt, tolerance)
+    ctx.obj = Config(precision, fmt, tolerance)
     ctx.with_resource(mpmath.mp.workdps(precision))
 
 
@@ -193,9 +136,7 @@ def main(ctx, precision, cache_dir, fmt, tolerance):
 @click.pass_obj
 def cmd_class_number(config, d):
     """Hurwitz class number H(D)."""
-    value = cache_roundtrip(config, "class-number", {"D": d},
-                            lambda: hurwitz_class_number(d))
-    emit_report([{"D": d, "H": value}], config.fmt)
+    emit_report([{"D": d, "H": hurwitz_class_number(d)}], config.fmt)
 
 
 @main.command("classes")
@@ -203,9 +144,7 @@ def cmd_class_number(config, d):
 @click.pass_obj
 def cmd_classes(config, disc):
     """Class representatives of a discriminant."""
-    value = cache_roundtrip(config, "classes", {"disc": disc},
-                            lambda: class_reps(disc).to_json())
-    emit_report([value], config.fmt)
+    emit_report([class_reps(disc).to_json()], config.fmt)
 
 
 @main.command("chi")

@@ -66,8 +66,8 @@ def _admissible_cm(delta, D):
 def trace_cm(F, delta, D, prec=DEFAULT_PRECISION):
     """tr+_delta(F, D) over positive definite classes of disc |delta| D.
 
-    F may be a callable z -> value, a QExpansion (evaluated through the
-    fundamental domain), or a constant.
+    F is an exact constant (int or Fraction), summed exactly, or a
+    QExpansion, evaluated at the CM points through the fundamental domain.
     """
     delta = int(delta)
     D = int(D)
@@ -76,16 +76,7 @@ def trace_cm(F, delta, D, prec=DEFAULT_PRECISION):
     if not _admissible_cm(delta, D):
         raise ValueError("need D < 0 with sgn(delta) D = 0, 1 mod 4")
     disc = abs(delta) * D
-    if F is None or isinstance(F, (int, float, Fraction)):
-        cval = F if F is not None else 1
-        F_eval = lambda z: cval
-        exact = isinstance(cval, (int, Fraction))
-    elif hasattr(F, "coeffs"):
-        F_eval = lambda z: eval_modular(F, z, prec)[0]
-        exact = False
-    else:
-        F_eval = F
-        exact = False
+    exact = not hasattr(F, "coeffs")
     with _workdps(prec):
         acc = Fraction(0) if exact else mpc(0)
         count = 0
@@ -94,11 +85,10 @@ def trace_cm(F, delta, D, prec=DEFAULT_PRECISION):
             if chi == 0:
                 continue
             w = stabilizer_order(Q)
-            z = cm_point(Q)
             if exact:
-                acc += Fraction(chi) * Fraction(F_eval(z)) / w
+                acc += Fraction(chi * F, w)
             else:
-                acc += chi * F_eval(z) / w
+                acc += chi * eval_modular(F, cm_point(Q), prec)[0] / w
             count += 1
         return TraceResult(acc, count, {"delta": delta, "D": D})
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .specfun import kronecker_symbol, is_fundamental_discriminant
+from .specfun import kronecker_symbol, is_fundamental_discriminant, _factor
 
 
 # ---------------------------------------------------------------------------
@@ -318,21 +318,16 @@ def pell_fundamental_4(D):
 # genus character, class numbers, sigma
 # ---------------------------------------------------------------------------
 
-class GenusCharSearchError(RuntimeError):
-    pass
-
-
-GENUS_SEARCH_RADIUS = 50    # coordinate box genus_char searches for a represented value
-
-
 def genus_char(delta, Q):
     """The genus character chi_delta(Q) = (delta/n) on represented values.
 
     Requires disc(Q) = |delta| * D with sgn(delta) D a discriminant.
-    Returns 0 when gcd(a, b, c, delta) > 1; otherwise searches a growing
-    coordinate box for a represented n != 0 coprime to delta and fails
-    loudly if none shows up within GENUS_SEARCH_RADIUS.  Negative represented
-    values go through the Kronecker symbol's sign convention, which gives
+    Returns 0 when gcd(a, b, c, delta) > 1.  Otherwise, for each prime p
+    of delta one of Q(1,0), Q(0,1), Q(1,1) is prime to p (else p divides
+    a, c and b); the CRT combination (x, y) of these points makes Q(x, y)
+    a represented value coprime to delta (Cox, Primes of the Form
+    x^2 + ny^2, Lemma 2.25).  Negative represented values go through the
+    Kronecker symbol's sign convention, which gives
     chi(-Q) = sgn(delta) chi(Q).
     """
     delta = int(delta)
@@ -346,20 +341,17 @@ def genus_char(delta, Q):
     sD = Dq if delta > 0 else -Dq
     if sD % 4 not in (0, 1):
         raise ValueError("disc(Q)/|delta| violates the discriminant condition")
-    if delta == 1:
-        return 1 if Q.content >= 1 else 0
     if math.gcd(Q.content, q) > 1:
         return 0
-    for radius in range(1, GENUS_SEARCH_RADIUS + 1):
-        for x in range(-radius, radius + 1):
-            for y in range(-radius, radius + 1):
-                if max(abs(x), abs(y)) != radius:
-                    continue
-                n = Q(x, y)
-                if n != 0 and math.gcd(abs(n), q) == 1:
-                    return kronecker_symbol(delta, n)
-    raise GenusCharSearchError(
-        f"no represented value coprime to {delta} within radius {GENUS_SEARCH_RADIUS} for {Q}")
+    x = y = 0     # delta = 1 has no primes: (1/Q(0, 0)) = (1/0) = 1
+    m = 1
+    for p in _factor(q):
+        px, py = (1, 0) if Q.a % p else (0, 1) if Q.c % p else (1, 1)
+        t = pow(m, -1, p)
+        x += m * ((px - x) * t % p)
+        y += m * ((py - y) * t % p)
+        m *= p
+    return kronecker_symbol(delta, Q(x, y))
 
 
 def stabilizer_order(Q):

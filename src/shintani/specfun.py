@@ -212,17 +212,20 @@ def is_fundamental_discriminant(delta):
 
 
 def _is_squarefree(n):
-    n = abs(n)
-    if n == 0:
-        return False
-    d = 2
+    return n != 0 and all(e == 1 for e in _factor(n).values())
+
+
+def _factor(n):
+    """{p: e} with |n| = prod p^e, n != 0, by trial division."""
+    n, d, out = abs(n), 2, {}
     while d * d <= n:
-        if n % (d * d) == 0:
-            return False
         while n % d == 0:
+            out[d] = out.get(d, 0) + 1
             n //= d
         d += 1
-    return True
+    if n > 1:
+        out[n] = 1
+    return out
 
 
 def dirichlet_L(delta, s, prec=DEFAULT_PRECISION):

@@ -1,16 +1,14 @@
-"""CLI dispatch, cache semantics, and report serialization."""
+"""CLI dispatch, exit codes, precision scoping and report serialization."""
 
 import json
-import os
 import re
-import threading
 
 import mpmath
 import pytest
 from click.testing import CliRunner
 
 from shintani import cli, forms, quadrature
-from shintani.cli import Config, cache_roundtrip, emit_report
+from shintani.cli import Config, emit_report
 
 
 def run(args, **kw):
@@ -153,84 +151,6 @@ def test_f_series_command():
 
 
 # ---------------------------------------------------------------------------
-# cache
-# ---------------------------------------------------------------------------
-
-def test_cache_write_then_read_identical(tmp_path):
-    cfg = Config(cache_dir=str(tmp_path))
-    calls = []
-
-    def compute():
-        calls.append(1)
-        return {"x": 1, "y": "2/3"}
-
-    v1 = cache_roundtrip(cfg, "op", {"a": 1}, compute)
-    v2 = cache_roundtrip(cfg, "op", {"a": 1}, compute)
-    assert v1 == v2 and len(calls) == 1
-    files = list(tmp_path.iterdir())
-    assert len(files) == 1
-    raw1 = files[0].read_bytes()
-    cache_roundtrip(cfg, "op", {"a": 1}, compute)
-    assert files[0].read_bytes() == raw1
-
-
-def test_cache_version_bump_invalidates(tmp_path, monkeypatch):
-    cfg = Config(cache_dir=str(tmp_path))
-    calls = []
-    compute = lambda: calls.append(1) or 7
-    cache_roundtrip(cfg, "op", {}, compute)
-    monkeypatch.setattr(cli, "CODE_VERSION", "999.0")
-    cache_roundtrip(cfg, "op", {}, compute)
-    assert len(calls) == 2
-
-
-def test_cache_corrupt_recomputes(tmp_path, capsys):
-    # a file that is not JSON, or JSON but not an object, is recomputed
-    # with a warning
-    cfg = Config(cache_dir=str(tmp_path))
-    cache_roundtrip(cfg, "op", {"a": 2}, lambda: 5)
-    path = cli.cache_path(cfg, "op", {"a": 2})
-    for content in ("{ not json", "[]", '"x"'):
-        with open(path, "w") as fh:
-            fh.write(content)
-        assert cache_roundtrip(cfg, "op", {"a": 2}, lambda: 6) == 6, content
-        assert "corrupt cache file" in capsys.readouterr().err, content
-
-
-def test_cache_atomic_under_concurrent_readers(tmp_path, monkeypatch):
-    # readers see either the old or the new complete file, never a partial:
-    # every write goes to a temp file followed by an atomic rename
-    cfg = Config(cache_dir=str(tmp_path))
-    big = {"data": list(range(5000))}
-    cache_roundtrip(cfg, "op", {"a": 3}, lambda: big)
-    path = cli.cache_path(cfg, "op", {"a": 3})
-    stop = threading.Event()
-    bad = []
-
-    def reader():
-        while not stop.is_set():
-            try:
-                with open(path) as fh:
-                    payload = json.load(fh)
-                if payload["value"] != big:
-                    bad.append(payload)
-            except (json.JSONDecodeError, OSError) as exc:
-                bad.append(repr(exc))
-
-    threads = [threading.Thread(target=reader) for _ in range(4)]
-    for t in threads:
-        t.start()
-    # stale versions force a recompute and an atomic overwrite each round
-    for i in range(20):
-        monkeypatch.setattr(cli, "CODE_VERSION", f"bump-{i}")
-        cache_roundtrip(cfg, "op", {"a": 3}, lambda: big)
-    stop.set()
-    for t in threads:
-        t.join()
-    assert not bad
-
-
-# ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------
 
@@ -272,11 +192,15 @@ def test_config_validation():
         Config(fmt="xml")
 
 
-def test_env_cache_dir(tmp_path, monkeypatch):
+def test_no_result_cache(tmp_path, monkeypatch):
+    # results are recomputed on every call: the cache flag is a usage error
+    # and the old cache variable writes nothing
+    r = CliRunner().invoke(cli.main, ["--cache-dir", str(tmp_path), "class-number", "12"])
+    assert r.exit_code == 2
     monkeypatch.setenv("SHINTANI_CACHE_DIR", str(tmp_path))
     r = run(["class-number", "12"])
     assert r.exit_code == 0
-    assert list(tmp_path.iterdir())
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("args, code", [

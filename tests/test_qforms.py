@@ -9,9 +9,11 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shintani import qforms as qf
 from shintani.qforms import QForm
+from shintani.specfun import is_fundamental_discriminant, kronecker_symbol
 
 
 def random_sl2(rng, size=5, length=6):
@@ -315,6 +317,22 @@ def test_pell_rejects_non_discriminants():
 # genus character
 # ---------------------------------------------------------------------------
 
+def _genus_char_search(delta, Q, radius=50):
+    # oracle: (delta/n) for the first represented n != 0 coprime to delta
+    # in a growing coordinate box, independent of genus_char's CRT point
+    if math.gcd(Q.content, abs(delta)) > 1:
+        return 0
+    for r in range(1, radius + 1):
+        for x in range(-r, r + 1):
+            for y in range(-r, r + 1):
+                if max(abs(x), abs(y)) != r:
+                    continue
+                n = Q(x, y)
+                if n != 0 and math.gcd(n, delta) == 1:
+                    return kronecker_symbol(delta, n)
+    raise AssertionError(f"no value of {Q} coprime to {delta} within radius {radius}")
+
+
 def test_genus_char_principal_delta():
     rng = random.Random(13)
     for _ in range(20):
@@ -329,7 +347,6 @@ def test_genus_char_example():
 
 def test_genus_char_well_defined_on_represented_values():
     # the first several coprime represented values give identical symbols
-    from shintani.specfun import kronecker_symbol
     rng = random.Random(4)
     for Q in qf.class_reps(-16).reps + qf.class_reps(-32).reps + \
             qf.class_reps(12).reps + qf.class_reps(28).reps:
@@ -346,10 +363,15 @@ def test_genus_char_well_defined_on_represented_values():
         assert values[0] == chi
 
 
+# fundamental discriminants with up to four prime factors; the radicals of
+# the last four exceed 50, so the CRT point can leave the search's box
+_GENUS_DELTAS = [-3, -4, -7, 5, -420, -1155, 105, 1365]
+
+
 def test_genus_char_gamma_invariance():
     rng = random.Random(23)
-    for _ in range(100):
-        delta = rng.choice([-3, -4, -7, 5])
+    for _ in range(200):
+        delta = rng.choice(_GENUS_DELTAS)
         D = rng.choice([1, -1, 2, -2, 3, -3, 4, -4])
         sD = D if delta > 0 else -D
         if sD % 4 not in (0, 1) or D == 0:
@@ -366,6 +388,38 @@ def test_genus_char_gamma_invariance():
         Q = rng.choice(reps)
         gamma = random_sl2(rng)
         assert qf.genus_char(delta, Q) == qf.genus_char(delta, Q.compose(gamma))
+
+
+@settings(max_examples=300)
+@given(delta=st.sampled_from(_GENUS_DELTAS), sD=st.integers(-16, 16),
+       rng=st.randoms(use_true_random=False))
+def test_genus_char_matches_search_on_gamma_images(delta, sD, rng):
+    # genus_char is SL2(Z)-invariant and agrees with the box search on
+    # random images of class representatives of either sign
+    if sD == 0 or sD % 4 not in (0, 1):
+        return
+    Q = rng.choice(qf.class_reps(abs(delta) * (sD if delta > 0 else -sD)).reps)
+    Q = Q.neg() if rng.random() < 0.5 else Q
+    QM = Q.compose(random_sl2(rng))
+    chi = qf.genus_char(delta, QM)
+    assert chi == _genus_char_search(delta, QM) == qf.genus_char(delta, Q)
+
+
+def test_genus_char_matches_search_on_class_grid():
+    # every class representative and its negative, fundamental |delta| <= 200,
+    # disc |delta| D with 1 <= D < 40
+    count = 0
+    for delta in range(-200, 201):
+        if not is_fundamental_discriminant(delta):
+            continue
+        for D in range(1, 40):
+            if (D if delta > 0 else -D) % 4 not in (0, 1):
+                continue
+            for Q in qf.class_reps(abs(delta) * D).reps:
+                for R in (Q, Q.neg()):
+                    assert qf.genus_char(delta, R) == _genus_char_search(delta, R), (delta, R)
+                    count += 1
+    assert count == 32942
 
 
 def test_genus_char_content_condition():
