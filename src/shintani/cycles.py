@@ -41,7 +41,9 @@ matters for even k and is pinned by the weight-2 Eisenstein trace identity.
 
 The alternative representation trades the counterterms for line integrals
 of G against Bernoulli polynomials and of xi G against polygamma functions
-along a horizontal period at height T.
+along a horizontal period at height T.  Both representations run through
+one driver, `_regularized`: it integrates each ray from its lower end to
+height T once and adds the representation's part above T.
 """
 
 import math
@@ -55,7 +57,7 @@ from .specfun import (DEFAULT_PRECISION, gamma_upper, e_kappa,
                       kronecker_symbol, bernoulli_poly_eval, _coerce, _workdps)
 from .qforms import class_reps, genus_char, pell_fundamental_4, square_normalize, _xgcd
 from .quadrature import integrate_cc_doubling, integrate_periodic_doubling
-from .forms import HarmonicFourierData, eval_harmonic, eval_modular, xi_symbolic
+from .forms import HarmonicFourierData, eval_modular, eval_qexp, xi_symbolic
 
 
 @dataclass(frozen=True)
@@ -121,7 +123,7 @@ def closed_cycle_integral(G_eval, Q, k=0, nodes=16, prec=DEFAULT_PRECISION,
 # ---------------------------------------------------------------------------
 
 def _square_ray_data(Q):
-    """(normal form, f, r_plus, q_denom, r_minus) for square discriminant."""
+    """(f, r_plus, q_denom, r_minus) for square discriminant f^2."""
     QN, _ = square_normalize(Q)
     f = QN.b
     r_plus = Fraction(-QN.c, f)
@@ -134,7 +136,7 @@ def _square_ray_data(Q):
     Qm = QN.neg().compose(sigma)
     assert Qm.a == 0 and Qm.b == f, "orientation convention violated"
     r_minus = Fraction(-Qm.c, f)
-    return QN, f, r_plus, q, r_minus
+    return f, r_plus, q, r_minus
 
 
 def _ray_quadrature(G_fun, r, c0, T, k, tol, nodes):
@@ -206,6 +208,30 @@ def _ray_counterterms(G, k, r, T, prec):
         return acc
 
 
+def _regularized(G, Q, k, T, prec, evaluator, nodes, tol, tail, method):
+    """f^k i^(k+1) (S(r-, c-, T) + (-1)^(k+1) S(r+, c+, T)), each ray's S its
+    quadrature from c0 to T plus tail(G, G_fun, k, r, T) -> (value, error),
+    the part above height T in one representation, called at prec's
+    working precision."""
+    if T <= 0:
+        raise ValueError("T must be positive")
+    f, r_plus, q, r_minus = _square_ray_data(Q)
+    with _workdps(prec):
+        G_fun = evaluator if evaluator is not None else (lambda z: eval_qexp(G, z, prec)[0])
+        S, err, used = [], 0.0, 0
+        for r, c0 in ((r_plus, 1), (r_minus, mpf(1) / (q * q))):
+            quad, e_quad, n = _ray_quadrature(G_fun, _coerce(r), c0, mpf(T), k, tol, nodes)
+            value, e_tail = tail(G, G_fun, k, r, T)
+            S.append(quad + value)
+            err, used = err + e_quad + e_tail, max(used, n)
+        S_plus, S_minus = S
+        # the bottom-end chart carries the unsigned ray; only even k is
+        # sensitive to this labeling, and it is pinned by the weight-2
+        # Eisenstein trace identity (the odd-k combination is symmetric)
+        total = mpf(f) ** k * (1j) ** (k + 1) * (S_minus + (-1) ** (k + 1) * S_plus)
+        return CycleIntegralResult(total, method, err, float(T), used)
+
+
 def reg_cycle_integral(G, Q, k=0, T=2, prec=DEFAULT_PRECISION,
                        evaluator=None, nodes=16, tol=1e-22):
     """Regularized cycle integral of G along the infinite geodesic of Q.
@@ -216,39 +242,29 @@ def reg_cycle_integral(G, Q, k=0, T=2, prec=DEFAULT_PRECISION,
     (pass a fundamental-domain-reducing evaluator for genuinely modular G,
     so that the quadrature stays accurate at small heights).
     """
-    if T <= 0:
-        raise ValueError("T must be positive")
-    QN, f, r_plus, q, r_minus = _square_ray_data(Q)
-    with _workdps(prec):
-        G_fun = evaluator if evaluator is not None else (lambda z: eval_harmonic(G, z, prec))
-        quad_p, err_p, n_p = _ray_quadrature(G_fun, _coerce(r_plus), 1, mpf(T),
-                                             k, tol, nodes)
-        quad_m, err_m, n_m = _ray_quadrature(G_fun, _coerce(r_minus), mpf(1) / (q * q),
-                                             mpf(T), k, tol, nodes)
-        S_plus = quad_p + _ray_counterterms(G, k, r_plus, T, prec)
-        S_minus = quad_m + _ray_counterterms(G, k, r_minus, T, prec)
-        # the bottom-end chart carries the unsigned ray; only even k is
-        # sensitive to this labeling, and it is pinned by the weight-2
-        # Eisenstein trace identity (the odd-k combination is symmetric)
-        total = mpf(f) ** k * (1j) ** (k + 1) * (S_minus + (-1) ** (k + 1) * S_plus)
-        return CycleIntegralResult(total, "regularized-definition",
-                                   err_p + err_m, float(T), max(n_p, n_m))
+    tail = lambda G, G_fun, k, r, T: (_ray_counterterms(G, k, r, T, prec), 0.0)
+    return _regularized(G, Q, k, T, prec, evaluator, nodes, tol, tail,
+                        "regularized-definition")
 
 
-# ---------------------------------------------------------------------------
-# alternative representation (Bernoulli / polygamma line integrals)
-# ---------------------------------------------------------------------------
+def reg_cycle_integral_alt(G, Q, k=0, T=2, prec=DEFAULT_PRECISION,
+                           evaluator=None, nodes=16, tol=1e-22):
+    """The Bernoulli/polygamma representation of the regularized integral.
 
-def _alt_ray(G, xiG, G_fun, k, r, c0, T, prec, nodes, tol):
-    with _workdps(prec):
+    Needs xi_{2k+2} G, taken symbolically from the Fourier data.  Agrees
+    with reg_cycle_integral; for holomorphic G (xi G constant) the
+    polygamma terms vanish identically.
+    """
+    xiG = xi_symbolic(G, prec)
+    # xi G without its constant term, as holomorphic Fourier data
+    xi_data = HarmonicFourierData(xiG.weight, {n: c for n, c in xiG.coeffs.items() if n},
+                                  {}, xiG.order)
+
+    def tail(G, G_fun, k, r, T):
         Tm = mpf(T)
         rr = _coerce(r)
-        quad, err, _ = _ray_quadrature(G_fun, rr, _coerce(c0), Tm, k, tol, nodes)
         am0 = _coerce(G.a_minus.get(0, 0))
         sgn = mpf(-1) ** k
-        # xi G without its constant term, as holomorphic Fourier data
-        xi_data = HarmonicFourierData(xiG.weight, {n: c for n, c in xiG.coeffs.items() if n},
-                                      {}, xiG.order)
         c_B = sgn * (1j) ** (k + 1) / (k + 1)
         c_xi = sgn * (1j) ** (-k) * mpmath.factorial(k) / mpmath.factorial(2 * k + 1)
         c_d = [mpmath.factorial(d + k) / mpmath.factorial(d + 1)
@@ -263,7 +279,7 @@ def _alt_ray(G, xiG, G_fun, k, r, c0, T, prec, nodes, tol):
             w = x + 1j * Tm
             acc = c_B * (G_fun(rr + w) - am0 * Tm ** (-1 - 2 * k)) \
                 * bernoulli_poly_eval(k + 1, w)
-            xg = eval_harmonic(xi_data, rr + w, prec)
+            xg = eval_qexp(xi_data, rr + w, prec)[0]
             if xg:
                 inner = mpf(2) ** (2 * k - 1) * (mpmath.psi(k, w) + sgn * mpmath.psi(k, 1 - w))
                 for d, c in enumerate(c_d):
@@ -272,33 +288,12 @@ def _alt_ray(G, xiG, G_fun, k, r, c0, T, prec, nodes, tol):
             return acc
 
         iline, err_line, _ = integrate_cc_doubling(line, 0, 1, n0=nodes, tol=tol)
-        acc = quad + iline
         if am0:
-            acc += am0 * (-mpmath.log(Tm)) if k == 0 else am0 * Tm ** (-k) / k
-        return acc, err + float(err_line)
+            iline += am0 * (-mpmath.log(Tm)) if k == 0 else am0 * Tm ** (-k) / k
+        return iline, float(err_line)
 
-
-def reg_cycle_integral_alt(G, Q, k=0, T=2, prec=DEFAULT_PRECISION,
-                           evaluator=None, nodes=16, tol=1e-22):
-    """The Bernoulli/polygamma representation of the regularized integral.
-
-    Needs xi_{2k+2} G, taken symbolically from the Fourier data.  Agrees
-    with reg_cycle_integral; for holomorphic G (xi G constant) the
-    polygamma terms vanish identically.
-    """
-    if T <= 0:
-        raise ValueError("T must be positive")
-    QN, f, r_plus, q, r_minus = _square_ray_data(Q)
-    xiG = xi_symbolic(G, prec)
-    with _workdps(prec):
-        G_fun = evaluator if evaluator is not None else (lambda z: eval_harmonic(G, z, prec))
-        S_plus, e1 = _alt_ray(G, xiG, G_fun, k, r_plus, 1, T, prec, nodes, tol)
-        S_minus, e2 = _alt_ray(G, xiG, G_fun, k, r_minus, mpf(1) / (q * q), T, prec,
-                               nodes, tol)
-        # ray labeling as in reg_cycle_integral
-        total = mpf(f) ** k * (1j) ** (k + 1) * (S_minus + (-1) ** (k + 1) * S_plus)
-        return CycleIntegralResult(total, "regularized-alternative",
-                                   e1 + e2, float(T))
+    return _regularized(G, Q, k, T, prec, evaluator, nodes, tol, tail,
+                        "regularized-alternative")
 
 
 # ---------------------------------------------------------------------------
@@ -306,21 +301,6 @@ def reg_cycle_integral_alt(G, Q, k=0, T=2, prec=DEFAULT_PRECISION,
 # ---------------------------------------------------------------------------
 
 LEMMA_TOL = 1e-16   # doubling tolerance of the lemma checks' quadrature
-
-
-def bernoulli_unit_integral(j, n, prec=DEFAULT_PRECISION):
-    """(quadrature, closed form) for int_0^1 B_j(x) e(nx) dx."""
-    with _workdps(prec):
-        f = lambda x: bernoulli_poly_eval(j, x) * mpmath.exp(2j * mpmath.pi * n * x)
-        quad = integrate_cc_doubling(f, 0, 1, tol=LEMMA_TOL)[0]
-        if n == 0:
-            closed = mpc(1) if j == 0 else mpc(0)
-        elif j == 0:
-            closed = mpc(0)
-        else:
-            closed = mpf(-1) ** (j + 1) * mpmath.factorial(j) \
-                / (2j * mpmath.pi * n) ** j
-        return quad, closed
 
 
 def bernoulli_height_integral(kk, n, y, prec=DEFAULT_PRECISION):
@@ -376,7 +356,7 @@ def lemma_integral_checks(k_max=4, n_max=3, ys=(0.5, 1, 2), prec=DEFAULT_PRECISI
     report = []
     for kk in ks:
         for n in ns:
-            qa, ca = bernoulli_unit_integral(kk, n, prec)
+            qa, ca = bernoulli_height_integral(kk, n, 0, prec)
             report.append({"lemma": "bernoulli-unit", "k": kk, "n": n, "y": None,
                            "abs_error": float(abs(qa - ca))})
     psi_cache = {}

@@ -111,7 +111,6 @@ class HarmonicFourierData:
     a_plus: dict = field(default_factory=dict)    # n -> complex
     a_minus: dict = field(default_factory=dict)   # n -> complex (0 allowed)
     order: int = 64
-    label: str = ""
 
 
 # ---------------------------------------------------------------------------
@@ -224,21 +223,16 @@ def _evaluate(f, z, prec):
 
 
 def eval_qexp(f, z, prec=DEFAULT_PRECISION):
-    """Evaluate sum c_n e(nz); returns (value, tail_bound).
+    """(value, tail) of a QExpansion or HarmonicFourierData at z itself,
+    with no reduction.
 
-    The tail bound is geometric from the largest recent coefficient, plus
-    the terms below the order cut by height; an unusable bound (q too
-    large for a series with a principal part) raises TailBoundError
-    suggesting fundamental-domain reduction.
+    The tail bound of a QExpansion is geometric from the largest recent
+    coefficient, plus the terms below the order cut by height; an unusable
+    bound (q too large for a series with a principal part) raises
+    TailBoundError suggesting fundamental-domain reduction.
     """
     with _workdps(prec):
         return _evaluate(f, z, prec)
-
-
-def eval_harmonic(G, z, prec=DEFAULT_PRECISION):
-    """G+(z) + G-(z) from the Fourier data, E_kappa-based."""
-    with _workdps(prec):
-        return _evaluate(G, z, prec)[0]
 
 
 def eval_modular(f, z, prec=DEFAULT_PRECISION):
@@ -299,7 +293,7 @@ def e2_star_data(order=64, prec=DEFAULT_PRECISION):
         a_plus[n] = -24 * divisor_sigma1(n)
     with _workdps(prec):
         am0 = mpf(-3) / mpmath.pi
-    return HarmonicFourierData(2, a_plus, {0: am0}, order, label="E2*")
+    return HarmonicFourierData(2, a_plus, {0: am0}, order)
 
 
 def e2_star_modular(z, order=64, prec=DEFAULT_PRECISION):

@@ -18,13 +18,12 @@ and z_{gamma . Q} = gamma z_Q.
 """
 
 import math
-from dataclasses import dataclass
 
 import mpmath
 from mpmath import mp, mpf, mpc
 from mpmath.libmp import from_man_exp, round_nearest, to_fixed
 
-from .qforms import QForm, mat_inv, mat_mul
+from .qforms import mat_inv, mat_mul
 
 
 def form_polynomials(Q, z):
@@ -46,30 +45,6 @@ def cm_point(Q):
     if Q.a <= 0:
         raise ValueError("cm_point requires a positive definite form (a > 0)")
     return mpc(-Q.b, mpmath.sqrt(-Q.disc)) / (2 * Q.a)
-
-
-@dataclass(frozen=True)
-class Geodesic:
-    source: QForm
-    kind: str            # "semicircle" | "vertical"
-    start: object = None
-    end: object = None
-    x0: object = None
-    upward: bool = None
-
-
-def geodesic_of(Q):
-    """Oriented geodesic of an indefinite form."""
-    D = Q.disc
-    if D <= 0:
-        raise ValueError("geodesic_of requires disc > 0")
-    if Q.a != 0:
-        s = mpmath.sqrt(D)
-        start = (-Q.b - s) / (2 * Q.a)
-        end = (-Q.b + s) / (2 * Q.a)
-        return Geodesic(Q, "semicircle", start=start, end=end)
-    x0 = mpf(-Q.c) / Q.b
-    return Geodesic(Q, "vertical", x0=x0, upward=Q.b > 0)
 
 
 def apply_moebius(gamma, z):

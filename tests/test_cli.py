@@ -100,10 +100,11 @@ def test_verify_hecke_single():
 
 def test_verify_tolerance_override_failure_exit():
     r = CliRunner().invoke(cli.main,
-                           ["--tolerance", "1e-40", "verify", "--identity",
-                            "class-number", "--delta", "-3"],
+                           ["--tolerance", "1e-45", "verify", "--identity",
+                            "hecke", "--delta", "-4", "--D", "3"],
                            catch_exceptions=False)
-    # the L1 route cannot hit 1e-40, so the suite must fail with exit 1
+    # the Hecke trace's quadrature at 40 working digits cannot hit 1e-45,
+    # so the suite must fail with exit 1
     assert r.exit_code == 1
 
 
@@ -213,8 +214,8 @@ def test_no_result_cache(tmp_path, monkeypatch):
     (["f-series", "--delta", "-3", "--dmax", "1"], 0),
     (["e32", "--dmax", "4"], 0),
     (["verify", "--identity", "hecke", "--delta", "-4", "--D", "3"], 0),
-    (["--tolerance", "1e-40", "verify", "--identity", "class-number",
-      "--delta", "-3"], 1),
+    (["--tolerance", "1e-45", "verify", "--identity", "hecke", "--delta", "-4",
+      "--D", "3"], 1),
     (["eta-check", "--samples", "1"], 0),
     (["theta", "--delta", "-3", "--radius", "12"], 0),
     (["lift-coeff", "--delta", "-4", "--D", "3", "--grid", "5",

@@ -105,3 +105,13 @@ def test_identity_suite_reports():
         assert r.runtime_ms >= 0
         d = r.to_json()
         assert d["pass"] is True
+
+
+def test_identity_errors_against_exact_targets():
+    # H(3) = 1/3 is not a float: the error is taken against the exact
+    # target at the working precision, not against float(1/3)
+    steps = cm.identity_steps()
+    L0 = [r for r in steps["class-number"](-3) if r.identity_id == "class-number-L0"]
+    assert [r.abs_error for r in L0] == [0.0]
+    rows = steps["square-lvalue"](-3)
+    assert len(rows) == 2 and all(r.abs_error < 1e-25 for r in rows), rows

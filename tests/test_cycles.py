@@ -165,7 +165,7 @@ def test_reg_rays_match_counterterm_closed_form():
             for _ in range(count):
                 G = synthetic_data(k, rng)
                 Q = QForm(0, 3, rng.choice([1, 2]))
-                _, f, r_plus, q, r_minus = cy._square_ray_data(Q)
+                f, r_plus, q, r_minus = cy._square_ray_data(Q)
                 exact = mpf(f) ** k * (1j) ** (k + 1) * (
                     cy._ray_counterterms(G, k, r_minus, mpf(1) / (q * q), prec)
                     + (-1) ** (k + 1) * cy._ray_counterterms(G, k, r_plus, 1, prec))
@@ -184,9 +184,10 @@ def test_reg_rays_match_counterterm_closed_form():
 # ---------------------------------------------------------------------------
 
 def test_bernoulli_unit_integral_values():
-    q, c = cy.bernoulli_unit_integral(2, 0)
+    # the unit integrals int_0^1 B_j(x) e(nx) dx are the height integrals at y = 0
+    q, c = cy.bernoulli_height_integral(2, 0, 0)
     assert abs(q - c) < 1e-20 and abs(c) < 1e-20
-    q, c = cy.bernoulli_unit_integral(1, 1)
+    q, c = cy.bernoulli_height_integral(1, 1, 0)
     assert abs(c - 1 / (2j * mpmath.pi)) < 1e-25
     assert abs(q - c) < 1e-10
 

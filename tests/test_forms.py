@@ -108,7 +108,7 @@ def test_weight_functional_equation():
 
 def _e2_star(z):
     # E2* summed from its Fourier data at z itself, with no reduction
-    return fo.eval_harmonic(fo.e2_star_data(64), z)
+    return fo.eval_qexp(fo.e2_star_data(64), z)[0]
 
 
 def test_e2_star_weight_two():
@@ -144,14 +144,14 @@ def test_e2_star_data_matches_direct():
     assert G.kappa == 2 and G.a_plus[0] == 1 and G.a_plus[1] == -24
     for _ in range(20):
         z = mpc(rng.uniform(-1, 1), rng.uniform(0.7, 2.5))
-        assert abs(fo.eval_harmonic(G, z) - _e2_star_oracle(z)) <= 1e-25
+        assert abs(fo.eval_qexp(G, z)[0] - _e2_star_oracle(z)) <= 1e-25
     # against the brute-force oracle, inside F and below it
     inside = [mpc(rng.uniform(-0.5, 0.5), rng.uniform(1.0, 2.5)) for _ in range(10)]
     below = [mpc(rng.uniform(-1, 1), rng.uniform(0.2, 0.8)) for _ in range(10)]
     G64 = fo.e2_star_data(64)
     for z in inside + below:
         exact = _e2_star_oracle(z)
-        assert abs(fo.eval_harmonic(G64, z) - exact) <= 1e-25
+        assert abs(fo.eval_qexp(G64, z)[0] - exact) <= 1e-25
         assert abs(fo.e2_star_modular(z) - exact) <= 1e-25
         assert abs(fo.eval_modular(G64, z)[0] - exact) <= 1e-25
 
@@ -253,7 +253,7 @@ def test_xi_e2_star():
 def test_pure_holomorphic_data_reproduces_qexp():
     G = HarmonicFourierData(12, dict(F["DeltaCusp"].coeffs), {}, 64)
     z = mpc("0.2", "1.4")
-    v1 = fo.eval_harmonic(G, z)
+    v1 = fo.eval_qexp(G, z)[0]
     v2, _ = fo.eval_qexp(F["DeltaCusp"], z)
     assert abs(v1 - v2) < 1e-25
 
@@ -262,7 +262,7 @@ def test_single_nonholomorphic_term():
     from shintani.specfun import e_kappa
     G = HarmonicFourierData(2, {}, {1: 1}, 8)
     y = mpf("0.8")
-    v = fo.eval_harmonic(G, mpc(0, y))
+    v = fo.eval_qexp(G, mpc(0, y))[0]
     expect = e_kappa(2, 4 * mpmath.pi * y).value * mpmath.e ** (-2 * mpmath.pi * y)
     assert abs(v - expect) < 1e-24
 
@@ -281,7 +281,7 @@ def test_xi_symbolic_synthetic_vs_finite_difference():
     xi = fo.xi_symbolic(G)
     assert xi.weight == -2
     z = mpc("0.23", "0.9")
-    fd_xi, _ = fd_operators(lambda w: fo.eval_harmonic(G, w), 4, z)
+    fd_xi, _ = fd_operators(lambda w: fo.eval_qexp(G, w)[0], 4, z)
     direct, _ = fo.eval_qexp(xi, z)
     assert abs(fd_xi - direct) < 1e-6
 
@@ -291,14 +291,14 @@ def test_harmonicity_of_model():
     from shintani.thetacore import fd_operators
     G = HarmonicFourierData(4, {-1: 0.3, 2: 1.0}, {0: 0.7, -2: 1j, 1: -0.2}, 8)
     z = mpc("0.31", "1.07")
-    _, lap = fd_operators(lambda w: fo.eval_harmonic(G, w), 4, z)
+    _, lap = fd_operators(lambda w: fo.eval_qexp(G, w)[0], 4, z)
     assert abs(lap) < 1e-5
 
 
 def test_kappa_one_log_convention():
     G = HarmonicFourierData(1, {}, {0: 2}, 8)
     y = mpf("1.37")
-    assert abs(fo.eval_harmonic(G, mpc(0, y)) - 2 * mpmath.log(y)) < 1e-24
+    assert abs(fo.eval_qexp(G, mpc(0, y))[0] - 2 * mpmath.log(y)) < 1e-24
 
 
 # ---------------------------------------------------------------------------

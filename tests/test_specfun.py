@@ -305,10 +305,9 @@ def _unreached():
 
 # Names that only tests and the benchmark reach, each checked against a
 # second route by the named test.  e2_star_modular is the benchmark's
-# evaluator, checked against the brute-force E2* sum; eval_qexp's value and
-# tail against a 90-digit full sum; apply_moebius as the reference for the
-# word reduce_to_fundamental returns; geodesic_of's arcs by p_z(Q) = 0 on
-# them; act_on_form by p_{gamma z}(Q) = p_z(gamma^-1 Q); phi_sh0_lattice
+# evaluator, checked against the brute-force E2* sum; apply_moebius as the
+# reference for the word reduce_to_fundamental returns; act_on_form by
+# p_{gamma z}(Q) = p_z(gamma^-1 Q); phi_sh0_lattice
 # against phi_sh0's kernel normalization; lift_constant_term against the
 # -H(|delta|) constant of the Eisenstein lift.  The last three are the
 # acceptance criteria's entry points: the alternative representation
@@ -317,9 +316,7 @@ def _unreached():
 # identity's two sides against each other (criterion 8).
 ORACLES = {
     ("forms", "e2_star_modular"): ("test_forms.py", "test_e2_star_data_matches_direct"),
-    ("forms", "eval_qexp"): ("test_forms.py", "test_height_cut_within_reported_tail"),
     ("hyperbolic", "apply_moebius"): ("test_hyperbolic.py", "test_reduce_to_fundamental_random"),
-    ("hyperbolic", "geodesic_of"): ("test_hyperbolic.py", "test_geodesic_membership"),
     ("hyperbolic", "act_on_form"): ("test_hyperbolic.py", "test_transformation_rules"),
     ("thetacore", "phi_sh0_lattice"): ("test_thetacore.py",
                                        "test_normalization_dictionary_measured"),
