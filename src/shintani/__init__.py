@@ -7,6 +7,6 @@ __version__ = "0.1.0"
 
 from .specfun import Precision, SpecialValue, DEFAULT_PRECISION
 from .qforms import QForm, ClassList, class_reps, hurwitz_class_number, genus_char
-from .forms import QExpansion, HarmonicFourierData, build_standard_forms
+from .forms import HarmonicFourierData, build_standard_forms
 from .cycles import CycleIntegralResult
 from .cmtraces import TraceResult, IdentityReport

@@ -24,7 +24,7 @@ from .specfun import (DEFAULT_PRECISION, dirichlet_L, dirichlet_L_exact_nonposit
                       is_fundamental_discriminant, _coerce, _workdps)
 from .qforms import class_reps, genus_char, stabilizer_order, hurwitz_class_number
 from .hyperbolic import cm_point
-from .forms import build_standard_forms, eval_modular, e2_star_data
+from .forms import HarmonicFourierData, build_standard_forms, eval_modular, e2_star_data
 from . import cycles
 
 
@@ -66,8 +66,8 @@ def _admissible_cm(delta, D):
 def trace_cm(F, delta, D, prec=DEFAULT_PRECISION):
     """tr+_delta(F, D) over positive definite classes of disc |delta| D.
 
-    F is an exact constant (int or Fraction), summed exactly, or a
-    QExpansion, evaluated at the CM points through the fundamental domain.
+    F is an exact constant (int or Fraction), summed exactly, or Fourier
+    data, evaluated at the CM points through the fundamental domain.
     """
     delta = int(delta)
     D = int(D)
@@ -76,7 +76,7 @@ def trace_cm(F, delta, D, prec=DEFAULT_PRECISION):
     if not _admissible_cm(delta, D):
         raise ValueError("need D < 0 with sgn(delta) D = 0, 1 mod 4")
     disc = abs(delta) * D
-    exact = not hasattr(F, "coeffs")
+    exact = not isinstance(F, HarmonicFourierData)
     with _workdps(prec):
         acc = Fraction(0) if exact else mpc(0)
         count = 0

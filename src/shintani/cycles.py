@@ -87,8 +87,6 @@ def closed_cycle_integral(G_eval, Q, k=0, nodes=16, prec=DEFAULT_PRECISION,
     D = Q.disc
     if D <= 0 or math.isqrt(D) ** 2 == D:
         raise ValueError("closed_cycle_integral needs non-square disc > 0")
-    if Q.a == 0:
-        raise ValueError("a = 0 forms have square discriminant")
     with _workdps(prec):
         center = mpf(-Q.b) / (2 * Q.a)
         radius = mpmath.sqrt(D) / (2 * abs(Q.a))
@@ -256,8 +254,8 @@ def reg_cycle_integral_alt(G, Q, k=0, T=2, prec=DEFAULT_PRECISION,
     polygamma terms vanish identically.
     """
     xiG = xi_symbolic(G, prec)
-    # xi G without its constant term, as holomorphic Fourier data
-    xi_data = HarmonicFourierData(xiG.weight, {n: c for n, c in xiG.coeffs.items() if n},
+    # xi G without its constant term
+    xi_data = HarmonicFourierData(xiG.kappa, {n: c for n, c in xiG.a_plus.items() if n},
                                   {}, xiG.order)
 
     def tail(G, G_fun, k, r, T):

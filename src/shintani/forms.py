@@ -1,26 +1,30 @@
 r"""
-q-expansions and concrete modular objects.
+Fourier data of harmonic Maass forms, and the concrete modular objects.
 
-Exact integer/rational coefficients for the classical level-1 series
-E4, E6, the discriminant cusp form, j and J = j - 744; the completed
-weight-2 Eisenstein series E2*(z) = 1 - 24 sum sigma_1(n) q^n - 3/(pi y);
-and a Fourier-data model for harmonic forms of integer weight kappa:
+One type, HarmonicFourierData, models a harmonic form of integer weight
+kappa truncated at an order:
 
     G(z) = sum a+(n) e(nz)  +  a-(0) y^(1-kappa)
            + sum_{n != 0} a-(n) E_kappa(4 pi n y) e(nz),
 
-with y^(1-kappa) read as log(y) when kappa = 1.  The antilinear operator
+with y^(1-kappa) read as log(y) when kappa = 1.  A weakly holomorphic
+q-series is the case a- = {}: the classical level-1 series E4, E6, the
+discriminant cusp form, j and J = j - 744 are built that way, with exact
+integer coefficients, beside the completed weight-2 Eisenstein series
+E2*(z) = 1 - 24 sum sigma_1(n) q^n - 3/(pi y).  The antilinear operator
 xi_kappa acts on the data by
 
     xi_kappa G = (1-kappa) conj(a-(0))
                  - sum_{n} (4 pi n)^(1-kappa) conj(a-(-n)) e(nz),
 
-a weight 2-kappa q-series.
+a weight 2-kappa q-series, returned as Fourier data again.
 
-All of them are evaluated by one summation routine, _series, over
-coefficient tables coerced once per object and precision; it stops where
-the terms left fall 10 digits below the working precision, and sums the
-nonnegative-index part by Horner's rule in fixed-point integers.
+Every object is evaluated by one routine, _evaluate, with one tail rule.
+Its a+ sum (_series) runs over coefficient tables coerced once per object
+and precision; it stops where the terms left fall 10 digits below the
+working precision, and sums the nonnegative-index part by Horner's rule in
+fixed-point integers.  The reported tail adds to those dropped terms a
+geometric bound for the terms past the order.
 """
 
 import math
@@ -38,15 +42,15 @@ from . import hyperbolic
 
 
 # ---------------------------------------------------------------------------
-# truncated q-series with exact coefficients
+# Fourier data, and the classical q-series as Fourier data
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class QExpansion:
-    weight: int
-    coeffs: dict          # n -> coefficient (int / Fraction / mpf / mpc)
-    order: int            # coefficients kept for n_min <= n <= order
-    n_min: int = 0
+class HarmonicFourierData:
+    kappa: int
+    a_plus: dict = field(default_factory=dict)    # n -> complex
+    a_minus: dict = field(default_factory=dict)   # n -> complex (0 allowed)
+    order: int = 64                               # a+ known for n <= order
 
 
 def _series_mul(A, B, order):
@@ -76,7 +80,8 @@ def _series_inv(A, order):
 
 
 def build_standard_forms(order=64):
-    """E4, E6, the cusp form Delta, j and J = j - 744 to the given order."""
+    """E4, E6, the cusp form Delta, j and J = j - 744 to the given order, as
+    Fourier data with no a- part."""
     if order < 2:
         raise ValueError("order must be >= 2")
     e4 = [1] + [240 * sum(d ** 3 for d in _divisors(n)) for n in range(1, order + 1)]
@@ -89,32 +94,19 @@ def build_standard_forms(order=64):
     assert all(x % 1728 == 0 for x in delta_full[1:])
     inv_delta = _series_inv(delta, order)                # q / Delta
     jser = _series_mul(e4_3, inv_delta, order)           # j * q
-    forms = {
-        "E4": QExpansion(4, {n: e4[n] for n in range(order + 1)}, order),
-        "E6": QExpansion(6, {n: e6[n] for n in range(order + 1)}, order),
-        "DeltaCusp": QExpansion(12, {n + 1: delta[n] for n in range(order)}, order),
-        "j": QExpansion(0, {n - 1: jser[n] for n in range(order + 1)}, order - 1, n_min=-1),
+    jc = {n - 1: jser[n] for n in range(order + 1)}
+    return {
+        "E4": HarmonicFourierData(4, {n: e4[n] for n in range(order + 1)}, {}, order),
+        "E6": HarmonicFourierData(6, {n: e6[n] for n in range(order + 1)}, {}, order),
+        "DeltaCusp": HarmonicFourierData(12, {n + 1: delta[n] for n in range(order)}, {},
+                                         order),
+        "j": HarmonicFourierData(0, jc, {}, order - 1),
+        "J": HarmonicFourierData(0, {**jc, 0: jc[0] - 744}, {}, order - 1),
     }
-    jc = dict(forms["j"].coeffs)
-    jc[0] = jc.get(0, 0) - 744
-    forms["J"] = QExpansion(0, jc, order - 1, n_min=-1)
-    return forms
 
 
 # ---------------------------------------------------------------------------
-# harmonic Fourier data
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class HarmonicFourierData:
-    kappa: int
-    a_plus: dict = field(default_factory=dict)    # n -> complex
-    a_minus: dict = field(default_factory=dict)   # n -> complex (0 allowed)
-    order: int = 64
-
-
-# ---------------------------------------------------------------------------
-# evaluation: every q-series and Fourier-data value goes through _series
+# evaluation: every value goes through _evaluate and its a+ sum, _series
 # ---------------------------------------------------------------------------
 
 class TailBoundError(ArithmeticError):
@@ -124,7 +116,7 @@ class TailBoundError(ArithmeticError):
 def _table(f, name):
     """The nonzero coefficients of f.<name> in ascending index, coerced once
     per object and working precision: (indices, values, float magnitudes)."""
-    tables = vars(f).setdefault("_tables", {})    # instance dict: the classes are frozen
+    tables = vars(f).setdefault("_tables", {})    # instance dict: the class is frozen
     key = (name, mp.prec)
     if key not in tables:
         coeffs = getattr(f, name)
@@ -160,16 +152,14 @@ def _fixed_table(f, name):
 
 
 def _series(f, z):
-    """sum c_n q^n, q = e(z), over the holomorphic coefficients of f (a
-    QExpansion's coeffs or Fourier data's a_plus), at the working precision.
+    """sum a+(n) q^n, q = e(z), over f's a_plus, at the working precision.
 
     Terms are dropped from the top index down while the float sum of the
     dropped |c_n| |q|^n stays below 10^-(dps + 10); returns (value, that
     dropped sum, q).  The principal part (n < 0) is summed in mpmath, the
     rest by Horner's rule in fixed-point integers (_fixed_table).
     """
-    name = "coeffs" if isinstance(f, QExpansion) else "a_plus"
-    ns, cs, mags = _table(f, name)
+    ns, cs, mags = _table(f, "a_plus")
     q = mpmath.exp(2j * mpmath.pi * z)
     absq, cut = float(abs(q)), 10.0 ** -(mp.dps + 10)
     keep, dropped = len(ns), 0.0
@@ -184,7 +174,7 @@ def _series(f, z):
             break
         acc += c * q ** n
     if keep and ns[keep - 1] >= 0:
-        bits, n0, re, im = _fixed_table(f, name)
+        bits, n0, re, im = _fixed_table(f, "a_plus")
         qr, qi = (to_fixed(x, bits) for x in q._mpc_)
         ar = ai = 0
         for k in range(ns[keep - 1] - n0, -1, -1):
@@ -196,57 +186,55 @@ def _series(f, z):
 
 
 def _evaluate(f, z, prec):
-    """(value, tail) of a QExpansion or HarmonicFourierData at z in H, at
-    the working precision; prec is passed on to E_kappa."""
+    """(value, tail) of Fourier data f at z in H, at the working precision;
+    prec is passed on to E_kappa.
+
+    The tail is the a+ terms the height cut dropped, plus a bound for
+    those past the order that lets the coefficients grow by up to a factor
+    2 per index from the largest of the last six; where 2|q| >= 1 that
+    bound does not converge and TailBoundError is raised.
+    """
     z = mpc(z)
     y = z.imag
     if y <= 0:
         raise ValueError("z must lie in the upper half-plane")
-    if isinstance(f, QExpansion):
-        # allow coefficient growth up to a factor 2 per index past the order
-        absq = math.exp(-2 * math.pi * float(y))
-        if 2 * absq >= 1:
-            raise TailBoundError(
-                "q-series tail does not converge at this height; "
-                "reduce to the fundamental domain first")
-        acc, dropped, _ = _series(f, z)
-        ns, _, mags = _table(f, "coeffs")
-        top = max((m for n, m in zip(ns, mags) if n >= f.order - 5), default=0.0)
-        return acc, top * 2 * absq ** (f.order + 1) / (1 - 2 * absq) + dropped
+    absq = math.exp(-2 * math.pi * float(y))
+    if 2 * absq >= 1:
+        raise TailBoundError(
+            "q-series tail does not converge at this height; "
+            "reduce to the fundamental domain first")
     acc, dropped, q = _series(f, z)
     for n, c in zip(*_table(f, "a_minus")[:2]):
         if n:
             acc += c * e_kappa(f.kappa, 4 * mpmath.pi * n * y, prec).value * q ** n
         else:
             acc += c * (mpmath.log(y) if f.kappa == 1 else y ** (1 - f.kappa))
-    return acc, dropped
+    top = max(_table(f, "a_plus")[2][-6:], default=0.0)
+    return acc, top * 2 * absq ** (f.order + 1) / (1 - 2 * absq) + dropped
 
 
 def eval_qexp(f, z, prec=DEFAULT_PRECISION):
-    """(value, tail) of a QExpansion or HarmonicFourierData at z itself,
-    with no reduction.
+    """(value, tail) of Fourier data f at z itself, with no reduction.
 
-    The tail bound of a QExpansion is geometric from the largest recent
-    coefficient, plus the terms below the order cut by height; an unusable
-    bound (q too large for a series with a principal part) raises
-    TailBoundError suggesting fundamental-domain reduction.
+    The tail bounds the a+ terms cut by height and those past the order;
+    below y = ln 2 / 2 pi it cannot be bounded and TailBoundError suggests
+    fundamental-domain reduction.
     """
     with _workdps(prec):
         return _evaluate(f, z, prec)
 
 
 def eval_modular(f, z, prec=DEFAULT_PRECISION):
-    """(value, tail) of a genuinely modular QExpansion or HarmonicFourierData,
-    evaluated after moving z into F.  Reduction, series and cocycle all run
-    at prec's working precision."""
-    weight = f.weight if isinstance(f, QExpansion) else f.kappa
+    """(value, tail) of genuinely modular Fourier data f, evaluated after
+    moving z into F.  Reduction, series and cocycle all run at prec's
+    working precision."""
     with _workdps(prec):
         zstar, gamma = hyperbolic.reduce_to_fundamental(z)
         val, tail = _evaluate(f, zstar, prec)
         (_, _), (c, d) = gamma
-        if weight and (c or d ** weight != 1):
-            jw = _power(hyperbolic.moebius_j(gamma, z), abs(weight))
-            val = val / jw if weight > 0 else val * jw
+        if f.kappa and (c or d ** f.kappa != 1):
+            jw = _power(hyperbolic.moebius_j(gamma, z), abs(f.kappa))
+            val = val / jw if f.kappa > 0 else val * jw
         return val, tail
 
 
@@ -259,7 +247,8 @@ def _power(j, n):
 
 
 def xi_symbolic(G, prec=DEFAULT_PRECISION):
-    """xi_kappa G as a weight (2 - kappa) q-series over the data's support."""
+    """xi_kappa G as Fourier data of weight 2 - kappa with no a- part, of
+    order the largest index of its support."""
     with _workdps(prec):
         coeffs = {}
         zero = G.a_minus.get(0, 0)
@@ -270,8 +259,8 @@ def xi_symbolic(G, prec=DEFAULT_PRECISION):
             n = -m
             val = -(4 * mpmath.pi * n) ** (1 - G.kappa) * _conj(c)
             coeffs[n] = coeffs.get(n, 0) + val
-        ns = [n for n in coeffs if coeffs[n] != 0] or [0]
-        return QExpansion(2 - G.kappa, coeffs, max(ns), n_min=min(ns))
+        return HarmonicFourierData(2 - G.kappa, coeffs, {},
+                                   max((n for n in coeffs if coeffs[n] != 0), default=0))
 
 
 def _conj(c):

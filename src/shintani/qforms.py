@@ -2,8 +2,9 @@ r"""
 Exact-arithmetic engine for integral binary quadratic forms.
 
 A form (a, b, c) means Q(x, y) = a x^2 + b xy + c y^2 with discriminant
-b^2 - 4ac.  SL_2(Z) acts by substitution; reduction, class enumeration for
-all three discriminant regimes (definite, indefinite non-square, square),
+b^2 - 4ac.  SL_2(Z) acts by substitution; reduction of definite forms,
+class enumeration for all three discriminant regimes (definite, indefinite
+non-square, square, the indefinite classes as reduced forms on rho-cycles),
 the Pell equation t^2 - D u^2 = 4 from the principal form's rho-cycle, the
 genus character attached to a fundamental discriminant, and Hurwitz class
 numbers all live here.  Everything is exact integer / rational arithmetic.
@@ -88,62 +89,39 @@ def is_reduced_indefinite(Q):
 
 
 def _rho_step(Q):
-    """One reduction step (a,b,c) -> (c, b', *) with its SL2 matrix."""
-    D = Q.disc
-    c = Q.c
-    if c == 0:
-        raise ValueError("rho step undefined for c = 0 (square discriminant ray)")
-    ac = abs(c)
-    s0 = math.isqrt(D) if D > 0 else None
-    if D > 0 and ac < s0:
-        # b' = largest value <= floor(sqrt D) congruent to -b mod 2|c|
-        bp = -Q.b + 2 * ac * ((s0 + Q.b) // (2 * ac))
-    else:
-        # b' in (-|c|, |c|]
-        bp = ((-Q.b + ac) % (2 * ac)) - ac
-        if bp <= -ac:
-            bp += 2 * ac
-    m = (Q.b + bp) // (2 * c)
+    """One step (a,b,c) -> (c, b', *) along the rho-cycle of a reduced
+    indefinite form, with its SL2 matrix: b' is the largest value
+    <= floor(sqrt D) congruent to -b mod 2|c| (|c| < floor(sqrt D) holds on
+    the cycle)."""
+    ac = abs(Q.c)
+    bp = -Q.b + 2 * ac * ((math.isqrt(Q.disc) + Q.b) // (2 * ac))
+    m = (Q.b + bp) // (2 * Q.c)
     M = ((0, -1), (1, m))
     return Q.compose(M), M
 
 
 def reduce(Q):
-    """Gauss reduction.  Returns (reduced form, M) with Q o M = reduced.
-
-    Definite discriminant: the unique reduced representative (input with
-    a < 0 is negated first; the matrix then reduces -Q).  Indefinite
-    non-square: some reduced form on the cycle of Q.
+    """Gauss reduction of a definite form.  Returns (reduced form, M) with
+    Q o M = reduced, the unique reduced representative (input with a < 0
+    is negated first; the matrix then reduces -Q).  Indefinite forms are
+    rejected: the ones in use come reduced from class_reps.
     """
-    D = Q.disc
-    if D == 0:
-        raise ValueError("disc = 0 forms are not supported")
-    if D < 0:
-        if Q.a < 0:
-            Q = Q.neg()
-        M = IDENTITY
-        S = ((0, -1), (1, 0))
-        while True:
-            # translate b into (-a, a]
-            t = (Q.a - Q.b) // (2 * Q.a)
-            if t:
-                T = ((1, t), (0, 1))
-                Q, M = Q.compose(T), mat_mul(M, T)
-            if Q.c < Q.a or (Q.c == Q.a and Q.b < 0):
-                Q, M = Q.compose(S), mat_mul(M, S)
-                continue
-            break
-        return Q, M
-    if math.isqrt(D) ** 2 == D:
-        raise ValueError("square discriminant: use square_normalize")
+    if Q.disc >= 0:
+        raise ValueError("reduce expects a definite form (disc < 0)")
+    if Q.a < 0:
+        Q = Q.neg()
     M = IDENTITY
-    guard = 0
-    while not is_reduced_indefinite(Q):
-        Q, step = _rho_step(Q)
-        M = mat_mul(M, step)
-        guard += 1
-        if guard > 10000:
-            raise ArithmeticError("indefinite reduction did not terminate")
+    S = ((0, -1), (1, 0))
+    while True:
+        # translate b into (-a, a]
+        t = (Q.a - Q.b) // (2 * Q.a)
+        if t:
+            T = ((1, t), (0, 1))
+            Q, M = Q.compose(T), mat_mul(M, T)
+        if Q.c < Q.a or (Q.c == Q.a and Q.b < 0):
+            Q, M = Q.compose(S), mat_mul(M, S)
+            continue
+        break
     return Q, M
 
 

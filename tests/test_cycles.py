@@ -103,7 +103,6 @@ def test_reg_cusp_form_direct_oracle():
     # weight-12 cusp form, k = 5: the regularized value equals the direct
     # convergent integral over the full geodesic
     D = build_standard_forms(80)["DeltaCusp"]
-    data = HarmonicFourierData(12, dict(D.coeffs), {}, D.order)
     ev = lambda z: fo.eval_modular(D, z)[0]
     Q = QForm(0, 3, 1)
     k = 5
@@ -116,7 +115,7 @@ def test_reg_cusp_form_direct_oracle():
 
     direct, _, _ = integrate_cc_doubling(integrand, mpf("0.02"), mpf(12),
                                          n0=128, tol=1e-14, nmax=2048)
-    res = cy.reg_cycle_integral(data, Q, k=k, T=2, evaluator=ev)
+    res = cy.reg_cycle_integral(D, Q, k=k, T=2, evaluator=ev)
     assert abs(direct - res.value) < 1e-8
 
 
@@ -137,10 +136,9 @@ def test_alt_holomorphic_polygamma_terms_vanish():
     # xi G constant: the alternative path reduces to the Bernoulli line
     # integral plus counterterms; cross-check against the definition
     D = build_standard_forms(48)["DeltaCusp"]
-    data = HarmonicFourierData(12, dict(D.coeffs), {}, D.order)
     ev = lambda z: fo.eval_modular(D, z)[0]
-    rd = cy.reg_cycle_integral(data, QForm(0, 3, 2), 5, T=2, evaluator=ev)
-    ra = cy.reg_cycle_integral_alt(data, QForm(0, 3, 2), 5, T=2, evaluator=ev)
+    rd = cy.reg_cycle_integral(D, QForm(0, 3, 2), 5, T=2, evaluator=ev)
+    ra = cy.reg_cycle_integral_alt(D, QForm(0, 3, 2), 5, T=2, evaluator=ev)
     assert abs(rd.value - ra.value) < 1e-10
 
 

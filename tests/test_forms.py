@@ -1,4 +1,4 @@
-"""q-expansions, the classical level-1 forms, the completed weight-2
+"""Fourier data: the classical level-1 forms, the completed weight-2
 Eisenstein series, harmonic Fourier data and the xi-operator."""
 
 import math
@@ -23,15 +23,15 @@ F = fo.build_standard_forms(64)
 # ---------------------------------------------------------------------------
 
 def test_delta_normalized():
-    assert F["DeltaCusp"].coeffs.get(1, 0) == 1
-    assert F["DeltaCusp"].coeffs.get(0, 0) == 0
-    assert F["DeltaCusp"].coeffs.get(2, 0) == -24
+    assert F["DeltaCusp"].a_plus.get(1, 0) == 1
+    assert F["DeltaCusp"].a_plus.get(0, 0) == 0
+    assert F["DeltaCusp"].a_plus.get(2, 0) == -24
 
 
 def test_j_coefficient_independent_route():
     # series division oracle: j - 1728 = E6^2/Delta, computed independently
-    assert F["j"].coeffs.get(-1, 0) == 1
-    assert F["j"].coeffs.get(1, 0) == 196884
+    assert F["j"].a_plus.get(-1, 0) == 1
+    assert F["j"].a_plus.get(1, 0) == 196884
     order = 16
     sigma = lambda n, k: sum(d ** k for d in range(1, n + 1) if n % d == 0)
     e6 = [1] + [-504 * sigma(n, 5) for n in range(1, order + 1)]
@@ -42,17 +42,17 @@ def test_j_coefficient_independent_route():
     inv = fo._series_inv(delta, order)
     other = fo._series_mul(e6_2, inv, order)   # (j - 1728) * q
     for n in range(-1, 10):
-        assert F["j"].coeffs.get(n, 0) - (1728 if n == 0 else 0) == other[n + 1]
+        assert F["j"].a_plus.get(n, 0) - (1728 if n == 0 else 0) == other[n + 1]
 
 
 def test_j_first_coefficients_positive():
     for n in range(1, 11):
-        c = F["j"].coeffs.get(n, 0)
+        c = F["j"].a_plus.get(n, 0)
         assert isinstance(c, int) and c > 0
 
 
 def test_J_constant_term_zero():
-    assert F["J"].coeffs.get(0, 0) == 0
+    assert F["J"].a_plus.get(0, 0) == 0
 
 
 def test_build_rejects_tiny_order():
@@ -88,8 +88,10 @@ def test_delta_positive_on_imaginary_axis():
 
 
 def test_eval_qexp_tail_failure():
-    with pytest.raises(fo.TailBoundError):
-        fo.eval_qexp(F["j"], mpc(0, 0.05))
+    # below y = ln 2 / 2 pi, for q-series and harmonic Fourier data alike
+    for f in (F["j"], fo.e2_star_data(16)):
+        with pytest.raises(fo.TailBoundError):
+            fo.eval_qexp(f, mpc(0, 0.05))
 
 
 def test_weight_functional_equation():
@@ -156,6 +158,25 @@ def test_e2_star_data_matches_direct():
         assert abs(fo.eval_modular(G64, z)[0] - exact) <= 1e-25
 
 
+@pytest.mark.parametrize("digits", [30, 50])
+@pytest.mark.parametrize("order", [16, 24, 32])
+def test_e2_star_order_tail_bounds_truncation_error(order, digits):
+    # the tail E2* data reports covers the terms past its order: order 16
+    # at the corner of F is off by 2.9e-38 from order 256, above the cut.
+    # Points: the corner 1/2 + i sqrt(3)/2, i, and seeded points of F
+    rng = random.Random(13)
+    pts = [mpc(0.5, math.sqrt(3) / 2), mpc(0, 1)]
+    while len(pts) < 10:
+        z = complex(rng.uniform(-0.5, 0.5), rng.uniform(math.sqrt(3) / 2, 2))
+        if abs(z) >= 1:
+            pts.append(mpc(z))
+    prec = Precision(digits)
+    for z in pts:
+        value, tail = fo.eval_modular(fo.e2_star_data(order, prec), z, prec)
+        exact, _ = fo.eval_modular(fo.e2_star_data(256, prec), z, prec)
+        assert abs(value - exact) <= tail, (str(z), float(abs(value - exact)), tail)
+
+
 @pytest.mark.parametrize("evaluate", [
     lambda z, prec: fo.eval_modular(fo.e2_star_data(64, prec), z, prec)[0],
     lambda z, prec: fo.e2_star_modular(z, 64, prec),
@@ -176,7 +197,7 @@ def test_modular_evaluation_holds_requested_precision(evaluate):
 def _form(name, order):
     # E2*'s holomorphic part to q^order, or J with coefficients up to q^order
     if name == "E2*":
-        return fo.QExpansion(2, dict(fo.e2_star_data(order).a_plus), order)
+        return HarmonicFourierData(2, dict(fo.e2_star_data(order).a_plus), {}, order)
     return fo.build_standard_forms(order + 1)["J"]
 
 
@@ -190,7 +211,7 @@ def test_height_cut_within_reported_tail(name, order, x, y):
     value, tail = fo.eval_qexp(f, z, Precision(60))
     with mp.workdps(90):
         q = mpmath.exp(2j * mpmath.pi * z)
-        full = sum(mpmath.mpmathify(c) * q ** n for n, c in f.coeffs.items())
+        full = sum(mpmath.mpmathify(c) * q ** n for n, c in f.a_plus.items())
         assert abs(value - full) <= tail + 1e-35
 
 
@@ -198,7 +219,7 @@ def _plain_series(f, z):
     """sum c_n q^n term by term in mpmath, 64 bits past the working
     precision, over the terms _series keeps (the same height cut); returns
     (value, dropped, q, sum of |c_n q^n|)."""
-    ns, cs, mags = fo._table(f, "coeffs" if isinstance(f, fo.QExpansion) else "a_plus")
+    ns, cs, mags = fo._table(f, "a_plus")
     q = mpmath.exp(2j * mpmath.pi * z)
     absq, cut = float(abs(q)), 10.0 ** -(mp.dps + 10)
     keep, dropped = len(ns), 0.0
@@ -241,22 +262,14 @@ def test_fixed_point_series_matches_plain_sum(name, digits, x, y):
 
 def test_xi_e2_star():
     xi = fo.xi_symbolic(fo.e2_star_data(16))
-    assert xi.weight == 0
-    assert abs(xi.coeffs.get(0, 0) - 3 / mpmath.pi) < 1e-25
-    assert all(n == 0 for n in xi.coeffs if xi.coeffs[n] != 0)
+    assert xi.kappa == 0 and xi.a_minus == {}
+    assert abs(xi.a_plus.get(0, 0) - 3 / mpmath.pi) < 1e-25
+    assert all(n == 0 for n in xi.a_plus if xi.a_plus[n] != 0)
 
 
 # ---------------------------------------------------------------------------
 # harmonic Fourier data
 # ---------------------------------------------------------------------------
-
-def test_pure_holomorphic_data_reproduces_qexp():
-    G = HarmonicFourierData(12, dict(F["DeltaCusp"].coeffs), {}, 64)
-    z = mpc("0.2", "1.4")
-    v1 = fo.eval_qexp(G, z)[0]
-    v2, _ = fo.eval_qexp(F["DeltaCusp"], z)
-    assert abs(v1 - v2) < 1e-25
-
 
 def test_single_nonholomorphic_term():
     from shintani.specfun import e_kappa
@@ -270,7 +283,7 @@ def test_single_nonholomorphic_term():
 def test_xi_symbolic_empty():
     G = HarmonicFourierData(4, {0: 1, 1: 2}, {}, 8)
     xi = fo.xi_symbolic(G)
-    assert all(c == 0 for c in xi.coeffs.values())
+    assert all(c == 0 for c in xi.a_plus.values())
 
 
 def test_xi_symbolic_synthetic_vs_finite_difference():
@@ -279,7 +292,7 @@ def test_xi_symbolic_synthetic_vs_finite_difference():
     from shintani.thetacore import fd_operators
     G = HarmonicFourierData(4, {}, {-2: 1j, 1: 0.5}, 8)
     xi = fo.xi_symbolic(G)
-    assert xi.weight == -2
+    assert xi.kappa == -2
     z = mpc("0.23", "0.9")
     fd_xi, _ = fd_operators(lambda w: fo.eval_qexp(G, w)[0], 4, z)
     direct, _ = fo.eval_qexp(xi, z)

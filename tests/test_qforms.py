@@ -63,19 +63,14 @@ def test_reduce_definite_example_orbit_oracle():
 def test_reduce_transformation_matrix_contract():
     rng = random.Random(3)
     for _ in range(100):
-        disc = rng.choice([-3, -4, -8, -15, -23, -56, 12, 21, 40, 145])
+        disc = rng.choice([-3, -4, -8, -15, -23, -56])
         base = rng.choice(qf.class_reps(disc).reps)
-        if base.disc < 0 and base.a < 0:
-            base = base.neg()
         Q = base.compose(random_sl2(rng))
-        if Q.disc < 0 and Q.a < 0:
+        if Q.a < 0:
             Q = Q.neg()
         R, M = qf.reduce(Q)
         assert Q.compose(M) == R
-        if disc < 0:
-            assert _is_reduced_definite(R)
-        else:
-            assert qf.is_reduced_indefinite(R)
+        assert _is_reduced_definite(R)
 
 
 def test_reduce_definite_lands_on_same_form():
@@ -90,27 +85,11 @@ def test_reduce_definite_lands_on_same_form():
         assert R == R0
 
 
-def test_reduce_indefinite_lands_on_same_cycle():
-    rng = random.Random(29)
-    for _ in range(200):
-        disc = rng.choice([12, 21, 28, 40, 145])
-        R0 = rng.choice(qf.class_reps(disc).reps)
-        Q = R0.compose(random_sl2(rng))
-        R, _ = qf.reduce(Q)
-        # rho-walk the cycle of R0 and find R on it
-        cycle = [R0]
-        cur = R0
-        while True:
-            cur, _ = qf.rho(cur)
-            if cur == R0:
-                break
-            cycle.append(cur)
-        assert R in cycle
-
-
 def test_reduce_rejects_degenerate():
-    with pytest.raises(ValueError):
-        qf.reduce(QForm(1, 2, 1))
+    # disc 0, and indefinite: reduce is for definite forms only
+    for Q in (QForm(1, 2, 1), QForm(1, 1, -1)):
+        with pytest.raises(ValueError):
+            qf.reduce(Q)
 
 
 # ---------------------------------------------------------------------------
