@@ -30,19 +30,9 @@ from . import cmtraces, cycles, forms, thetacore
 
 @dataclass(frozen=True)
 class Config:
-    precision_digits: int = 30
-    fmt: str = "json"
-    tolerance: float = None
-
-    def __post_init__(self):
-        if self.precision_digits < 15:
-            raise ValueError("precision must be >= 15 digits")
-        if self.fmt not in ("json", "csv"):
-            raise ValueError("format must be json or csv")
-
-    @property
-    def prec(self):
-        return Precision(self.precision_digits)
+    prec: Precision
+    fmt: str
+    tolerance: float
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +117,7 @@ class _Group(click.Group):
 @click.pass_context
 def main(ctx, precision, fmt, tolerance):
     """Quadratic-form classes, cycle-integral traces and theta-kernel checks."""
-    ctx.obj = Config(precision, fmt, tolerance)
+    ctx.obj = Config(Precision(precision), fmt, tolerance)
     ctx.with_resource(mpmath.mp.workdps(precision))
 
 

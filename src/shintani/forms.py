@@ -20,16 +20,17 @@ xi_kappa acts on the data by
 a weight 2-kappa q-series, returned as Fourier data again.
 
 Every object is evaluated by one routine, _evaluate, with one tail rule.
-Its a+ sum (_series) runs over coefficient tables coerced once per object
-and precision; it stops where the terms left fall 10 digits below the
-working precision, and sums the nonnegative-index part by Horner's rule in
-fixed-point integers.  The reported tail adds to those dropped terms a
-geometric bound for the terms past the order.
+Its a+ sum (_series) runs over one coefficient table per object and
+precision (_table: a+ dense from its lowest index, as fixed-point integers
+beside float magnitudes, and the nonzero a-); it stops where the terms
+left fall 10 digits below the working precision, and sums every kept
+index, principal part included, in one Horner pass in fixed-point
+integers.  The reported tail adds to those dropped terms a geometric bound
+for the terms past the order.
 """
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
@@ -113,76 +114,59 @@ class TailBoundError(ArithmeticError):
     pass
 
 
-def _table(f, name):
-    """The nonzero coefficients of f.<name> in ascending index, coerced once
-    per object and working precision: (indices, values, float magnitudes)."""
-    tables = vars(f).setdefault("_tables", {})    # instance dict: the class is frozen
-    key = (name, mp.prec)
-    if key not in tables:
-        coeffs = getattr(f, name)
-        ns = sorted(n for n, c in coeffs.items() if c)
-        cs = [_coerce(coeffs[n]) for n in ns]
-        tables[key] = (ns, cs, [float(abs(c)) for c in cs])
-    return tables[key]
-
-
 SERIES_GUARD_BITS = 24     # fixed-point bits carried past mp.prec by _series
 
 
-def _fixed_table(f, name):
-    """The coefficients of f.<name> from its lowest nonnegative index n0 up,
-    dense, as fixed-point integer pairs (re, im) with `bits` fractional bits:
-    (bits, n0, re, im).  bits is mp.prec plus the guard, plus what the
-    leading coefficient lies below 1, so the fixed-point rounding stays
-    below the leading term's last bits.  Cached beside _table's entry, per
-    working precision."""
-    tables = vars(f).setdefault("_tables", {})
-    key = (name, "fixed", mp.prec)
-    if key not in tables:
-        ns, cs, _ = _table(f, name)
-        first = next(i for i, n in enumerate(ns) if n >= 0)
-        n0 = ns[first]
-        bits = mp.prec + SERIES_GUARD_BITS + max(0, -mpmath.mag(cs[first]))
-        re, im = [0] * (ns[-1] - n0 + 1), [0] * (ns[-1] - n0 + 1)
-        for n, c in zip(ns[first:], cs[first:]):
+def _table(f):
+    """f's coefficients, coerced once per object and working precision:
+    (n0, bits, re, im, mags, minus).  re, im and mags hold a+(n0 + k),
+    dense from the lowest nonzero index n0 (negative allowed) to the
+    highest, as fixed-point integers with `bits` fractional bits and as
+    float magnitudes; bits is mp.prec plus the guard, plus what |a+(n0)|
+    lies below 1, so the rounding stays below the leading term's last bits.
+    minus is the sorted list of nonzero (n, a-(n))."""
+    tables = vars(f).setdefault("_tables", {})    # instance dict: the class is frozen
+    if mp.prec not in tables:
+        plus = {n: _coerce(c) for n, c in f.a_plus.items() if c}
+        n0 = min(plus, default=0)
+        bits = mp.prec + SERIES_GUARD_BITS + (max(0, -mpmath.mag(plus[n0])) if plus else 0)
+        size = max(plus, default=n0 - 1) - n0 + 1
+        re, im, mags = [0] * size, [0] * size, [0.0] * size
+        for n, c in plus.items():
             parts = c._mpc_ if isinstance(c, mpc) else (mpf(c)._mpf_, fzero)
             re[n - n0], im[n - n0] = (to_fixed(x, bits) for x in parts)
-        tables[key] = (bits, n0, re, im)
-    return tables[key]
+            mags[n - n0] = float(abs(c))
+        minus = sorted((n, _coerce(c)) for n, c in f.a_minus.items() if c)
+        tables[mp.prec] = (n0, bits, re, im, mags, minus)
+    return tables[mp.prec]
 
 
 def _series(f, z):
     """sum a+(n) q^n, q = e(z), over f's a_plus, at the working precision.
 
-    Terms are dropped from the top index down while the float sum of the
-    dropped |c_n| |q|^n stays below 10^-(dps + 10); returns (value, that
-    dropped sum, q).  The principal part (n < 0) is summed in mpmath, the
-    rest by Horner's rule in fixed-point integers (_fixed_table).
+    Terms of positive index are dropped from the top down while the float
+    sum of the dropped |a+(n)| |q|^n stays below 10^-(dps + 10); returns
+    (value, that dropped sum, q).  The kept terms, principal part
+    included, are summed in one pass of Horner's rule in fixed-point
+    integers over _table's dense coefficients, and the sum is multiplied
+    by q^n0 once.
     """
-    ns, cs, mags = _table(f, "a_plus")
+    n0, bits, re, im, mags, _ = _table(f)
     q = mpmath.exp(2j * mpmath.pi * z)
     absq, cut = float(abs(q)), 10.0 ** -(mp.dps + 10)
-    keep, dropped = len(ns), 0.0
-    while keep and ns[keep - 1] > 0:
-        term = mags[keep - 1] * absq ** ns[keep - 1]
+    keep, dropped = len(mags), 0.0
+    while keep and n0 + keep - 1 > 0:
+        term = mags[keep - 1] * absq ** (n0 + keep - 1)
         if dropped + term >= cut:
             break
         keep, dropped = keep - 1, dropped + term
-    acc = mpc(0)
-    for n, c in zip(ns[:keep], cs):
-        if n >= 0:
-            break
-        acc += c * q ** n
-    if keep and ns[keep - 1] >= 0:
-        bits, n0, re, im = _fixed_table(f, "a_plus")
-        qr, qi = (to_fixed(x, bits) for x in q._mpc_)
-        ar = ai = 0
-        for k in range(ns[keep - 1] - n0, -1, -1):
-            ar, ai = ((ar * qr - ai * qi) >> bits) + re[k], ((ar * qi + ai * qr) >> bits) + im[k]
-        head = mp.make_mpc((from_man_exp(ar, -bits, mp.prec, round_nearest),
-                            from_man_exp(ai, -bits, mp.prec, round_nearest)))
-        acc += head * q ** n0 if n0 else head
-    return acc, dropped, q
+    qr, qi = (to_fixed(x, bits) for x in q._mpc_)
+    ar = ai = 0
+    for k in range(keep - 1, -1, -1):
+        ar, ai = ((ar * qr - ai * qi) >> bits) + re[k], ((ar * qi + ai * qr) >> bits) + im[k]
+    head = mp.make_mpc((from_man_exp(ar, -bits, mp.prec, round_nearest),
+                        from_man_exp(ai, -bits, mp.prec, round_nearest)))
+    return (head * q ** n0 if n0 else head), dropped, q
 
 
 def _evaluate(f, z, prec):
@@ -204,12 +188,13 @@ def _evaluate(f, z, prec):
             "q-series tail does not converge at this height; "
             "reduce to the fundamental domain first")
     acc, dropped, q = _series(f, z)
-    for n, c in zip(*_table(f, "a_minus")[:2]):
+    mags, minus = _table(f)[4:]
+    for n, c in minus:
         if n:
             acc += c * e_kappa(f.kappa, 4 * mpmath.pi * n * y, prec).value * q ** n
         else:
             acc += c * (mpmath.log(y) if f.kappa == 1 else y ** (1 - f.kappa))
-    top = max(_table(f, "a_plus")[2][-6:], default=0.0)
+    top = max(mags[-6:], default=0.0)
     return acc, top * 2 * absq ** (f.order + 1) / (1 - 2 * absq) + dropped
 
 
@@ -252,21 +237,15 @@ def xi_symbolic(G, prec=DEFAULT_PRECISION):
     with _workdps(prec):
         coeffs = {}
         zero = G.a_minus.get(0, 0)
-        coeffs[0] = (1 - G.kappa) * _conj(zero)
+        coeffs[0] = (1 - G.kappa) * mpmath.conj(_coerce(zero))
         for m, c in G.a_minus.items():
             if m == 0 or not c:
                 continue
             n = -m
-            val = -(4 * mpmath.pi * n) ** (1 - G.kappa) * _conj(c)
+            val = -(4 * mpmath.pi * n) ** (1 - G.kappa) * mpmath.conj(_coerce(c))
             coeffs[n] = coeffs.get(n, 0) + val
         return HarmonicFourierData(2 - G.kappa, coeffs, {},
                                    max((n for n in coeffs if coeffs[n] != 0), default=0))
-
-
-def _conj(c):
-    if isinstance(c, (int, float, Fraction)):
-        return c
-    return mpmath.conj(_coerce(c))
 
 
 # ---------------------------------------------------------------------------

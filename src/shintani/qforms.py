@@ -5,9 +5,10 @@ A form (a, b, c) means Q(x, y) = a x^2 + b xy + c y^2 with discriminant
 b^2 - 4ac.  SL_2(Z) acts by substitution; reduction of definite forms,
 class enumeration for all three discriminant regimes (definite, indefinite
 non-square, square, the indefinite classes as reduced forms on rho-cycles),
-the Pell equation t^2 - D u^2 = 4 from the principal form's rho-cycle, the
-genus character attached to a fundamental discriminant, and Hurwitz class
-numbers all live here.  Everything is exact integer / rational arithmetic.
+the Pell equation t^2 - D u^2 = 4 from the principal form's rho-cycle (one
+walk, _cycle, serves both), the genus character attached to a fundamental
+discriminant, and Hurwitz class numbers all live here.  Everything is exact
+integer / rational arithmetic.
 """
 
 import math
@@ -79,15 +80,6 @@ def mat_inv(M):
 # reduction
 # ---------------------------------------------------------------------------
 
-def is_reduced_indefinite(Q):
-    # |sqrt(D) - 2|a|| < b < sqrt(D), exact integer comparisons
-    D = Q.disc
-    a, b = Q.a, Q.b
-    if b <= 0 or b * b >= D:
-        return False
-    return (2 * abs(a) - b) ** 2 < D < (2 * abs(a) + b) ** 2
-
-
 def _rho_step(Q):
     """One step (a,b,c) -> (c, b', *) along the rho-cycle of a reduced
     indefinite form, with its SL2 matrix: b' is the largest value
@@ -98,6 +90,19 @@ def _rho_step(Q):
     m = (Q.b + bp) // (2 * Q.c)
     M = ((0, -1), (1, m))
     return Q.compose(M), M
+
+
+def _cycle(Q):
+    """The rho-cycle of a reduced indefinite form Q: (its forms, from Q on,
+    and the product of the step matrices once around, Q o M = Q)."""
+    forms, (cur, M) = [Q], _rho_step(Q)
+    while cur != Q:
+        if len(forms) > 100000:
+            raise ArithmeticError("rho cycle did not close")
+        forms.append(cur)
+        cur, step = _rho_step(cur)
+        M = mat_mul(M, step)
+    return forms, M
 
 
 def reduce(Q):
@@ -123,13 +128,6 @@ def reduce(Q):
             continue
         break
     return Q, M
-
-
-def rho(Q):
-    """The cycle step on reduced indefinite forms."""
-    if not is_reduced_indefinite(Q):
-        raise ValueError("rho expects a reduced indefinite form")
-    return _rho_step(Q)
 
 
 def square_normalize(Q):
@@ -238,22 +236,10 @@ def class_reps(disc):
     reps = []
     seen = set()
     for Q in sorted(pool):
-        if Q in seen:
-            continue
-        cycle = [Q]
-        seen.add(Q)
-        cur = Q
-        guard = 0
-        while True:
-            cur, _ = rho(cur)
-            if cur == Q:
-                break
-            cycle.append(cur)
-            seen.add(cur)
-            guard += 1
-            if guard > 100000:
-                raise ArithmeticError("rho cycle did not close")
-        reps.append(min(cycle))
+        if Q not in seen:
+            cycle, _ = _cycle(Q)
+            seen.update(cycle)
+            reps.append(min(cycle))
     return ClassList(disc, tuple(sorted(reps)), "indefinite-nonsquare")
 
 
@@ -284,11 +270,7 @@ def pell_fundamental_4(D):
     if D <= 0 or s0 * s0 == D or D % 4 not in (0, 1):
         raise ValueError("needs a positive non-square discriminant D = 0, 1 mod 4")
     b = s0 - (D - s0) % 2     # b and D of one parity
-    R = QForm(1, b, (b * b - D) // 4)
-    Q, M = _rho_step(R)       # rho without its check: R's cycle stays reduced
-    while Q != R:
-        Q, step = _rho_step(Q)
-        M = mat_mul(M, step)
+    _, M = _cycle(QForm(1, b, (b * b - D) // 4))
     return abs(M[0][0] + M[1][1]), abs(M[1][0])
 
 

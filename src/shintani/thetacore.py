@@ -54,6 +54,8 @@ class ThetaContext:
     def __post_init__(self):
         if not is_fundamental_discriminant(self.delta):
             raise ValueError("delta must be a fundamental discriminant")
+        if self.k < 0 or self.truncation_radius < 1:
+            raise ValueError("need k >= 0 and truncation radius >= 1")
         if (-1) ** (self.k + 1) * self.delta <= 0:
             raise ValueError("need (-1)^(k+1) delta > 0")
         if mpmath.im(mpmath.mpmathify(self.tau)) <= 0:

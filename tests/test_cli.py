@@ -8,7 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from shintani import cli, forms, quadrature
-from shintani.cli import Config, emit_report
+from shintani.cli import emit_report
 
 
 def run(args, **kw):
@@ -64,6 +64,10 @@ def test_usage_error_exit_code():
         (["cm-trace", "--delta", "-3", "--D", "5"],
          "need D < 0 with sgn(delta) D = 0, 1 mod 4"),
         (["theta", "--delta", "-5"], "delta must be a fundamental discriminant"),
+        (["theta", "--delta", "-3", "--radius", "0"],
+         "need k >= 0 and truncation radius >= 1"),
+        (["eta-check", "--k", "-1", "--samples", "2"],
+         "need k >= 0 and truncation radius >= 1"),
         (["l-value", "--delta", "3"], "sign condition violated"),
         (["f-series", "--delta", "5"],
          "delta must be a negative fundamental discriminant"),
@@ -187,10 +191,12 @@ def test_float_seventeen_digits(capsys):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        Config(precision_digits=5)
-    with pytest.raises(ValueError):
-        Config(fmt="xml")
+    # Precision rejects fewer than 15 digits and click.Choice an unknown
+    # format: both are usage errors
+    r = CliRunner().invoke(cli.main, ["--precision", "5", "class-number", "23"])
+    assert r.exit_code == 2 and "working_digits must be >= 15" in r.output, r.output
+    r = CliRunner().invoke(cli.main, ["--format", "xml", "class-number", "23"])
+    assert r.exit_code == 2, r.output
 
 
 def test_no_result_cache(tmp_path, monkeypatch):

@@ -219,7 +219,9 @@ def _plain_series(f, z):
     """sum c_n q^n term by term in mpmath, 64 bits past the working
     precision, over the terms _series keeps (the same height cut); returns
     (value, dropped, q, sum of |c_n q^n|)."""
-    ns, cs, mags = fo._table(f, "a_plus")
+    ns = sorted(n for n, c in f.a_plus.items() if c)
+    cs = [mpmath.mpmathify(f.a_plus[n]) for n in ns]
+    mags = [float(abs(c)) for c in cs]
     q = mpmath.exp(2j * mpmath.pi * z)
     absq, cut = float(abs(q)), 10.0 ** -(mp.dps + 10)
     keep, dropped = len(ns), 0.0
@@ -240,6 +242,11 @@ _SERIES_OBJECTS = {
     "complex": HarmonicFourierData(
         2, {n: complex(math.cos(n), math.sin(3 * n)) * (1e-12 if n == 0 else 1)
             for n in range(-2, 20)}, {}, 20),
+    # a principal part whose every coefficient lies far below 1: the guard
+    # bits must apply at the lowest index, negative as it is
+    "tiny": HarmonicFourierData(
+        0, {n: complex(math.sin(n + 0.5), math.cos(2 * n)) * 1e-15 for n in range(-3, 24)},
+        {}, 23),
 }
 
 

@@ -126,16 +126,7 @@ def test_class_reps_indefinite_pairwise_inequivalent():
     for disc in (12, 21, 40, 60):
         reps = qf.class_reps(disc).reps
         # distinct cycles: rho-walk each rep, no overlap
-        cycles = []
-        for R in reps:
-            cyc = {R}
-            cur = R
-            while True:
-                cur, _ = qf.rho(cur)
-                if cur == R:
-                    break
-                cyc.add(cur)
-            cycles.append(cyc)
+        cycles = [set(qf._cycle(R)[0]) for R in reps]
         for i in range(len(cycles)):
             for j in range(i + 1, len(cycles)):
                 assert not (cycles[i] & cycles[j])

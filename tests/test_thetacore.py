@@ -267,6 +267,11 @@ def test_context_validation():
         th.ThetaContext(-6, 0, mpc(0, 1))    # not fundamental
     with pytest.raises(ValueError):
         th.ThetaContext(-3, 0, mpc(0, -1))   # lower half-plane
+    with pytest.raises(ValueError):
+        th.ThetaContext(5, -1, mpc(0, 1))    # weight 2k + 2 = 0, outside k >= 0
+    for radius in (0, -3):                   # an empty sum claims no tail
+        with pytest.raises(ValueError):
+            th.ThetaContext(-3, 0, mpc(0, 1), truncation_radius=radius)
 
 
 # ---------------------------------------------------------------------------
