@@ -10,6 +10,7 @@ library rejects with ValueError or NotImplementedError.  Each command runs insid
 mpmath.workdps(--precision), so the caller's mp.dps is left as it was.
 """
 
+import csv
 import json
 import math
 import random
@@ -25,7 +26,7 @@ from mpmath import mpc, mpf
 from .specfun import Precision
 from .hyperbolic import form_polynomials
 from .qforms import QForm, class_reps, genus_char, hurwitz_class_number
-from . import cmtraces, cycles, forms, thetacore
+from . import cmtraces, cycles, forms
 
 
 @dataclass(frozen=True)
@@ -62,7 +63,8 @@ def _format_float(x):
 
 def emit_report(reports, fmt="json", out=None):
     """Serialize a list of flat dicts as JSON or CSV (the CSV header is the
-    union of the rows' keys in first-seen order)."""
+    union of the rows' keys in first-seen order; a cell holding a comma,
+    such as a list, is quoted)."""
     out = out or sys.stdout
     rows = [_flatten(_encode(r)) for r in reports]
     for row in rows:
@@ -76,9 +78,9 @@ def emit_report(reports, fmt="json", out=None):
         out.write("\n")
         return
     header = list(dict.fromkeys(k for row in rows for k in row))
-    out.write(",".join(header) + "\n")
-    for row in rows:
-        out.write(",".join(str(row.get(h, "")) for h in header) + "\n")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([row.get(h, "") for h in header] for row in rows)
 
 
 def _flatten(d, prefix=""):
@@ -243,6 +245,7 @@ def cmd_verify(config, which, deltas, ds):
 @click.pass_obj
 def cmd_eta_check(config, k, samples, seed):
     """Finite-difference check of the differential equations for eta."""
+    from . import thetacore     # numpy: loaded only by the theta commands
     rng = random.Random(seed)
     delta = -3 if k % 2 == 0 else 5
     # D0 of both signs with sgn(delta) D0 = 0, 1 mod 4, so that every
@@ -284,6 +287,7 @@ def _form_of_disc(disc, rng):
 @click.pass_obj
 def cmd_theta(config, delta, k, tau, z_str, radius):
     """Truncated theta-kernel sum with its tail bound."""
+    from . import thetacore     # numpy: loaded only by the theta commands
     try:
         u, v = (float(t) for t in tau.split(","))
         x, y = (float(t) for t in z_str.split(","))
@@ -305,6 +309,7 @@ def cmd_theta(config, delta, k, tau, z_str, radius):
 @click.pass_obj
 def cmd_lift_coeff(config, delta, dd, v, grid, radius):
     """Direct 2D quadrature of the lift's q^D coefficient (k = 0, E2*)."""
+    from . import thetacore     # numpy: loaded only by the theta commands
     t0 = time.time()
     coeff, est = thetacore.lift_coefficient_quadrature(delta, dd, v=v,
                                                        grid=grid, radius=radius)

@@ -5,14 +5,16 @@ discriminant) by regularization, and the twisted traces built from them.
 Closed case (disc > 0 non-square).  The geodesic of Q is a semicircle; the
 stabilizer is generated by the fundamental automorph, and the cycle integral
 is int over one automorph period of G(z) Q(z,1)^k dz along the oriented arc.
-In hyperbolic arc length t the semicircle is
+In hyperbolic arc length t, with u = e^t and w = (u + i)/(u - i) =
+tanh t + i sech t, the semicircle and the integrand's factor are
 
-    z(t) = center + radius (tanh t + i sech t),
-    dz/dt = -i radius sech t e^(i theta),
+    z(t) = center + radius w,    dz/dt = -2i radius u/(u - i)^2 = -i radius sech t w,
+    Q(z,1)^k dz/dt = (2i a radius^2)^k (-i radius) (sech t w)^(k+1),
 
-theta being the polar angle.  The automorph of trace tr translates t by
-the period 2 arccosh(tr/2) = 2 log eps_Q, with eps_Q = (tr + u sqrt(D/g^2))/2,
-g the content of Q and (tr, u) the least solution of tr^2 - (D/g^2) u^2 = 4
+as Q(z,1) = a (z - center)^2 - a radius^2 = 2i a radius^2 sech t w on the
+arc.  The automorph of trace tr translates t by the period
+2 arccosh(tr/2) = 2 log eps_Q, with eps_Q = (tr + v sqrt(D/g^2))/2, g the
+content of Q and (tr, v) the least solution of tr^2 - (D/g^2) v^2 = 4
 (`pell_fundamental_4`, read off the principal form's rho-cycle).  Since
 G(z) Q(z,1)^k dz is invariant under the stabilizer, the integrand in t is
 periodic and real-analytic, so the equispaced trapezoid rule over one period
@@ -52,12 +54,14 @@ from fractions import Fraction
 
 import mpmath
 from mpmath import mp, mpf, mpc
+from mpmath.libmp import mpf_exp, to_fixed
 
 from .specfun import (DEFAULT_PRECISION, gamma_upper, e_kappa,
                       kronecker_symbol, bernoulli_poly_eval, _coerce, _workdps)
 from .qforms import class_reps, genus_char, pell_fundamental_4, square_normalize, _xgcd
 from .quadrature import integrate_cc_doubling, integrate_periodic_doubling
-from .forms import HarmonicFourierData, eval_modular, eval_qexp, xi_symbolic
+from .forms import (HarmonicFourierData, eval_modular, eval_qexp, xi_symbolic, fixed_pair,
+                    pair_mul_pow, pair_to_mpc)
 
 
 @dataclass(frozen=True)
@@ -80,9 +84,11 @@ def closed_cycle_integral(G_eval, Q, k=0, nodes=16, prec=DEFAULT_PRECISION,
     G_eval must evaluate an object transforming with weight 2k+2 anywhere
     in H (route through the fundamental domain for q-series objects);
     violations show up as base-point dependence.  The period is integrated
-    in arc length t, z = center + radius (tanh t + i sech t), by the nested
-    trapezoid rule from `nodes` samples; base_angle is the polar angle of
-    the base point on the semicircle (default pi/2, the top).
+    in arc length t by the nested trapezoid rule from `nodes` samples;
+    base_angle is the polar angle of the base point on the semicircle
+    (default pi/2, the top).  Each node takes z and Q(z,1)^k dz/dt from
+    u = e^t (module docstring) in fixed-point integers, with bits enough
+    for the smallest sech t of the period, and makes one mpc product.
     """
     D = Q.disc
     if D <= 0 or math.isqrt(D) ** 2 == D:
@@ -95,20 +101,22 @@ def closed_cycle_integral(G_eval, Q, k=0, nodes=16, prec=DEFAULT_PRECISION,
         # one period 2 log eps_Q, toward the endpoint (-b + sqrt D)/(2a), i.e.
         # along increasing t (decreasing angle) when a > 0
         Dg = D // Q.content ** 2
-        tr, u = pell_fundamental_4(Dg)
-        period = 2 * mpmath.log((tr + u * mpmath.sqrt(Dg)) / 2)
+        tr, v = pell_fundamental_4(Dg)
+        period = 2 * mpmath.log((tr + v * mpmath.sqrt(Dg)) / 2)
         t1 = t0 + period if Q.a > 0 else t0 - period
 
+        # room for the |t| / ln 2 bits by which u or sech t ~ 2/u falls below 1
+        bits = mp.prec + 16 + (k + 1) * (int(max(abs(t0), abs(t1)) / math.log(2)) + 2)
+        one, c0, r0 = 1 << bits, fixed_pair(center, bits)[0], fixed_pair(radius, bits)[0]
+        K = fixed_pair((1j * mpf(D) / (2 * Q.a)) ** k * (-1j * radius), bits)
+
         def integrand(t):
-            # sech t and tanh t from one exponential
-            et = mpmath.exp(t)
-            ret = 1 / et
-            cosh2 = et + ret
-            sech = 2 / cosh2
-            w = mpc((et - ret) / cosh2, sech)
-            z = center + radius * w
-            qz = Q.a * z * z + Q.b * z + Q.c
-            return G_eval(z) * qz ** k * (-1j * radius * sech * w)
+            u = to_fixed(mpf_exp(t._mpf_, mp.prec + 8), bits)
+            u2 = (u * u) >> bits
+            tanh, sech = ((u2 - one) << bits) // (u2 + one), (u << bits + 1) // (u2 + one)
+            sw = (sech * tanh) >> bits, (sech * sech) >> bits
+            z = pair_to_mpc((c0 + ((r0 * tanh) >> bits), (r0 * sech) >> bits), bits)
+            return G_eval(z) * pair_to_mpc(pair_mul_pow(K, sw, k + 1, bits), bits)
 
         val, err, used = integrate_periodic_doubling(integrand, t0, t1,
                                                      n0=nodes, tol=tol, nmax=4096)

@@ -25,8 +25,10 @@ precision (_table: a+ dense from its lowest index, as fixed-point integers
 beside float magnitudes, and the nonzero a-); it stops where the terms
 left fall 10 digits below the working precision, and sums every kept
 index, principal part included, in one Horner pass in fixed-point
-integers.  The reported tail adds to those dropped terms a geometric bound
-for the terms past the order.
+integers at q = e(z) read off z's parts.  The a-(0) term and eval_modular's
+weight-kappa cocycle join the same fixed-point pass, which is rounded to
+an mpc once.  The reported tail adds to the dropped terms a geometric
+bound for the terms past the order.
 """
 
 import math
@@ -35,7 +37,8 @@ from functools import lru_cache
 
 import mpmath
 from mpmath import mp, mpf, mpc
-from mpmath.libmp import fzero, from_man_exp, round_nearest, to_fixed
+from mpmath.libmp import (fzero, from_man_exp, mpf_cos_sin, mpf_exp, mpf_mul, mpf_neg,
+                          mpf_pi, mpf_shift, round_nearest, to_fixed, to_float)
 
 from .specfun import DEFAULT_PRECISION, e_kappa, _coerce, _workdps
 from .qforms import hurwitz_class_number, divisor_sigma1, _divisors
@@ -117,6 +120,28 @@ class TailBoundError(ArithmeticError):
 SERIES_GUARD_BITS = 24     # fixed-point bits carried past mp.prec by _series
 
 
+def fixed_pair(c, bits):
+    """(re, im) of a real or complex c as fixed-point integers with `bits`
+    fractional bits: the pair format of the series and cocycle passes here
+    and of the closed-cycle node geometry in `cycles`."""
+    parts = c._mpc_ if isinstance(c, mpc) else (mpf(c)._mpf_, fzero)
+    return tuple(to_fixed(x, bits) for x in parts)
+
+
+def pair_to_mpc(acc, bits):
+    """The fixed-point pair acc, with `bits` fractional bits, rounded to an mpc."""
+    return mp.make_mpc(tuple(from_man_exp(t, -bits, mp.prec, round_nearest) for t in acc))
+
+
+def pair_mul_pow(acc, j, n, bits):
+    """acc j^n for fixed-point pairs acc and j with `bits` fractional bits
+    and an integer n >= 0, by n products."""
+    (ar, ai), (jr, ji) = acc, j
+    for _ in range(n):
+        ar, ai = (ar * jr - ai * ji) >> bits, (ar * ji + ai * jr) >> bits
+    return ar, ai
+
+
 def _table(f):
     """f's coefficients, coerced once per object and working precision:
     (n0, bits, re, im, mags, minus).  re, im and mags hold a+(n0 + k),
@@ -133,69 +158,100 @@ def _table(f):
         size = max(plus, default=n0 - 1) - n0 + 1
         re, im, mags = [0] * size, [0] * size, [0.0] * size
         for n, c in plus.items():
-            parts = c._mpc_ if isinstance(c, mpc) else (mpf(c)._mpf_, fzero)
-            re[n - n0], im[n - n0] = (to_fixed(x, bits) for x in parts)
+            re[n - n0], im[n - n0] = fixed_pair(c, bits)
             mags[n - n0] = float(abs(c))
         minus = sorted((n, _coerce(c)) for n, c in f.a_minus.items() if c)
         tables[mp.prec] = (n0, bits, re, im, mags, minus)
     return tables[mp.prec]
 
 
-def _series(f, z):
-    """sum a+(n) q^n, q = e(z), over f's a_plus, at the working precision.
-
+def _series(f, x, y, absq):
+    """(sum a+(n0 + k) q^k over f's a_plus as a fixed-point pair with
+    _table's bits, dropped sum, q) at q = e(x + iy), x and y raw mpf parts
+    and absq = |q|.  q = e^(-2 pi y) (cos 2 pi x + i sin 2 pi x) is read off
+    x and y 8 bits past the working precision and returned as an mpc.
     Terms of positive index are dropped from the top down while the float
-    sum of the dropped |a+(n)| |q|^n stays below 10^-(dps + 10); returns
-    (value, that dropped sum, q).  The kept terms, principal part
-    included, are summed in one pass of Horner's rule in fixed-point
-    integers over _table's dense coefficients, and the sum is multiplied
-    by q^n0 once.
+    sum of the dropped |a+(n)| |q|^n stays below 10^-(dps + 10); the rest,
+    principal part included, are summed in one pass of Horner's rule in
+    fixed-point integers.
     """
     n0, bits, re, im, mags, _ = _table(f)
-    q = mpmath.exp(2j * mpmath.pi * z)
-    absq, cut = float(abs(q)), 10.0 ** -(mp.dps + 10)
+    cut = 10.0 ** -(mp.dps + 10)
     keep, dropped = len(mags), 0.0
     while keep and n0 + keep - 1 > 0:
         term = mags[keep - 1] * absq ** (n0 + keep - 1)
         if dropped + term >= cut:
             break
         keep, dropped = keep - 1, dropped + term
-    qr, qi = (to_fixed(x, bits) for x in q._mpc_)
+    wp = mp.prec + 8
+    two_pi = mpf_shift(mpf_pi(wp), 1)
+    r = mpf_exp(mpf_neg(mpf_mul(two_pi, y, wp)), wp)
+    q = tuple(mpf_mul(r, t, wp) for t in mpf_cos_sin(mpf_mul(two_pi, x, wp), wp))
+    qr, qi = (to_fixed(t, bits) for t in q)
     ar = ai = 0
     for k in range(keep - 1, -1, -1):
         ar, ai = ((ar * qr - ai * qi) >> bits) + re[k], ((ar * qi + ai * qr) >> bits) + im[k]
-    head = mp.make_mpc((from_man_exp(ar, -bits, mp.prec, round_nearest),
-                        from_man_exp(ai, -bits, mp.prec, round_nearest)))
-    return (head * q ** n0 if n0 else head), dropped, q
+    return (ar, ai), dropped, mp.make_mpc(q)
 
 
-def _evaluate(f, z, prec):
+def _evaluate(f, z, prec, gamma=None):
     """(value, tail) of Fourier data f at z in H, at the working precision;
     prec is passed on to E_kappa.
+
+    The a+ sum (_series), the a-(0) term and, where gamma = ((a, b), (c, d))
+    moved a point z0 to z, the factor (a - c z)^kappa = (c z0 + d)^-kappa
+    giving f(z0) are carried in one fixed-point pass.  Where n0 != 0 or an
+    a-(n != 0) exists, q^n0 and those a- modes are taken in mpc arithmetic
+    at _series' q and carried on in fixed point to their last bits.
 
     The tail is the a+ terms the height cut dropped, plus a bound for
     those past the order that lets the coefficients grow by up to a factor
     2 per index from the largest of the last six; where 2|q| >= 1 that
     bound does not converge and TailBoundError is raised.
     """
-    z = mpc(z)
-    y = z.imag
-    if y <= 0:
+    xr, yr = z._mpc_
+    if yr[0] or not yr[1]:
         raise ValueError("z must lie in the upper half-plane")
-    absq = math.exp(-2 * math.pi * float(y))
+    absq = math.exp(-2 * math.pi * to_float(yr))
     if 2 * absq >= 1:
         raise TailBoundError(
             "q-series tail does not converge at this height; "
             "reduce to the fundamental domain first")
-    acc, dropped, q = _series(f, z)
-    mags, minus = _table(f)[4:]
+    n0, bits, _, _, mags, minus = _table(f)
+    acc, dropped, q = _series(f, xr, yr, absq)
+    y = z.imag
+    modes = [c * e_kappa(f.kappa, 4 * mpmath.pi * n * y, prec).value * q ** n
+             for n, c in minus if n]
+    if n0 or modes:
+        val = sum(modes, pair_to_mpc(acc, bits) * q ** n0)
+        bits = max([bits] + [-p[2] for p in val._mpc_ if p[1]])    # val's last bits
+        acc = fixed_pair(val, bits)
     for n, c in minus:
-        if n:
-            acc += c * e_kappa(f.kappa, 4 * mpmath.pi * n * y, prec).value * q ** n
-        else:
-            acc += c * (mpmath.log(y) if f.kappa == 1 else y ** (1 - f.kappa))
+        if not n:      # a-(0) y^(1-kappa), log y where kappa = 1
+            mode = mpmath.log(y) if f.kappa == 1 else y ** (1 - f.kappa)
+            acc = [s + t for s, t in zip(acc, fixed_pair(c * mode, bits))]
+    if gamma is not None:
+        acc, bits = _cocycle(acc, bits, gamma, z, f.kappa)
     top = max(mags[-6:], default=0.0)
-    return acc, top * 2 * absq ** (f.order + 1) / (1 - 2 * absq) + dropped
+    return pair_to_mpc(acc, bits), top * 2 * absq ** (f.order + 1) / (1 - 2 * absq) + dropped
+
+
+def _cocycle(acc, bits, gamma, z, kappa):
+    """(acc (a - c z)^kappa, its fractional bits) for the fixed-point pair
+    acc with `bits` fractional bits, gamma = ((a, b), (c, d)) and z in F,
+    where |a - c z| >= sqrt(3)/2.  For kappa < 0 the factor can be tiny, so
+    the pair first gains the bits by which it may lie below 1."""
+    (a, _), (c, _) = gamma
+    if not kappa or (not c and a ** kappa == 1):
+        return acc, bits
+    x, y = z._mpc_
+    j = (a << bits) - c * to_fixed(x, bits), -c * to_fixed(y, bits)
+    if kappa < 0:
+        extra = -kappa * (max(map(abs, j)).bit_length() - bits + 1)
+        acc, (jr, ji), bits = [t << extra for t in acc], [t << extra for t in j], bits + extra
+        norm = (jr * jr + ji * ji) >> bits
+        j = (jr << bits) // norm, (-ji << bits) // norm
+    return pair_mul_pow(acc, j, abs(kappa), bits), bits
 
 
 def eval_qexp(f, z, prec=DEFAULT_PRECISION):
@@ -206,29 +262,17 @@ def eval_qexp(f, z, prec=DEFAULT_PRECISION):
     fundamental-domain reduction.
     """
     with _workdps(prec):
-        return _evaluate(f, z, prec)
+        return _evaluate(f, mpc(z), prec)
 
 
 def eval_modular(f, z, prec=DEFAULT_PRECISION):
     """(value, tail) of genuinely modular Fourier data f, evaluated after
-    moving z into F.  Reduction, series and cocycle all run at prec's
-    working precision."""
+    moving z into F: f(z) = f(z*) (a - c z*)^kappa for gamma z = z*, taken
+    in _evaluate's fixed-point pass.  Reduction, series and cocycle all run
+    at prec's working precision."""
     with _workdps(prec):
         zstar, gamma = hyperbolic.reduce_to_fundamental(z)
-        val, tail = _evaluate(f, zstar, prec)
-        (_, _), (c, d) = gamma
-        if f.kappa and (c or d ** f.kappa != 1):
-            jw = _power(hyperbolic.moebius_j(gamma, z), abs(f.kappa))
-            val = val / jw if f.kappa > 0 else val * jw
-        return val, tail
-
-
-def _power(j, n):
-    """j^n for an integer n >= 1, by multiplication."""
-    out = j
-    for _ in range(n - 1):
-        out *= j
-    return out
+        return _evaluate(f, zstar, prec, gamma)
 
 
 def xi_symbolic(G, prec=DEFAULT_PRECISION):

@@ -61,12 +61,6 @@ def act_on_form(gamma, Q):
     return Q.compose(mat_inv(gamma))
 
 
-def moebius_j(gamma, z):
-    """Automorphy factor j(gamma, z) = cz + d."""
-    (_, _), (c, d) = gamma
-    return c * mpc(z) + d
-
-
 REDUCTION_MAX_STEPS = 10000   # T/S steps before reduction gives up
 _UNIT = 2.0 ** -52      # float rounding, with room
 _CLEAR = 2.0 ** -30     # least clearance of a decision taken in floats

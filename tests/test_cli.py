@@ -1,7 +1,13 @@
 """CLI dispatch, exit codes, precision scoping and report serialization."""
 
+import csv
+import io
 import json
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import mpmath
 import pytest
@@ -267,3 +273,37 @@ def test_lift_coeff_command():
              "--radius", "28"])
     row = json.loads(r.output)[0]
     assert abs(float(row["coefficient"]) - float(row["target"])) < 5e-2
+
+
+@pytest.mark.parametrize("args", [
+    ["theta", "--delta", "-3"],
+    ["classes", "--disc", "12"],
+    ["chi", "--delta", "-4", "--form", "1,2,-2"],
+    ["eta-check", "--samples", "2"],
+])
+def test_csv_rows_parse(args):
+    # list-valued cells are quoted, so csv.reader reads every row at the
+    # header's length, and the cells read back as the JSON values
+    rows = list(csv.reader(io.StringIO(run(["--format", "csv"] + args).output)))
+    assert len(rows) >= 2 and all(len(row) == len(rows[0]) for row in rows), rows
+    first = json.loads(run(args).output)[0]
+    key = next(k for k, v in first.items() if isinstance(v, list))
+    assert rows[1][rows[0].index(key)] == str(first[key])
+
+
+def test_commands_without_theta_leave_numpy_unloaded():
+    # numpy comes in only with thetacore, which only the theta commands use
+    code = ("import sys\n"
+            "from shintani.cli import main\n"
+            "for args in sys.argv[1:]:\n"
+            "    try:\n"
+            "        main(args.split(), standalone_mode=False)\n"
+            "    except SystemExit:\n"
+            "        pass\n"
+            "print('numpy' in sys.modules)\n")
+    src = pathlib.Path(cli.__file__).parents[1]
+    r = subprocess.run([sys.executable, "-c", code, "class-number 23",
+                        "cycle-trace --delta -4 --D 3", "l-value --delta -3"],
+                       capture_output=True, text=True, check=True,
+                       env={**os.environ, "PYTHONPATH": str(src)})
+    assert r.stdout.strip().splitlines()[-1] == "False", r.stdout

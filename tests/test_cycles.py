@@ -353,3 +353,20 @@ def test_closed_integral_weight_six_invariance():
     QT = Q.compose(random_sl2(rng, size=2, length=3))
     r3 = cy.closed_cycle_integral(ev, QT, 2, nodes=64)
     assert abs(r1.value - r3.value) < 1e-8
+
+
+def test_closed_integral_weight_four_invariance():
+    # k = 1 closed path with E4 (weight 2k + 2 = 4): base-point and
+    # representative independence exercise Q(z,1)^k in the node geometry
+    E4 = build_standard_forms(48)["E4"]
+    ev = lambda z: fo.eval_modular(E4, z)[0]
+    Q = QForm(1, 2, -2)
+    r1 = cy.closed_cycle_integral(ev, Q, 1, nodes=64, base_angle=mpmath.pi / 2)
+    r2 = cy.closed_cycle_integral(ev, Q, 1, nodes=64, base_angle=mpf("0.9"))
+    assert abs(r1.value) > 1 and abs(r1.value - r2.value) < 1e-9
+    from test_qforms import random_sl2
+    rng = random.Random(4)
+    QT = Q.compose(random_sl2(rng, size=2, length=3))
+    r3 = cy.closed_cycle_integral(ev, QT, 1, nodes=64)
+    assert abs(r1.value - r3.value) < 1e-8
+

@@ -8,10 +8,12 @@ from functools import lru_cache
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf, mpc
 
 from shintani import forms as fo
+from shintani import hyperbolic
+from shintani import qforms as qf
 from shintani.forms import HarmonicFourierData
 from shintani.specfun import Precision
 
@@ -217,20 +219,23 @@ def test_height_cut_within_reported_tail(name, order, x, y):
 
 def _plain_series(f, z):
     """sum c_n q^n term by term in mpmath, 64 bits past the working
-    precision, over the terms _series keeps (the same height cut); returns
-    (value, dropped, q, sum of |c_n q^n|)."""
+    precision, over the terms _series keeps (the same height cut, from the
+    same float |q|), plus the a-(0) y^(1-kappa) term.  Returns (value,
+    dropped, sum of the terms' moduli)."""
     ns = sorted(n for n, c in f.a_plus.items() if c)
     cs = [mpmath.mpmathify(f.a_plus[n]) for n in ns]
     mags = [float(abs(c)) for c in cs]
-    q = mpmath.exp(2j * mpmath.pi * z)
-    absq, cut = float(abs(q)), 10.0 ** -(mp.dps + 10)
+    absq, cut = math.exp(-2 * math.pi * float(z.imag)), 10.0 ** -(mp.dps + 10)
     keep, dropped = len(ns), 0.0
     while keep and ns[keep - 1] > 0 and dropped + mags[keep - 1] * absq ** ns[keep - 1] < cut:
         keep -= 1
         dropped += mags[keep] * absq ** ns[keep]
     with mp.workprec(mp.prec + 64):
+        q = mpmath.exp(2j * mpmath.pi * z)
         terms = [mpmath.mpmathify(c) * q ** n for n, c in zip(ns[:keep], cs)]
-        return mpmath.fsum(terms), dropped, q, mpmath.fsum(abs(t) for t in terms)
+        terms += [mpmath.mpmathify(c) * z.imag ** (1 - f.kappa)
+                  for n, c in f.a_minus.items() if n == 0]
+        return mpmath.fsum(terms), dropped, mpmath.fsum(abs(t) for t in terms)
 
 
 _SERIES_OBJECTS = {
@@ -253,18 +258,100 @@ _SERIES_OBJECTS = {
 @settings(max_examples=80)
 @given(name=st.sampled_from(sorted(_SERIES_OBJECTS)), digits=st.sampled_from([15, 30, 50]),
        x=st.floats(-0.5, 0.5), y=st.floats(math.sqrt(3) / 2, 3))
+# Delta at y = 3 is about 2^-27: its last place lies below the table's
+# fixed-point bits unless q's part of the sum is carried with more
+@example(name="Delta", digits=30, x=0.1, y=3.0)
 def test_fixed_point_series_matches_plain_sum(name, digits, x, y):
-    # the Horner sum in fixed-point integers against term-by-term mpmath:
-    # a few units of the working precision's last place of sum |c_n q^n|,
-    # with the same height cut, dropped tail and q
+    # the Horner sum in fixed-point integers, times q^n0 and plus E2*'s
+    # a-(0) term, against term-by-term mpmath: a few units of the working
+    # precision's last place of sum |c_n q^n|, with the same height cut and
+    # dropped tail
     f = _SERIES_OBJECTS[name]
     with mp.workdps(digits):
         z = mpc(x, y)
-        value, dropped, q = fo._series(f, z)
-        want, want_dropped, want_q, size = _plain_series(f, z)
-        assert q == want_q and dropped == want_dropped
+        absq = math.exp(-2 * math.pi * float(z.imag))
+        dropped = fo._series(f, *z._mpc_, absq)[1]
+        value = fo._evaluate(f, z, Precision(digits))[0]
+        want, want_dropped, size = _plain_series(f, z)
+        assert dropped == want_dropped
         assert abs(value - want) <= 4 * mpf(2) ** -mp.prec * size, (
             float(abs(value - want) / (mpf(2) ** -mp.prec * size)))
+
+
+# weight -2, a principal part, and a- modes of nonzero index: the
+# evaluator's mpc branch and the negative-weight cocycle
+_SYNTHETIC = HarmonicFourierData(
+    -2, {n: complex(math.cos(n + 1), math.sin(2 * n)) for n in range(-1, 21)},
+    {n: complex(math.sin(n + 2), math.cos(n)) / 4 for n in (-2, -1, 0, 1)}, 20)
+# weight -2 on the all-fixed-point route (n0 = 0, a-(0) alone): at height
+# 1e-12 the cocycle scales the value by about 1e-12
+_NEGATIVE = HarmonicFourierData(
+    -2, {n: complex(math.cos(n + 1), math.sin(2 * n)) for n in range(21)}, {0: 0.25 + 0.5j}, 20)
+
+
+def _modular_oracle(f, z, gamma, digits):
+    """f(gamma z) (cz + d)^-kappa in plain mpmath, 30 digits past `digits`:
+    gamma z by apply_moebius, every coefficient of f summed directly there
+    (E_kappa(y) = Gamma(1 - kappa, -y) for kappa <= 0 through mpmath's
+    gammainc), and the cocycle by complex powers."""
+    with mp.workdps(digits + 30):
+        w = hyperbolic.apply_moebius(gamma, z)
+        y, q = w.imag, mpmath.exp(2j * mpmath.pi * w)
+        acc = mpmath.fsum(mpmath.mpmathify(c) * q ** n for n, c in f.a_plus.items())
+        for n, c in f.a_minus.items():
+            if n == 0:
+                acc += mpmath.mpmathify(c) * y ** (1 - f.kappa)
+            else:
+                assert f.kappa <= 0
+                acc += mpmath.mpmathify(c) * mpmath.gammainc(1 - f.kappa, -4 * mpmath.pi * n * y) \
+                    * q ** n
+        (_, _), (c, d) = gamma
+        return acc * (c * z + d) ** -f.kappa
+
+
+def _near_boundary_points(rng):
+    """Seeded points, one at height 1e-12 (a long word, and a cocycle far
+    from 1), and points within 1e-12 of F's boundary with their images
+    under seeded SL2(Z) words, so that reduction takes its exact loop."""
+    from test_qforms import random_sl2
+    pts = [mpc(rng.uniform(-1, 1), rng.uniform(0.25, 2)) for _ in range(6)]
+    pts.append(mpc(rng.uniform(-0.5, 0.5), 1e-12))
+    with mp.workdps(60):
+        for _ in range(4):
+            eps = mpf(10) ** -rng.randint(13, 20) * rng.choice([-1, 1])
+            side = mpc(rng.choice([-0.5, 0.5]) + eps, rng.uniform(0.9, 1.5))
+            arc = mpmath.expjpi(rng.uniform(1 / 3, 2 / 3)) * (1 + eps)
+            for b in (side, arc):
+                g = random_sl2(rng, size=2, length=3)
+                pts += [b, hyperbolic.apply_moebius(qf.mat_inv(g), b)]
+    return pts
+
+
+@pytest.mark.parametrize("digits", [30, 50])
+@pytest.mark.parametrize("name", ["E2*", "E4", "E6", "Delta", "J", "synthetic", "negative"])
+def test_eval_modular_matches_plain_mpmath_route(name, digits):
+    # eval_modular's fixed-point pass (series, a- terms and cocycle) against
+    # the plain route, at the word the reduction returns: within the
+    # reported tail plus 10^-(digits + 8) relative to the value, as the
+    # pass keeps all but two of the working precision's 10 guard digits,
+    # also where the cocycle is tiny
+    prec = Precision(digits)
+    f = {"E2*": fo.e2_star_data(64, prec), "E4": F["E4"], "E6": F["E6"],
+         "Delta": F["DeltaCusp"], "J": F["J"], "synthetic": _SYNTHETIC,
+         "negative": _NEGATIVE}[name]
+    exact_loop = 0
+    for z in _near_boundary_points(random.Random(21)):
+        value, tail = fo.eval_modular(f, z, prec)
+        with mp.workdps(digits + 10):
+            gamma = hyperbolic.reduce_to_fundamental(z)[1]
+            exact_loop += not hyperbolic._float_word(
+                float(z.real), float(z.imag), 10.0 ** (5 - mp.dps),
+                hyperbolic.REDUCTION_MAX_STEPS)[2]
+        want = _modular_oracle(f, z, gamma, digits)
+        with mp.workdps(digits + 30):
+            assert abs(value - want) <= tail + mpf(10) ** -(digits + 8) * abs(want), (
+                name, str(z), float(abs(value - want)))
+    assert exact_loop >= 8
 
 
 def test_xi_e2_star():
