@@ -265,7 +265,8 @@ def cmd_eta_check(config, k, samples, seed):
         rows.append({
             "k": k, "delta": delta, "form": [Q.a, Q.b, Q.c],
             "xi_error": float(abs(xi - thetacore.xi_eta_closed(ctx, Q, z, config.prec))),
-            "laplace_error": float(abs(lap - thetacore.phi_sh0(ctx, Q, z, "preimage"))),
+            "laplace_error": float(abs(lap - thetacore.phi_sh0(ctx, Q, z, "preimage",
+                                                                 config.prec))),
         })
     emit_report(rows, config.fmt)
 
@@ -310,7 +311,7 @@ def cmd_theta(config, delta, k, tau, z_str, radius):
 def cmd_lift_coeff(config, delta, dd, v, grid, radius):
     """Direct 2D quadrature of the lift's q^D coefficient (k = 0, E2*)."""
     from . import thetacore     # numpy: loaded only by the theta commands
-    t0 = time.time()
+    t0 = time.perf_counter()
     coeff, est = thetacore.lift_coefficient_quadrature(delta, dd, v=v,
                                                        grid=grid, radius=radius)
     target = float(12 * hurwitz_class_number(abs(delta)) * hurwitz_class_number(dd)
@@ -319,7 +320,7 @@ def cmd_lift_coeff(config, delta, dd, v, grid, radius):
                   "imag_residual": coeff.imag,
                   "target": target, "abs_error": abs(coeff.real - target),
                   "error_estimate": est,
-                  "runtime_ms": int((time.time() - t0) * 1000)}], config.fmt)
+                  "runtime_ms": int((time.perf_counter() - t0) * 1000)}], config.fmt)
 
 
 if __name__ == "__main__":

@@ -121,12 +121,12 @@ def f_series(delta, D_max, order=128, prec=DEFAULT_PRECISION):
 def _check(identity_id, params, target, compute, prec, tol):
     """Time compute() at prec's working precision and report it against
     the exact target; the error is taken at the same precision."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     with _workdps(prec):
         computed = mpmath.mpmathify(compute())
         error = abs(computed - mpmath.mpmathify(target))
     return IdentityReport(identity_id, params, float(target), float(mpmath.re(computed)),
-                          float(error), int((time.time() - t0) * 1000), tol)
+                          float(error), int((time.perf_counter() - t0) * 1000), tol)
 
 
 # each identity's tolerance on abs_error, by step name

@@ -48,6 +48,7 @@ one driver, `_regularized`: it integrates each ray from its lower end to
 height T once and adds the representation's part above T.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -56,9 +57,10 @@ import mpmath
 from mpmath import mp, mpf, mpc
 from mpmath.libmp import mpf_exp, to_fixed
 
-from .specfun import (DEFAULT_PRECISION, gamma_upper, e_kappa,
-                      kronecker_symbol, bernoulli_poly_eval, _coerce, _workdps)
-from .qforms import class_reps, genus_char, pell_fundamental_4, square_normalize, _xgcd
+from .specfun import (DEFAULT_PRECISION, gamma_upper, e_kappa, kronecker_symbol,
+                      bernoulli_poly_eval, _coerce, _tol, _workdps)
+from .qforms import (class_reps, divisor_sigma1, genus_char, pell_fundamental_4,
+                     square_normalize, _xgcd)
 from .quadrature import integrate_cc_doubling, integrate_periodic_doubling
 from .forms import (HarmonicFourierData, eval_modular, eval_qexp, xi_symbolic, fixed_pair,
                     pair_mul_pow, pair_to_mpc)
@@ -78,17 +80,18 @@ class CycleIntegralResult:
 # ---------------------------------------------------------------------------
 
 def closed_cycle_integral(G_eval, Q, k=0, nodes=16, prec=DEFAULT_PRECISION,
-                          base_angle=None, tol=1e-18):
+                          base_angle=None):
     """One automorph period of G(z) Q(z,1)^k dz along the oriented geodesic.
 
     G_eval must evaluate an object transforming with weight 2k+2 anywhere
     in H (route through the fundamental domain for q-series objects);
     violations show up as base-point dependence.  The period is integrated
-    in arc length t by the nested trapezoid rule from `nodes` samples;
-    base_angle is the polar angle of the base point on the semicircle
-    (default pi/2, the top).  Each node takes z and Q(z,1)^k dz/dt from
-    u = e^t (module docstring) in fixed-point integers, with bits enough
-    for the smallest sech t of the period, and makes one mpc product.
+    in arc length t by the nested trapezoid rule from `nodes` samples,
+    doubling to _tol(prec, 3); base_angle is the polar angle of the base
+    point on the semicircle (default pi/2, the top).  Each node takes z and
+    Q(z,1)^k dz/dt from u = e^t (module docstring) in fixed-point integers,
+    with bits enough for the smallest sech t of the period, and makes one
+    mpc product.
     """
     D = Q.disc
     if D <= 0 or math.isqrt(D) ** 2 == D:
@@ -118,8 +121,8 @@ def closed_cycle_integral(G_eval, Q, k=0, nodes=16, prec=DEFAULT_PRECISION,
             z = pair_to_mpc((c0 + ((r0 * tanh) >> bits), (r0 * sech) >> bits), bits)
             return G_eval(z) * pair_to_mpc(pair_mul_pow(K, sw, k + 1, bits), bits)
 
-        val, err, used = integrate_periodic_doubling(integrand, t0, t1,
-                                                     n0=nodes, tol=tol, nmax=4096)
+        val, err, used = integrate_periodic_doubling(integrand, t0, t1, _tol(prec, 3),
+                                                     n0=nodes)
         return CycleIntegralResult(val, "closed-quadrature", float(err),
                                    float("nan"), used)
 
@@ -166,16 +169,10 @@ def _ray_quadrature(G_fun, r, c0, T, k, tol, nodes):
         h = h / 2
         edges.add(h)
     edges = sorted(edges)
-    total = mpc(0)
-    toterr = 0.0
-    used = 0
     f = lambda y: G_fun(mpc(r, 0) + 1j * y) * y ** k
-    for a, b in zip(edges[:-1], edges[1:]):
-        val, err, n = integrate_cc_doubling(f, a, b, n0=nodes, tol=tol, nmax=4096)
-        total += val
-        toterr += float(err)
-        used = max(used, n)
-    return total, toterr, used
+    runs = [integrate_cc_doubling(f, a, b, tol, n0=nodes) for a, b in zip(edges, edges[1:])]
+    return (sum(val for val, _, _ in runs), sum(float(err) for _, err, _ in runs),
+            max(n for _, _, n in runs))
 
 
 def _ray_counterterms(G, k, r, T, prec):
@@ -216,18 +213,20 @@ def _ray_counterterms(G, k, r, T, prec):
 
 def _regularized(G, Q, k, T, prec, evaluator, nodes, tol, tail, method):
     """f^k i^(k+1) (S(r-, c-, T) + (-1)^(k+1) S(r+, c+, T)), each ray's S its
-    quadrature from c0 to T plus tail(G, G_fun, k, r, T) -> (value, error),
-    the part above height T in one representation, called at prec's
-    working precision."""
+    quadrature from c0 to T plus tail(G, G_fun, k, r, T, tol) -> (value,
+    error), the part above height T in one representation, called at prec's
+    working precision.  Both stop their doublings at tol, by default
+    _tol(prec, 7)."""
     if T <= 0:
         raise ValueError("T must be positive")
+    tol = _tol(prec, 7) if tol is None else tol
     f, r_plus, q, r_minus = _square_ray_data(Q)
     with _workdps(prec):
         G_fun = evaluator if evaluator is not None else (lambda z: eval_qexp(G, z, prec)[0])
         S, err, used = [], 0.0, 0
         for r, c0 in ((r_plus, 1), (r_minus, mpf(1) / (q * q))):
             quad, e_quad, n = _ray_quadrature(G_fun, _coerce(r), c0, mpf(T), k, tol, nodes)
-            value, e_tail = tail(G, G_fun, k, r, T)
+            value, e_tail = tail(G, G_fun, k, r, T, tol)
             S.append(quad + value)
             err, used = err + e_quad + e_tail, max(used, n)
         S_plus, S_minus = S
@@ -239,7 +238,7 @@ def _regularized(G, Q, k, T, prec, evaluator, nodes, tol, tail, method):
 
 
 def reg_cycle_integral(G, Q, k=0, T=2, prec=DEFAULT_PRECISION,
-                       evaluator=None, nodes=16, tol=1e-22):
+                       evaluator=None, nodes=16, tol=None):
     """Regularized cycle integral of G along the infinite geodesic of Q.
 
     Q must have square discriminant f^2 (any representative; it is
@@ -248,13 +247,13 @@ def reg_cycle_integral(G, Q, k=0, T=2, prec=DEFAULT_PRECISION,
     (pass a fundamental-domain-reducing evaluator for genuinely modular G,
     so that the quadrature stays accurate at small heights).
     """
-    tail = lambda G, G_fun, k, r, T: (_ray_counterterms(G, k, r, T, prec), 0.0)
+    tail = lambda G, G_fun, k, r, T, tol: (_ray_counterterms(G, k, r, T, prec), 0.0)
     return _regularized(G, Q, k, T, prec, evaluator, nodes, tol, tail,
                         "regularized-definition")
 
 
 def reg_cycle_integral_alt(G, Q, k=0, T=2, prec=DEFAULT_PRECISION,
-                           evaluator=None, nodes=16, tol=1e-22):
+                           evaluator=None, nodes=16, tol=None):
     """The Bernoulli/polygamma representation of the regularized integral.
 
     Needs xi_{2k+2} G, taken symbolically from the Fourier data.  Agrees
@@ -266,7 +265,7 @@ def reg_cycle_integral_alt(G, Q, k=0, T=2, prec=DEFAULT_PRECISION,
     xi_data = HarmonicFourierData(xiG.kappa, {n: c for n, c in xiG.a_plus.items() if n},
                                   {}, xiG.order)
 
-    def tail(G, G_fun, k, r, T):
+    def tail(G, G_fun, k, r, T, tol):
         Tm = mpf(T)
         rr = _coerce(r)
         am0 = _coerce(G.a_minus.get(0, 0))
@@ -293,7 +292,7 @@ def reg_cycle_integral_alt(G, Q, k=0, T=2, prec=DEFAULT_PRECISION,
                 acc -= c_xi * mpmath.conj(xg * inner)
             return acc
 
-        iline, err_line, _ = integrate_cc_doubling(line, 0, 1, n0=nodes, tol=tol)
+        iline, err_line, _ = integrate_cc_doubling(line, 0, 1, tol, n0=nodes)
         if am0:
             iline += am0 * (-mpmath.log(Tm)) if k == 0 else am0 * Tm ** (-k) / k
         return iline, float(err_line)
@@ -306,16 +305,13 @@ def reg_cycle_integral_alt(G, Q, k=0, T=2, prec=DEFAULT_PRECISION,
 # the two evaluation lemmas (line integrals with closed forms)
 # ---------------------------------------------------------------------------
 
-LEMMA_TOL = 1e-16   # doubling tolerance of the lemma checks' quadrature
-
-
 def bernoulli_height_integral(kk, n, y, prec=DEFAULT_PRECISION):
     """(quadrature, closed form) for int_{iy}^{iy+1} B_k(z) e(nz) dz."""
     with _workdps(prec):
         ym = mpf(y)
         f = lambda x: bernoulli_poly_eval(kk, x + 1j * ym) \
             * mpmath.exp(2j * mpmath.pi * n * (x + 1j * ym))
-        quad = integrate_cc_doubling(f, 0, 1, tol=LEMMA_TOL)[0]
+        quad = integrate_cc_doubling(f, 0, 1, _tol(prec, 1))[0]
         if n == 0:
             closed = (1j * ym) ** kk
         elif kk == 0:
@@ -342,7 +338,7 @@ def polygamma_height_integral(kk, n, y, prec=DEFAULT_PRECISION, _psi_cache=None)
                 psi[key] = mpmath.psi(kk, z) + mpf(-1) ** kk * mpmath.psi(kk, 1 - z)
             return psi[key] * mpmath.exp(2j * mpmath.pi * n * z)
 
-        quad = integrate_cc_doubling(f, 0, 1, tol=LEMMA_TOL)[0]
+        quad = integrate_cc_doubling(f, 0, 1, _tol(prec, 1))[0]
         if n == 0:
             if kk == 0:
                 closed = 2 * mpmath.log(ym)
@@ -358,24 +354,18 @@ def polygamma_height_integral(kk, n, y, prec=DEFAULT_PRECISION, _psi_cache=None)
 def lemma_integral_checks(k_max=4, n_max=3, ys=(0.5, 1, 2), prec=DEFAULT_PRECISION):
     """Quadrature-vs-closed-form errors for both evaluation lemmas; the
     unit integrals do not depend on y and are reported once."""
-    ks, ns = range(k_max + 1), range(-n_max, n_max + 1)
-    report = []
-    for kk in ks:
-        for n in ns:
-            qa, ca = bernoulli_height_integral(kk, n, 0, prec)
-            report.append({"lemma": "bernoulli-unit", "k": kk, "n": n, "y": None,
-                           "abs_error": float(abs(qa - ca))})
+    grid = [(kk, n) for kk in range(k_max + 1) for n in range(-n_max, n_max + 1)]
+    row = lambda lemma, kk, n, y, pair: {"lemma": lemma, "k": kk, "n": n, "y": y,
+                                         "abs_error": float(abs(pair[0] - pair[1]))}
+    report = [row("bernoulli-unit", kk, n, None, bernoulli_height_integral(kk, n, 0, prec))
+              for kk, n in grid]
     psi_cache = {}
     for y in ys:
-        for kk in ks:
-            for n in ns:
-                qb, cb = bernoulli_height_integral(kk, n, y, prec)
-                report.append({"lemma": "bernoulli-height", "k": kk, "n": n, "y": y,
-                               "abs_error": float(abs(qb - cb))})
-                qp, cp = polygamma_height_integral(kk, n, y, prec,
-                                                   _psi_cache=psi_cache)
-                report.append({"lemma": "polygamma-height", "k": kk, "n": n, "y": y,
-                               "abs_error": float(abs(qp - cp))})
+        for kk, n in grid:
+            report.append(row("bernoulli-height", kk, n, y,
+                              bernoulli_height_integral(kk, n, y, prec)))
+            report.append(row("polygamma-height", kk, n, y,
+                              polygamma_height_integral(kk, n, y, prec, _psi_cache=psi_cache)))
     return report
 
 
@@ -432,21 +422,14 @@ def sigma_exp_sum(delta, prec=DEFAULT_PRECISION):
     """(2 sqrt|delta| / pi) sum_{n>0} (delta/n) sigma_1(n)/n e^(-2 pi n/|delta|);
     an independent closed form for the square-trace L-value of the completed
     weight-2 Eisenstein series."""
-    from .qforms import divisor_sigma1
     q = abs(int(delta))
     with _workdps(prec):
-        acc = mpf(0)
-        n = 0
-        target = mpf(10) ** (-(mp.dps + 5))
-        while True:
-            n += 1
-            chi = kronecker_symbol(delta, n)
+        acc, target = mpf(0), mpf(10) ** -(prec.working_digits + 15)
+        for n in itertools.count(1):
             term = mpf(divisor_sigma1(n)) / n * mpmath.e ** (-2 * mpmath.pi * n / q)
-            if chi:
-                acc += chi * term
+            acc += kronecker_symbol(delta, n) * term
             if term < target and n > q:
-                break
-        return 2 * mpmath.sqrt(q) / mpmath.pi * acc
+                return 2 * mpmath.sqrt(q) / mpmath.pi * acc
 
 
 # ---------------------------------------------------------------------------

@@ -59,27 +59,18 @@ class HarmonicFourierData:
 
 def _series_mul(A, B, order):
     out = [0] * (order + 1)
-    for i, ai in enumerate(A):
-        if ai == 0:
-            continue
-        for j in range(0, order + 1 - i):
-            bj = B[j]
-            if bj:
-                out[i + j] += ai * bj
+    for i, ai in enumerate(A[:order + 1]):
+        for j, bj in enumerate(B[:order + 1 - i]):
+            out[i + j] += ai * bj
     return out
 
 
 def _series_inv(A, order):
     # inverse of a power series with A[0] = 1, exact arithmetic
     assert A[0] == 1
-    out = [0] * (order + 1)
-    out[0] = 1
+    out = [1] + [0] * order
     for n in range(1, order + 1):
-        s = 0
-        for k in range(1, n + 1):
-            if k < len(A) and A[k]:
-                s += A[k] * out[n - k]
-        out[n] = -s
+        out[n] = -sum(A[k] * out[n - k] for k in range(1, min(n, len(A) - 1) + 1))
     return out
 
 
@@ -206,8 +197,9 @@ def _evaluate(f, z, prec, gamma=None):
 
     The tail is the a+ terms the height cut dropped, plus a bound for
     those past the order that lets the coefficients grow by up to a factor
-    2 per index from the largest of the last six; where 2|q| >= 1 that
-    bound does not converge and TailBoundError is raised.
+    2 per index from the largest of the last six, times the cocycle's
+    |a - c z|^kappa where gamma is given; where 2|q| >= 1 that bound does
+    not converge and TailBoundError is raised.
     """
     xr, yr = z._mpc_
     if yr[0] or not yr[1]:
@@ -230,10 +222,12 @@ def _evaluate(f, z, prec, gamma=None):
         if not n:      # a-(0) y^(1-kappa), log y where kappa = 1
             mode = mpmath.log(y) if f.kappa == 1 else y ** (1 - f.kappa)
             acc = [s + t for s, t in zip(acc, fixed_pair(c * mode, bits))]
+    top = max(mags[-6:], default=0.0)
+    tail = top * 2 * absq ** (f.order + 1) / (1 - 2 * absq) + dropped
     if gamma is not None:
         acc, bits = _cocycle(acc, bits, gamma, z, f.kappa)
-    top = max(mags[-6:], default=0.0)
-    return pair_to_mpc(acc, bits), top * 2 * absq ** (f.order + 1) / (1 - 2 * absq) + dropped
+        tail *= abs(gamma[0][0] - gamma[1][0] * complex(z)) ** f.kappa
+    return pair_to_mpc(acc, bits), tail
 
 
 def _cocycle(acc, bits, gamma, z, kappa):
@@ -268,8 +262,8 @@ def eval_qexp(f, z, prec=DEFAULT_PRECISION):
 def eval_modular(f, z, prec=DEFAULT_PRECISION):
     """(value, tail) of genuinely modular Fourier data f, evaluated after
     moving z into F: f(z) = f(z*) (a - c z*)^kappa for gamma z = z*, taken
-    in _evaluate's fixed-point pass.  Reduction, series and cocycle all run
-    at prec's working precision."""
+    in _evaluate's fixed-point pass, the tail scaled by |a - c z*|^kappa.
+    Reduction, series and cocycle all run at prec's working precision."""
     with _workdps(prec):
         zstar, gamma = hyperbolic.reduce_to_fundamental(z)
         return _evaluate(f, zstar, prec, gamma)

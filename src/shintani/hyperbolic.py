@@ -121,12 +121,12 @@ def reduce_to_fundamental(z):
     and, on |z| = 1, to Re(z) <= 0.  The word is chosen in floats while
     every decision is clear (_float_word) and gamma is applied to z once;
     where a decision was not clear, the exact loop takes over from there
-    and decides ties and near-boundary points.
+    and decides ties and near-boundary points.  It runs at the caller's
+    precision, as must its tie width 10^-(dps-5): more digits move ties.
     """
     z = mpc(z)
     if z.imag <= 0:
         raise ValueError("z must lie in the upper half-plane")
-    # the exact loop's tie width is 10^-(dps-5)
     g, steps, inside = _float_word(float(z.real), float(z.imag), 10.0 ** (5 - mp.dps),
                                    REDUCTION_MAX_STEPS)
     if g != ((1, 0), (0, 1)):

@@ -8,6 +8,8 @@ Clenshaw-Curtis is the trapezoid rule in theta = arccos x applied to
 f(cos theta); its nodes cos(j pi / n) are explicit, and each weight is one
 cosine sum (Trefethen, "Is Gauss quadrature better than Clenshaw-Curtis?",
 SIAM Rev. 50 (2008)).  Nodes and weights are cached per (n, mp.prec).
+The rules take no Precision: they run at the caller's mp.prec, to the
+caller's tolerance (specfun._tol).
 
 For real-analytic integrands both rules converge geometrically, so the
 error estimate is the change under the one doubling taken, or, once three
@@ -71,7 +73,7 @@ def _error_estimate(changes, width, size):
     return rate + mp.eps * abs(width) * size
 
 
-def integrate_cc_doubling(f, a, b, n0=16, tol=1e-20, nmax=4096):
+def integrate_cc_doubling(f, a, b, tol, n0=16, nmax=4096):
     """Nested Clenshaw-Curtis rule for f over [a, b] (n0 even); returns
     (value, error_estimate, n_used) after n_used + 1 evaluations of f.
     Convergence and failure as in _until_converged, the estimate as in
@@ -99,7 +101,7 @@ def integrate_cc_doubling(f, a, b, n0=16, tol=1e-20, nmax=4096):
     return value, _error_estimate(changes, b - a, size), n
 
 
-def integrate_periodic_doubling(f, a, b, n0=16, tol=1e-20, nmax=4096):
+def integrate_periodic_doubling(f, a, b, tol, n0=16, nmax=4096):
     """Nested trapezoid rule for f periodic with period b - a; returns
     (value, error_estimate, n_used).
 

@@ -5,6 +5,16 @@ Everything here is an ordinary function of real arguments together with an
 immutable Precision context.  Values are returned as SpecialValue wrappers,
 which reject NaN.
 
+The precision model.  Precision(d), the CLI's --precision d, runs every
+package function that takes `prec` at d + 10 working digits (_workdps),
+whatever the ambient mp.dps.  A nested quadrature rule stops at
+_tol(prec, margin) = 10^-(d/2 + margin): each doubling squares the error of
+a geometrically converging rule, so half the digits suffice.  The margin is
+3 for closed cycles, 7 for regularized integrals (rays and line) and 1 for
+the lemma integrals: 1e-18, 1e-22 and 1e-16 at d = 30.  The CLI scopes its
+own arithmetic in mp.workdps(d).  The kernels without `prec` run at the
+caller's precision: quadrature, hyperbolic and thetacore.fd_operators.
+
 * gamma_upper(s, y)    -- Gamma(s,y) = int_y^oo e^-t t^(s-1) dt, integer s >= 1,
                           via the closed form (s-1)! e^-y sum_{j<s} y^j/j!,
                           valid for every real y (including y < 0).
@@ -59,6 +69,11 @@ class SpecialValue:
 def _workdps(prec):
     # guard digits for intermediate cancellation
     return mp.workdps(prec.working_digits + 10)
+
+
+def _tol(prec, margin):
+    # a nested rule's stopping tolerance (module docstring)
+    return 10.0 ** -(prec.working_digits / 2 + margin)
 
 
 # ---------------------------------------------------------------------------

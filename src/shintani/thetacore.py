@@ -35,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 import mpmath
-from mpmath import mp, mpf, mpc
+from mpmath import mpf, mpc
 
 from .specfun import (DEFAULT_PRECISION, gamma_upper, is_fundamental_discriminant,
                       dirichlet_L, _workdps)
@@ -77,7 +77,7 @@ def _check_disc(ctx, Q):
     return Q.disc // q   # the index D
 
 
-def phi_sh0(ctx, Q, z, normalization="kernel"):
+def phi_sh0(ctx, Q, z, normalization="kernel", prec=DEFAULT_PRECISION):
     """The Schwartz-function summand at Q, z (see module docstring).
 
     normalization="kernel" is the theta-kernel convention;
@@ -86,7 +86,7 @@ def phi_sh0(ctx, Q, z, normalization="kernel"):
     D = _check_disc(ctx, Q)
     k, v = ctx.k, ctx.v
     q = abs(ctx.delta)
-    with mp.workdps(mp.dps + 10):
+    with _workdps(prec):
         z = mpc(z)
         y = z.imag
         p, qz, _ = form_polynomials(Q, z)
@@ -102,12 +102,12 @@ def phi_sh0(ctx, Q, z, normalization="kernel"):
         raise ValueError("normalization must be 'kernel' or 'preimage'")
 
 
-def phi_sh0_lattice(coeffs, v, z, k=0):
+def phi_sh0_lattice(coeffs, v, z, k=0, prec=DEFAULT_PRECISION):
     """The untwisted summand v^(1/2) y^(-2k-2) Q(zbar)^(k+1) e^(-pi v p^2)
     for a real-coefficient triple (a, b, c); used to measure the
     normalization dictionary against phi_sh0."""
     a, b, c = coeffs
-    with mp.workdps(mp.dps + 10):
+    with _workdps(prec):
         z = mpc(z)
         x, y = z.real, z.imag
         p = -(a * (x * x + y * y) + b * x + c) / y
@@ -187,7 +187,8 @@ def fd_operators(f, kappa, z, step=1e-3):
         xi_kappa f     = i y^kappa conj(f_x + i f_y)
         Delta_kappa f  = -y^2 (f_xx + f_yy) + i kappa y (f_x + i f_y)
 
-    at z.  Non-finite samples raise.
+    at z.  Non-finite samples raise.  It runs at the caller's precision:
+    10 guard digits would move its result from the 13th digit on.
     """
     z = mpc(z)
     y = z.imag

@@ -108,6 +108,14 @@ def test_verify_hecke_single():
     assert row["pass"] is True
 
 
+def test_verify_at_least_precision():
+    # at the least precision Precision accepts, the quadrature tolerances
+    # shrink with it and the whole identity suite still passes
+    r = run(["--precision", "15", "verify"])
+    assert r.exit_code == 0, r.output
+    assert all(row["pass"] for row in json.loads(r.output))
+
+
 def test_verify_tolerance_override_failure_exit():
     r = CliRunner().invoke(cli.main,
                            ["--tolerance", "1e-45", "verify", "--identity",
@@ -307,3 +315,43 @@ def test_commands_without_theta_leave_numpy_unloaded():
                        capture_output=True, text=True, check=True,
                        env={**os.environ, "PYTHONPATH": str(src)})
     assert r.stdout.strip().splitlines()[-1] == "False", r.stdout
+
+
+# ---------------------------------------------------------------------------
+# golden output
+# ---------------------------------------------------------------------------
+
+GOLDEN = pathlib.Path(__file__).parent / "data" / "cli_golden.json"
+GOLDEN_COMMANDS = [
+    "verify",
+    "cycle-trace --delta -3 --D 8",
+    "cycle-trace --delta -4 --D 3",
+    "cycle-trace --delta -7 --D 3",
+    "l-value --delta -3",
+    "l-value --delta -4",
+    "cm-trace --delta -3 --D -8",
+    "f-series --delta -3",
+    "eta-check --samples 2",
+    "chi --delta -4 --form 1,2,-2",
+    "classes --disc 12",
+    "e32",
+]
+
+
+def _golden_outputs():
+    """{command: output with runtime_ms masked} at the default precision."""
+    return {cmd: masked(run(cmd.split()).output) for cmd in GOLDEN_COMMANDS}
+
+
+def test_cli_output_matches_golden():
+    # the default-precision bytes of the mpmath commands; a change that
+    # moves them rewrites tests/data/cli_golden.json (run this file as a
+    # script) and says why in CHANGES.md
+    assert _golden_outputs() == json.loads(GOLDEN.read_text())
+
+
+if __name__ == "__main__":
+    # PYTHONPATH=src python tests/test_cli.py rewrites the golden file
+    mpmath.mp.dps = 30
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(_golden_outputs(), indent=1) + "\n")

@@ -11,6 +11,7 @@ from shintani import cmtraces as cm
 from shintani import hyperbolic as hy
 from shintani import qforms as qf
 from shintani.forms import build_standard_forms
+from shintani.specfun import Precision
 from test_qforms import random_sl2
 
 J = build_standard_forms(128)["J"]
@@ -115,3 +116,15 @@ def test_identity_errors_against_exact_targets():
     assert [r.abs_error for r in L0] == [0.0]
     rows = steps["square-lvalue"](-3)
     assert len(rows) == 2 and all(r.abs_error < 1e-25 for r in rows), rows
+
+
+@pytest.mark.parametrize("digits", [50, 80, 100])
+def test_identity_errors_follow_precision(digits):
+    # every quadrature tolerance derives from the working precision, so the
+    # closed-cycle Hecke trace and the regularized square L-value keep
+    # gaining digits past 50 (both stalled near 1e-55 under fixed tolerances)
+    steps = cm.identity_steps((8,), Precision(digits))
+    rows = steps["hecke"](-3) + steps["square-lvalue"](-4)
+    assert len(rows) == 3
+    assert all(r.abs_error <= 10.0 ** (5 - digits) for r in rows), \
+        [(r.identity_id, r.abs_error) for r in rows]

@@ -165,13 +165,17 @@ def test_e2_star_data_matches_direct():
 def test_e2_star_order_tail_bounds_truncation_error(order, digits):
     # the tail E2* data reports covers the terms past its order: order 16
     # at the corner of F is off by 2.9e-38 from order 256, above the cut.
-    # Points: the corner 1/2 + i sqrt(3)/2, i, and seeded points of F
+    # Points: the corner 1/2 + i sqrt(3)/2, i, seeded points of F, and three
+    # images gamma^-1 (0.49 + 0.875i) off F, where the tail must carry the
+    # cocycle's |a - c z*|^kappa (unscaled, it is 5.5 to 75.8 times too small)
     rng = random.Random(13)
     pts = [mpc(0.5, math.sqrt(3) / 2), mpc(0, 1)]
     while len(pts) < 10:
         z = complex(rng.uniform(-0.5, 0.5), rng.uniform(math.sqrt(3) / 2, 2))
         if abs(z) >= 1:
             pts.append(mpc(z))
+    for gamma in (((2, 1), (5, 3)), ((7, 3), (9, 4)), ((13, 5), (18, 7))):
+        pts.append(hyperbolic.apply_moebius(qf.mat_inv(gamma), mpc(0.49, 0.875)))
     prec = Precision(digits)
     for z in pts:
         value, tail = fo.eval_modular(fo.e2_star_data(order, prec), z, prec)

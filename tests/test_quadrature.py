@@ -40,7 +40,7 @@ def test_clenshaw_curtis_exact_on_polynomials(n):
 def test_clenshaw_curtis_raises_past_nmax():
     f = lambda x: 1 / (mpf("0.0001") + x * x)
     with pytest.raises(ArithmeticError):
-        integrate_cc_doubling(f, -1, 1, n0=8, nmax=64)
+        integrate_cc_doubling(f, -1, 1, 1e-20, n0=8, nmax=64)
     with pytest.raises(ValueError):
         clenshaw_curtis(7)
 
@@ -67,11 +67,11 @@ def test_periodic_trapezoid_nested_samples():
 def test_periodic_trapezoid_complex_exact_at_first_doubling():
     # a trigonometric polynomial of degree < n0 is integrated exactly
     f = lambda t: mpmath.e ** (3j * t) + 2 - 1j * mpmath.sin(5 * t)
-    val, err, n = integrate_periodic_doubling(f, 0, 2 * mpmath.pi, n0=8)
+    val, err, n = integrate_periodic_doubling(f, 0, 2 * mpmath.pi, 1e-20, n0=8)
     assert n == 16 and abs(val - 4 * mpmath.pi) < 1e-28 and err < 1e-28
 
 
 def test_periodic_trapezoid_raises_past_nmax():
     f = lambda t: 1 / (mpf("1.0001") - mpmath.cos(t))
     with pytest.raises(ArithmeticError):
-        integrate_periodic_doubling(f, 0, 2 * mpmath.pi, n0=8, nmax=64)
+        integrate_periodic_doubling(f, 0, 2 * mpmath.pi, 1e-20, n0=8, nmax=64)

@@ -2,6 +2,7 @@
 series oracles."""
 
 import ast
+import dataclasses
 import math
 import pathlib
 import random
@@ -359,3 +360,126 @@ def test_thetacore_public_functions_are_called():
 
 def test_forms_and_hyperbolic_public_functions_are_called():
     _check_reached({"forms", "hyperbolic"})
+
+
+# ---------------------------------------------------------------------------
+# precision guard
+# ---------------------------------------------------------------------------
+
+def _prec_functions():
+    """(module, name) for every public module-level function of the package
+    that takes a `prec` parameter."""
+    out = set()
+    for path in PKG.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_") \
+                    and "prec" in {a.arg for a in node.args.args + node.args.kwonlyargs}:
+                out.add((path.stem, node.name))
+    return out
+
+
+def _guard_cases():
+    """One call per prec-taking function, at Precision(40), on inputs that
+    are exact at any ambient precision (ints, Fractions, floats, complex)."""
+    from shintani import cmtraces as cm, cycles as cy, forms as fo, thetacore as th
+    from shintani.qforms import QForm
+    P = sf.Precision(40)
+    G = fo.e2_star_data(16, P)
+    H = fo.HarmonicFourierData(2, {0: 1, 1: -24}, {0: Fraction(1, 3), -1: 0.5}, 1)
+    J = fo.build_standard_forms(32)["J"]
+    ev = lambda z: fo.eval_modular(G, z, P)[0]
+    ctx, Q, z = th.ThetaContext(-3, 0, 0.1 + 0.8j), QForm(1, 1, -2), 0.2 + 1.1j
+
+    def steps():
+        return [(r.identity_id, r.target, r.computed, r.abs_error)
+                for step in cm.identity_steps([3], P).values() for r in step(-3)]
+
+    return {
+        ("specfun", "gamma_upper"): lambda: sf.gamma_upper(3, 0.7, P),
+        ("specfun", "e_kappa"): lambda: (sf.e_kappa(3, 1.3, P), sf.e_kappa(-1, 0.6, P)),
+        ("specfun", "dirichlet_L"): lambda: (sf.dirichlet_L(-4, 1, P),
+                                            sf.dirichlet_L(-3, -1, P)),
+        ("forms", "eval_qexp"): lambda: fo.eval_qexp(H, 0.1 + 0.9j, P),
+        ("forms", "eval_modular"): lambda: fo.eval_modular(G, 0.3 + 0.05j, P),
+        ("forms", "xi_symbolic"): lambda: fo.xi_symbolic(H, P),
+        ("forms", "e2_star_data"): lambda: fo.e2_star_data.__wrapped__(16, P),
+        ("forms", "e2_star_modular"): lambda: fo.e2_star_modular(0.3 + 0.05j, 16, P),
+        ("cycles", "closed_cycle_integral"): lambda: cy.closed_cycle_integral(
+            ev, QForm(1, 1, -1), 0, prec=P),
+        ("cycles", "reg_cycle_integral"): lambda: cy.reg_cycle_integral(
+            G, QForm(0, 1, 0), 0, prec=P, evaluator=ev),
+        ("cycles", "reg_cycle_integral_alt"): lambda: cy.reg_cycle_integral_alt(
+            G, QForm(0, 1, 0), 0, prec=P, evaluator=ev),
+        ("cycles", "bernoulli_height_integral"): lambda: cy.bernoulli_height_integral(
+            2, 1, 0.5, P),
+        ("cycles", "polygamma_height_integral"): lambda: cy.polygamma_height_integral(
+            1, 1, 0.5, P),
+        ("cycles", "lemma_integral_checks"): lambda: cy.lemma_integral_checks(
+            1, 1, (1,), P),
+        ("cycles", "trace_cycle"): lambda: cy.trace_cycle(G, -3, 4, 0, prec=P),
+        ("cycles", "l_star_value"): lambda: cy.l_star_value(G, -3, 0, prec=P),
+        ("cycles", "sigma_exp_sum"): lambda: cy.sigma_exp_sum(-4, P),
+        ("cmtraces", "trace_cm"): lambda: cm.trace_cm(J, -3, -4, P),
+        ("cmtraces", "f_series"): lambda: cm.f_series(-3, 4, 32, P),
+        ("cmtraces", "identity_steps"): steps,
+        ("thetacore", "eta"): lambda: th.eta(ctx, Q, z, "recursion", P),
+        ("thetacore", "xi_eta_closed"): lambda: th.xi_eta_closed(ctx, Q, z, P),
+        ("thetacore", "lift_constant_term"): lambda: th.lift_constant_term(-3, 0, 1, P),
+        ("thetacore", "phi_sh0"): lambda: th.phi_sh0(ctx, Q, z, "preimage", P),
+        ("thetacore", "phi_sh0_lattice"): lambda: th.phi_sh0_lattice((1, 1, -2), 0.8, z, 0, P),
+    }
+
+
+def _bits(v):
+    """v with every mpf and mpc replaced by its raw tuple and every float by
+    its hex form, through containers and dataclasses."""
+    if isinstance(v, (mpf, mpmath.mpc)):
+        return v._mpf_ if isinstance(v, mpf) else v._mpc_
+    if isinstance(v, float):
+        return v.hex()
+    if dataclasses.is_dataclass(v):
+        v = {f.name: getattr(v, f.name) for f in dataclasses.fields(v)}
+    if isinstance(v, dict):
+        return {k: _bits(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_bits(x) for x in v]
+    return v
+
+
+def test_prec_functions_ignore_ambient_precision():
+    # every public function with a prec parameter computes at prec alone:
+    # called under ambient mp.dps 15 and 60 it returns the same bits and
+    # leaves mp.dps as it found it.  The case table covers exactly the
+    # functions the AST finds, so a new one cannot skip the guard
+    cases = _guard_cases()
+    assert set(cases) == _prec_functions()
+    for key, call in cases.items():
+        runs = []
+        for dps in (15, 60):
+            with mp.workdps(dps):
+                runs.append(_bits(call()))
+                assert mp.dps == dps, key
+        assert runs[0] == runs[1], key
+
+
+def test_kernels_without_prec_follow_the_caller():
+    # the other half of the split: the quadrature rules, the reduction
+    # (whose tie width must stay at the caller's precision) and the finite
+    # differences take no prec and compute at the caller's mp.dps
+    from shintani import hyperbolic as hy, quadrature as qu, thetacore as th
+    cases = {
+        ("quadrature", "integrate_cc_doubling"):
+            lambda: qu.integrate_cc_doubling(mpmath.exp, 0, 1, 1e-10)[0],
+        ("quadrature", "integrate_periodic_doubling"):
+            lambda: qu.integrate_periodic_doubling(lambda t: mpmath.exp(mpmath.cos(t)),
+                                                   0, 2 * mpmath.pi, 1e-10)[0],
+        ("hyperbolic", "reduce_to_fundamental"): lambda: hy.reduce_to_fundamental(0.3 + 0.05j)[0],
+        ("thetacore", "fd_operators"): lambda: th.fd_operators(mpmath.exp, 2, 0.3 + 1.1j)[1],
+    }
+    assert not set(cases) & _prec_functions()
+    for key, call in cases.items():
+        runs = []
+        for dps in (15, 60):
+            with mp.workdps(dps):
+                runs.append(_bits(call()))
+        assert runs[0] != runs[1], key
