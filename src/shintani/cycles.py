@@ -52,10 +52,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 from mpmath import mp, mpf, mpc
-from mpmath.libmp import mpf_exp, to_fixed
+from mpmath.libmp import from_man_exp, mpf_exp, to_fixed
 
 from .specfun import (DEFAULT_PRECISION, gamma_upper, e_kappa, kronecker_symbol,
                       bernoulli_poly_eval, _coerce, _tol, _workdps)
@@ -97,8 +98,6 @@ def closed_cycle_integral(G_eval, Q, k=0, nodes=16, prec=DEFAULT_PRECISION,
     if D <= 0 or math.isqrt(D) ** 2 == D:
         raise ValueError("closed_cycle_integral needs non-square disc > 0")
     with _workdps(prec):
-        center = mpf(-Q.b) / (2 * Q.a)
-        radius = mpmath.sqrt(D) / (2 * abs(Q.a))
         theta0 = mpmath.pi / 2 if base_angle is None else mpf(base_angle)
         t0 = mpmath.atanh(mpmath.cos(theta0))
         # one period 2 log eps_Q, toward the endpoint (-b + sqrt D)/(2a), i.e.
@@ -110,15 +109,19 @@ def closed_cycle_integral(G_eval, Q, k=0, nodes=16, prec=DEFAULT_PRECISION,
 
         # room for the |t| / ln 2 bits by which u or sech t ~ 2/u falls below 1
         bits = mp.prec + 16 + (k + 1) * (int(max(abs(t0), abs(t1)) / math.log(2)) + 2)
-        one, c0, r0 = 1 << bits, fixed_pair(center, bits)[0], fixed_pair(radius, bits)[0]
-        K = fixed_pair((1j * mpf(D) / (2 * Q.a)) ** k * (-1j * radius), bits)
+        # center -b/2a and radius sqrt(D)/2|a|, exact in the node's fixed point
+        one = 1 << bits
+        c0, r0 = (-Q.b << bits) // (2 * Q.a), math.isqrt(D << 2 * bits) // (2 * abs(Q.a))
+        K = [(t * r0) >> bits for t in fixed_pair(mpc(0, D) ** k / (2 * Q.a) ** k * -1j, bits)]
 
         def integrand(t):
             u = to_fixed(mpf_exp(t._mpf_, mp.prec + 8), bits)
             u2 = (u * u) >> bits
             tanh, sech = ((u2 - one) << bits) // (u2 + one), (u << bits + 1) // (u2 + one)
             sw = (sech * tanh) >> bits, (sech * sech) >> bits
-            z = pair_to_mpc((c0 + ((r0 * tanh) >> bits), (r0 * sech) >> bits), bits)
+            # the node keeps every bit: reduction reads them
+            z = mp.make_mpc((from_man_exp(c0 + ((r0 * tanh) >> bits), -bits),
+                             from_man_exp((r0 * sech) >> bits, -bits)))
             return G_eval(z) * pair_to_mpc(pair_mul_pow(K, sw, k + 1, bits), bits)
 
         val, err, used = integrate_periodic_doubling(integrand, t0, t1, _tol(prec, 3),
@@ -286,7 +289,7 @@ def reg_cycle_integral_alt(G, Q, k=0, T=2, prec=DEFAULT_PRECISION,
                 * bernoulli_poly_eval(k + 1, w)
             xg = eval_qexp(xi_data, rr + w, prec)[0]
             if xg:
-                inner = mpf(2) ** (2 * k - 1) * (mpmath.psi(k, w) + sgn * mpmath.psi(k, 1 - w))
+                inner = mpf(2) ** (2 * k - 1) * _psi_pair(k, w, mp.prec)
                 for d, c in enumerate(c_d):
                     inner += c * bernoulli_poly_eval(d + 1, x)
                 acc -= c_xi * mpmath.conj(xg * inner)
@@ -322,21 +325,24 @@ def bernoulli_height_integral(kk, n, y, prec=DEFAULT_PRECISION):
         return quad, closed
 
 
-def polygamma_height_integral(kk, n, y, prec=DEFAULT_PRECISION, _psi_cache=None):
-    """(quadrature, closed form) for
-    int_{iy}^{iy+1} (psi^(k)(z) + (-1)^k psi^(k)(1-z)) e(nz) dz.
+@lru_cache(maxsize=8192)
+def _psi_pair(k, w, prec):
+    """psi^(k)(w) + (-1)^k psi^(k)(1 - w) at the working precision prec (bits,
+    keyed because w's value alone does not tell it): the polygamma factor of
+    the alternative tail's line and of the lemma integrals, the same for
+    every ray, form and n at one node."""
+    return mpmath.psi(k, w) + mpf(-1) ** k * mpmath.psi(k, 1 - w)
 
-    _psi_cache memoizes the polygamma factor by (k, y, node) across n."""
+
+def polygamma_height_integral(kk, n, y, prec=DEFAULT_PRECISION):
+    """(quadrature, closed form) for
+    int_{iy}^{iy+1} (psi^(k)(z) + (-1)^k psi^(k)(1-z)) e(nz) dz."""
     with _workdps(prec):
         ym = mpf(y)
-        psi = {} if _psi_cache is None else _psi_cache
 
         def f(x):
             z = x + 1j * ym
-            key = (kk, ym, x)
-            if key not in psi:
-                psi[key] = mpmath.psi(kk, z) + mpf(-1) ** kk * mpmath.psi(kk, 1 - z)
-            return psi[key] * mpmath.exp(2j * mpmath.pi * n * z)
+            return _psi_pair(kk, z, mp.prec) * mpmath.exp(2j * mpmath.pi * n * z)
 
         quad = integrate_cc_doubling(f, 0, 1, _tol(prec, 1))[0]
         if n == 0:
@@ -359,13 +365,12 @@ def lemma_integral_checks(k_max=4, n_max=3, ys=(0.5, 1, 2), prec=DEFAULT_PRECISI
                                          "abs_error": float(abs(pair[0] - pair[1]))}
     report = [row("bernoulli-unit", kk, n, None, bernoulli_height_integral(kk, n, 0, prec))
               for kk, n in grid]
-    psi_cache = {}
     for y in ys:
         for kk, n in grid:
             report.append(row("bernoulli-height", kk, n, y,
                               bernoulli_height_integral(kk, n, y, prec)))
             report.append(row("polygamma-height", kk, n, y,
-                              polygamma_height_integral(kk, n, y, prec, _psi_cache=psi_cache)))
+                              polygamma_height_integral(kk, n, y, prec)))
     return report
 
 

@@ -17,13 +17,11 @@ forms by gamma . Q = Q o gamma^{-1}, so that p_{gamma z}(gamma . Q) = p_z(Q)
 and z_{gamma . Q} = gamma z_Q.
 """
 
-import math
-
 import mpmath
-from mpmath import mp, mpf, mpc
+from mpmath import mp, mpc
 from mpmath.libmp import from_man_exp, round_nearest, to_fixed
 
-from .qforms import mat_inv, mat_mul
+from .qforms import mat_inv
 
 
 def form_polynomials(Q, z):
@@ -62,40 +60,6 @@ def act_on_form(gamma, Q):
 
 
 REDUCTION_MAX_STEPS = 10000   # T/S steps before reduction gives up
-_UNIT = 2.0 ** -52      # float rounding, with room
-_CLEAR = 2.0 ** -30     # least clearance of a decision taken in floats
-
-
-def _float_word(x, y, eps, max_steps):
-    """The T/S word the exact loop would take from x + iy, chosen in floats.
-
-    e bounds |float z - z|; a decision is taken only while it clears its
-    boundary by more than 4 e plus the tie width eps plus _CLEAR, and the
-    first one that does not ends the word.  Returns (gamma, steps, inside),
-    inside telling that the word ended with z clearly inside F; the empty
-    word where z is beyond the float range."""
-    g = ((1, 0), (0, 1))
-    if not (math.isfinite(x) and math.isfinite(y)):
-        return g, 0, False
-    e = (abs(x) + y) * _UNIT
-    for step in range(max_steps):
-        n = math.floor(x + 0.5)
-        f = x - n
-        if abs(f) >= 0.5 - (4 * e + eps + _CLEAR):
-            return g, step, False
-        (a, b), (c, d) = g
-        a, b = a - n * c, b - n * d
-        r2 = f * f + y * y
-        m2 = 4 * (2 * math.sqrt(r2) * e + e * e + r2 * _UNIT) + eps + _CLEAR
-        if r2 > 1 + m2:
-            return ((a, b), (c, d)), step + 1, True
-        r = math.sqrt(r2)
-        if r2 >= 1 - m2 or r <= 2 * e or r2 < 1e-150:
-            return ((a, b), (c, d)), step, False
-        x, y = -f / r2, y / r2
-        e = (e / (r - e) + 8 * _UNIT) / r
-        g = ((-c, -d), (a, b))
-    return g, max_steps, False
 
 
 def _moebius_fixed(gamma, z):
@@ -117,38 +81,34 @@ def _moebius_fixed(gamma, z):
 def reduce_to_fundamental(z):
     """Move z into F = {|x| <= 1/2, |z| >= 1} by T/S words.
 
-    Returns (z', gamma) with gamma z = z'.  Boundary ties go to x = -1/2
-    and, on |z| = 1, to Re(z) <= 0.  The word is chosen in floats while
-    every decision is clear (_float_word) and gamma is applied to z once;
-    where a decision was not clear, the exact loop takes over from there
-    and decides ties and near-boundary points.  It runs at the caller's
-    precision, as must its tie width 10^-(dps-5): more digits move ties.
+    Returns (z', gamma) with gamma z = z', z' rounded to mp.prec.  Boundary
+    ties go to x = -1/2 and, on |z| = 1, to Re(z) <= 0.  The word is chosen
+    by one T/S loop in fixed-point integers with mp.prec + log2(1/y) + 16
+    fractional bits, read off z's own bits (an mpc is not rounded first), and
+    gamma is applied to z once.  Ties are decided within the caller's tie
+    width 10^-(dps-5): more digits would move them.
     """
-    z = mpc(z)
-    if z.imag <= 0:
+    if not isinstance(z, mpc):
+        z = mpc(z)
+    xm, ym = z._mpc_
+    if ym[0] or not ym[1]:
         raise ValueError("z must lie in the upper half-plane")
-    g, steps, inside = _float_word(float(z.real), float(z.imag), 10.0 ** (5 - mp.dps),
-                                   REDUCTION_MAX_STEPS)
-    if g != ((1, 0), (0, 1)):
-        z = _moebius_fixed(g, z)
-    if inside:
-        return z, g
-    eps, half = mpf(10) ** (-(mp.dps - 5)), mpf(0.5)
-    S = ((0, -1), (1, 0))
-    for _ in range(REDUCTION_MAX_STEPS - steps):
-        n = int(mpmath.floor(z.real + half))
+    bits = mp.prec + max(0, -(ym[2] + ym[3])) + 16
+    one, eps = 1 << bits, (1 << bits) // 10 ** (mp.dps - 5)
+    half = one >> 1
+    X, Y = to_fixed(xm, bits), to_fixed(ym, bits)
+    a, b, c, d = 1, 0, 0, 1
+    for _ in range(REDUCTION_MAX_STEPS):
+        n = (X + half) >> bits
         # keep x = +1/2 ties on the -1/2 side
-        if z.real - n > half - eps:
+        if X - (n << bits) > half - eps:
             n += 1
-        if n:
-            T = ((1, -n), (0, 1))
-            z = z - n
-            g = mat_mul(T, g)
-        r2 = abs(z) ** 2
-        if r2 < 1 - eps or (r2 < 1 + eps and z.real > eps):
-            # inside the unit circle, or on it with Re(z) > 0
-            z = -1 / z
-            g = mat_mul(S, g)
-            continue
-        return z, g
+        X, a, b = X - (n << bits), a - n * c, b - n * d
+        r2 = X * X + Y * Y
+        if r2 >= (one + eps) << bits or (r2 >= (one - eps) << bits and X <= eps):
+            g = ((a, b), (c, d))
+            return (+z if g == ((1, 0), (0, 1)) else _moebius_fixed(g, z)), g
+        # inside the unit circle, or on it with Re(z) > 0: z -> -1/z
+        X, Y = (-X << 2 * bits) // r2, (Y << 2 * bits) // r2
+        a, b, c, d = -c, -d, a, b
     raise ArithmeticError("fundamental-domain reduction did not terminate")

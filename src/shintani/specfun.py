@@ -13,7 +13,9 @@ a geometrically converging rule, so half the digits suffice.  The margin is
 3 for closed cycles, 7 for regularized integrals (rays and line) and 1 for
 the lemma integrals: 1e-18, 1e-22 and 1e-16 at d = 30.  The CLI scopes its
 own arithmetic in mp.workdps(d).  The kernels without `prec` run at the
-caller's precision: quadrature, hyperbolic and thetacore.fd_operators.
+caller's precision: quadrature, hyperbolic and thetacore.fd_operators
+(hyperbolic's reduction widens only its own word search, by the bits a
+deep point needs, and keeps the caller's tie width).
 
 * gamma_upper(s, y)    -- Gamma(s,y) = int_y^oo e^-t t^(s-1) dt, integer s >= 1,
                           via the closed form (s-1)! e^-y sum_{j<s} y^j/j!,

@@ -317,6 +317,21 @@ def test_commands_without_theta_leave_numpy_unloaded():
     assert r.stdout.strip().splitlines()[-1] == "False", r.stdout
 
 
+@pytest.mark.parametrize("delta, D", [(-11, 59), (-11, 83), (-7, 103), (-11, 107),
+                                      (-7, 79), (-8, 107)])
+def test_cycle_trace_long_regulators(delta, D):
+    # closed geodesics with regulators up to 44, whose nodes lie as deep as
+    # y ~ 1e-12: the trace converges, is real to 1e-35, and is 12 H(|delta|) H(D)
+    # to the 17 printed digits
+    from shintani.qforms import hurwitz_class_number
+    r = run(["cycle-trace", "--delta", str(delta), "--D", str(D)])
+    assert r.exit_code == 0, r.output
+    row = json.loads(r.output)[0]
+    assert abs(float(row["value.im"])) <= 1e-35, row
+    want = 12 * hurwitz_class_number(-delta) * hurwitz_class_number(D)
+    assert abs(float(row["value.re"]) - want) <= 1e-15 * want, row
+
+
 # ---------------------------------------------------------------------------
 # golden output
 # ---------------------------------------------------------------------------

@@ -8,13 +8,15 @@ from functools import lru_cache
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, mpc
 
 from shintani import cycles as cy
 from shintani import forms as fo
 from shintani.specfun import Precision
-from shintani.qforms import QForm, class_reps, hurwitz_class_number
+from shintani.qforms import QForm, class_reps, hurwitz_class_number, pell_fundamental_4
 from shintani.forms import HarmonicFourierData, build_standard_forms
+from test_qforms import random_sl2
 
 E2 = fo.e2_star_data(64)
 E2_EVAL = lambda z: fo.e2_star_modular(z, 64)
@@ -80,6 +82,79 @@ def test_hecke_single_pair():
     # the acceptance-critical example: disc 12 classes against chi_{-4}
     tr, _ = cy.trace_cycle(E2, -4, 3, 0, evaluator=E2_EVAL)
     assert abs(tr - 2) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# the Rademacher symbol: an exact per-class oracle for E2* closed cycles
+# ---------------------------------------------------------------------------
+
+def dedekind_sum(h, k):
+    """s(h, k) for k > 0 and gcd(h, k) = 1, by reciprocity:
+    s(h, k) + s(k, h) = (h^2 + k^2 + 1)/(12 h k) - 1/4."""
+    h %= k
+    if not h:
+        return Fraction(0)
+    return Fraction(h * h + k * k + 1, 12 * h * k) - Fraction(1, 4) - dedekind_sum(k, h)
+
+
+def rademacher_symbol(Q):
+    """Psi(gamma_Q) = (A + E)/C - 12 sgn(C) s(E, |C|) - 3 sgn(C (A + E)) at the
+    automorph gamma_Q = ((A, B), (C, E)) = ((t - bu)/2, -cu; au, (t + bu)/2)
+    of Q/g = (a, b, c), with (t, u) the least Pell solution for D/g^2
+    (Rademacher and Grosswald, Dedekind Sums, 1972).  For k = 0 it is the
+    cycle integral of E2* over Q's class; it shares only the Pell solution
+    with the quadrature it checks."""
+    g = Q.content
+    a, b = Q.a // g, Q.b // g
+    t, u = pell_fundamental_4(Q.disc // (g * g))
+    A, C, E = (t - b * u) // 2, a * u, (t + b * u) // 2
+    sgn = lambda x: (x > 0) - (x < 0)
+    return Fraction(A + E, C) - 12 * sgn(C) * dedekind_sum(E, abs(C)) - 3 * sgn(C * (A + E))
+
+
+def test_dedekind_sum_matches_definition():
+    saw = lambda x: x - math.floor(x) - Fraction(1, 2) if x.denominator > 1 else 0
+    for k in range(1, 30):
+        for h in range(-k, 2 * k):
+            if math.gcd(h, k) == 1:
+                want = sum(saw(Fraction(r, k)) * saw(Fraction(h * r, k)) for r in range(1, k))
+                assert dedekind_sum(h, k) == want, (h, k)
+
+
+_NONSQUARE = [D for D in range(5, 230) if D % 4 in (0, 1) and math.isqrt(D) ** 2 != D]
+
+
+def _psi_error(Q, psi):
+    """(|closed cycle integral of E2* over Q - psi|, reported error) at the
+    default precision."""
+    res = cy.closed_cycle_integral(lambda z: fo.eval_modular(E2, z)[0], Q, 0)
+    with mp.workdps(80):
+        return float(abs(res.value - mpf(psi.numerator) / psi.denominator)), res.quadrature_error
+
+
+def test_closed_integral_matches_rademacher_symbol_grid():
+    # every class of non-square D < 230, the long regulators included
+    # (D = 193, 211, 229): within 1e-35 of Psi, and within the reported
+    # error plus a rounding floor of 1e-38
+    classes = [Q for D in _NONSQUARE for Q in class_reps(D).reps]
+    assert len(classes) == 260
+    for Q in classes:
+        err, qerr = _psi_error(Q, rademacher_symbol(Q))
+        assert err <= 1e-35 and err <= qerr + 1e-38, (Q, err, qerr)
+
+
+@settings(max_examples=40)
+@given(D=st.sampled_from(_NONSQUARE), index=st.integers(0, 63), sign=st.sampled_from([1, -1]),
+       seed=st.integers(0, 2 ** 32))
+def test_closed_integral_rademacher_symbol_on_images(D, index, sign, seed):
+    # Psi is a class invariant: an SL2(Z) image of +-Q, whose geodesic is
+    # smaller and whose nodes lie deeper, integrates to Psi(+-Q) as well
+    reps = class_reps(D).reps
+    Q = reps[index % len(reps)]
+    Q = Q if sign > 0 else Q.neg()
+    image = Q.compose(random_sl2(random.Random(seed)))
+    err, qerr = _psi_error(image, rademacher_symbol(Q))
+    assert err <= qerr + 1e-38, (Q, image, err, qerr)
 
 
 # ---------------------------------------------------------------------------

@@ -316,7 +316,7 @@ def _modular_oracle(f, z, gamma, digits):
 def _near_boundary_points(rng):
     """Seeded points, one at height 1e-12 (a long word, and a cocycle far
     from 1), and points within 1e-12 of F's boundary with their images
-    under seeded SL2(Z) words, so that reduction takes its exact loop."""
+    under seeded SL2(Z) words, so that reduction decides near its ties."""
     from test_qforms import random_sl2
     pts = [mpc(rng.uniform(-1, 1), rng.uniform(0.25, 2)) for _ in range(6)]
     pts.append(mpc(rng.uniform(-0.5, 0.5), 1e-12))
@@ -343,19 +343,14 @@ def test_eval_modular_matches_plain_mpmath_route(name, digits):
     f = {"E2*": fo.e2_star_data(64, prec), "E4": F["E4"], "E6": F["E6"],
          "Delta": F["DeltaCusp"], "J": F["J"], "synthetic": _SYNTHETIC,
          "negative": _NEGATIVE}[name]
-    exact_loop = 0
     for z in _near_boundary_points(random.Random(21)):
         value, tail = fo.eval_modular(f, z, prec)
         with mp.workdps(digits + 10):
             gamma = hyperbolic.reduce_to_fundamental(z)[1]
-            exact_loop += not hyperbolic._float_word(
-                float(z.real), float(z.imag), 10.0 ** (5 - mp.dps),
-                hyperbolic.REDUCTION_MAX_STEPS)[2]
         want = _modular_oracle(f, z, gamma, digits)
         with mp.workdps(digits + 30):
             assert abs(value - want) <= tail + mpf(10) ** -(digits + 8) * abs(want), (
                 name, str(z), float(abs(value - want)))
-    assert exact_loop >= 8
 
 
 def test_xi_e2_star():

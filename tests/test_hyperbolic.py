@@ -158,25 +158,26 @@ def test_reduce_to_fundamental_random():
 
 
 def _reduce_exact_loop(z, max_steps=10000):
-    # the exact T/S loop as the reduction ran before its word was chosen in
-    # floats: the oracle for the word
-    z = mpc(z)
+    # the T/S loop in plain mpmath, run 60 digits past the caller's precision
+    # with the caller's tie width 10^-(dps-5): the oracle for the word
     g = ((1, 0), (0, 1))
     S = ((0, -1), (1, 0))
     eps = mpf(10) ** (-(mp.dps - 5))
-    for _ in range(max_steps):
-        n = int(mpmath.floor(z.real + mpf(1) / 2))
-        if z.real - n > mpf(1) / 2 - eps:
-            n += 1
-        if n:
-            z = z - n
-            g = qf.mat_mul(((1, -n), (0, 1)), g)
-        r2 = abs(z) ** 2
-        if r2 < 1 - eps or (r2 < 1 + eps and z.real > eps):
-            z = -1 / z
-            g = qf.mat_mul(S, g)
-            continue
-        return z, g
+    with mp.workdps(mp.dps + 60):
+        z = mpc(z)
+        for _ in range(max_steps):
+            n = int(mpmath.floor(z.real + mpf(1) / 2))
+            if z.real - n > mpf(1) / 2 - eps:
+                n += 1
+            if n:
+                z = z - n
+                g = qf.mat_mul(((1, -n), (0, 1)), g)
+            r2 = abs(z) ** 2
+            if r2 < 1 - eps or (r2 < 1 + eps and z.real > eps):
+                z = -1 / z
+                g = qf.mat_mul(S, g)
+                continue
+            return z, g
     raise ArithmeticError("no termination")
 
 
@@ -198,8 +199,8 @@ _points = st.one_of(
 @settings(max_examples=300)
 @given(z0=_points)
 def test_reduce_to_fundamental_matches_exact_loop(z0):
-    # the word chosen in floats is the exact loop's word, ties included, and
-    # the point is no further from gamma z0 than the exact loop's
+    # the fixed-point loop chooses the wide loop's word, ties included, and
+    # the point is no further from gamma z0 than the wide loop's
     z, g = hy.reduce_to_fundamental(z0)
     want_z, want_g = _reduce_exact_loop(z0)
     assert g == want_g
@@ -210,11 +211,26 @@ def test_reduce_to_fundamental_matches_exact_loop(z0):
 
 
 def test_reduce_to_fundamental_beyond_float_range():
-    # x past the float range leaves the whole word to the exact loop
+    # x past the float range: the first T step removes it exactly
     z0 = mpc(mpf("1e400"), 2)
     z, g = hy.reduce_to_fundamental(z0)
     assert g == _reduce_exact_loop(z0)[1]
     assert abs(z.real) <= 0.5 and abs(z - mpc(0, 2)) < 1e-20
+
+
+@pytest.mark.parametrize("dps", [15, 30, 40])
+@pytest.mark.parametrize("y", ["1e-5", "6.4e-7", "1e-8"])
+def test_reduce_to_fundamental_deep_ties(dps, y):
+    # k +- 1/2 + iy is equivalent to -1/2 + i/(4y) on F's boundary: the word
+    # must reach the tie and send it to x = -1/2, however deep y lies
+    with mp.workdps(dps):
+        eps = mpf(10) ** (-(dps - 5))
+        for k in (-2, 0, 3):
+            for s in (-1, 1):
+                z0 = mpc(k + s * mpf(1) / 2, mpf(y))
+                z, g = hy.reduce_to_fundamental(z0)
+                assert abs(z.real + mpf(1) / 2) <= eps, (k, s, str(z))
+                assert abs(z.imag * 4 * mpf(y) - 1) <= eps, (k, s, str(z))
 
 
 def test_reduce_to_fundamental_rejects_lower_half():
