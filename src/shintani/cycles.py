@@ -56,15 +56,15 @@ from functools import lru_cache
 
 import mpmath
 from mpmath import mp, mpf, mpc
-from mpmath.libmp import from_man_exp, mpf_exp, to_fixed
+from mpmath.libmp import from_man_exp, to_fixed
 
 from .specfun import (DEFAULT_PRECISION, gamma_upper, e_kappa, kronecker_symbol,
                       bernoulli_poly_eval, _coerce, _tol, _workdps)
 from .qforms import (class_reps, divisor_sigma1, genus_char, pell_fundamental_4,
                      square_normalize, _xgcd)
 from .quadrature import integrate_cc_doubling, integrate_periodic_doubling
-from .forms import (HarmonicFourierData, eval_modular, eval_qexp, xi_symbolic, fixed_pair,
-                    pair_mul_pow, pair_to_mpc)
+from .forms import (HarmonicFourierData, eval_modular, eval_qexp, xi_symbolic, fixed_exp,
+                    fixed_pair, pair_mul_pow, pair_to_mpc, _shift)
 
 
 @dataclass(frozen=True)
@@ -90,9 +90,12 @@ def closed_cycle_integral(G_eval, Q, k=0, nodes=16, prec=DEFAULT_PRECISION,
     in arc length t by the nested trapezoid rule from `nodes` samples,
     doubling to _tol(prec, 3); base_angle is the polar angle of the base
     point on the semicircle (default pi/2, the top).  Each node takes z and
-    Q(z,1)^k dz/dt from u = e^t (module docstring) in fixed-point integers,
-    with bits enough for the smallest sech t of the period, and makes one
-    mpc product.
+    Q(z,1)^k dz/dt from u = e^t (module docstring, fixed_exp) in fixed-point
+    integers, with bits enough for the smallest sech t of the period, and
+    multiplies G(z) by it in the same fixed point, rounding once.  The
+    reported error is the rule's estimate plus its rounding floor
+    (quadrature._error_estimate), which bounds the observed error also on
+    the classes whose integral is 0.
     """
     D = Q.disc
     if D <= 0 or math.isqrt(D) ** 2 == D:
@@ -114,15 +117,19 @@ def closed_cycle_integral(G_eval, Q, k=0, nodes=16, prec=DEFAULT_PRECISION,
         c0, r0 = (-Q.b << bits) // (2 * Q.a), math.isqrt(D << 2 * bits) // (2 * abs(Q.a))
         K = [(t * r0) >> bits for t in fixed_pair(mpc(0, D) ** k / (2 * Q.a) ** k * -1j, bits)]
 
+        wt = mp.prec + 16      # t's fractional bits; e^t keeps all but log2(|t|/ln 2)
+
         def integrand(t):
-            u = to_fixed(mpf_exp(t._mpf_, mp.prec + 8), bits)
+            m, n = fixed_exp(to_fixed(t._mpf_, wt), wt)
+            u = _shift(m, n + bits - wt)
             u2 = (u * u) >> bits
             tanh, sech = ((u2 - one) << bits) // (u2 + one), (u << bits + 1) // (u2 + one)
             sw = (sech * tanh) >> bits, (sech * sech) >> bits
             # the node keeps every bit: reduction reads them
             z = mp.make_mpc((from_man_exp(c0 + ((r0 * tanh) >> bits), -bits),
                              from_man_exp((r0 * sech) >> bits, -bits)))
-            return G_eval(z) * pair_to_mpc(pair_mul_pow(K, sw, k + 1, bits), bits)
+            return pair_to_mpc(pair_mul_pow(fixed_pair(G_eval(z), bits),
+                                            pair_mul_pow(K, sw, k + 1, bits), 1, bits), bits)
 
         val, err, used = integrate_periodic_doubling(integrand, t0, t1, _tol(prec, 3),
                                                      n0=nodes)

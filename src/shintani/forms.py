@@ -24,8 +24,12 @@ Its a+ sum (_series) runs over one coefficient table per object and
 precision (_table: a+ dense from its lowest index, as fixed-point integers
 beside float magnitudes, and the nonzero a-); it stops where the terms
 left fall 10 digits below the working precision, and sums every kept
-index, principal part included, in one Horner pass in fixed-point
-integers at q = e(z) read off z's parts.  The a-(0) term and eval_modular's
+index, principal part included, in one pass in fixed-point integers at
+q = e(z), which libmp's fixed-point exp and cos/sin kernels read off z's
+integers (_q): for real coefficients the three-term recurrence
+b_k = a_k + 2 Re(q) b_{k+1} - |q|^2 b_{k+2}, otherwise Horner's rule.
+eval_modular hands _evaluate the reduced point as reduce_to_fundamental's
+exact fixed-point integers.  The a-(0) term and eval_modular's
 weight-kappa cocycle join the same fixed-point pass, which is rounded to
 an mpc once.  The reported tail adds to the dropped terms a geometric
 bound for the terms past the order.
@@ -37,8 +41,9 @@ from functools import lru_cache
 
 import mpmath
 from mpmath import mp, mpf, mpc
-from mpmath.libmp import (fzero, from_man_exp, mpf_cos_sin, mpf_exp, mpf_mul, mpf_neg,
-                          mpf_pi, mpf_shift, round_nearest, to_fixed, to_float)
+from mpmath.libmp import (fzero, from_man_exp, ln2_fixed, mpf_log, pi_fixed, round_nearest,
+                          to_fixed)
+from mpmath.libmp.libelefun import cos_sin_basecase, exp_basecase
 
 from .specfun import DEFAULT_PRECISION, e_kappa, _coerce, _workdps
 from .qforms import hurwitz_class_number, divisor_sigma1, _divisors
@@ -111,6 +116,11 @@ class TailBoundError(ArithmeticError):
 SERIES_GUARD_BITS = 24     # fixed-point bits carried past mp.prec by _series
 
 
+def _shift(v, n):
+    """v 2^n for an integer v, truncated toward minus infinity."""
+    return v << n if n >= 0 else v >> -n
+
+
 def fixed_pair(c, bits):
     """(re, im) of a real or complex c as fixed-point integers with `bits`
     fractional bits: the pair format of the series and cocycle passes here
@@ -133,14 +143,38 @@ def pair_mul_pow(acc, j, n, bits):
     return ar, ai
 
 
+def fixed_exp(v, bits):
+    """e^v for the fixed-point integer v with `bits` fractional bits, as
+    (m, n) with e^v = m 2^(n - bits) and m in [2^bits, 2^(bits+1)):
+    exp_basecase of what is left after removing n multiples of ln 2."""
+    n, r = divmod(v, ln2_fixed(bits))
+    return exp_basecase(r, bits), n
+
+
+def _q(x, y, pbits, wp):
+    """q = e(x + iy) for x and y fixed-point integers with pbits fractional
+    bits, as (qr, qi, e) with q = (qr + i qi) 2^-e, to wp bits relative to
+    |q|: e^(-2 pi y) by fixed_exp, with the bits 2 pi y has above 1 added,
+    and cos and sin of 2 pi x by cos_sin_basecase on x mod 1 folded into
+    its quarter turn, [0, pi/2)."""
+    w = wp + max(y >> pbits, 1).bit_length() + 4
+    m, n = fixed_exp(-((_shift(y, w - pbits) * pi_fixed(w)) >> w - 1), w)
+    turn = _shift(x, wp - pbits) & ((1 << wp) - 1)
+    c, s = cos_sin_basecase(((turn & ((1 << wp - 2) - 1)) * pi_fixed(wp)) >> wp - 1, wp)
+    for _ in range(turn >> wp - 2):
+        c, s = -s, c
+    return m * c, m * s, w + wp - n
+
+
 def _table(f):
     """f's coefficients, coerced once per object and working precision:
-    (n0, bits, re, im, mags, minus).  re, im and mags hold a+(n0 + k),
-    dense from the lowest nonzero index n0 (negative allowed) to the
-    highest, as fixed-point integers with `bits` fractional bits and as
-    float magnitudes; bits is mp.prec plus the guard, plus what |a+(n0)|
+    (n0, bits, re, im, mags, minus, real).  re, im and mags hold
+    a+(n0 + k), dense from the lowest nonzero index n0 (negative allowed)
+    to the highest, as fixed-point integers with `bits` fractional bits and
+    as float magnitudes; bits is mp.prec plus the guard, plus what |a+(n0)|
     lies below 1, so the rounding stays below the leading term's last bits.
-    minus is the sorted list of nonzero (n, a-(n))."""
+    minus is the sorted list of nonzero (n, a-(n)); real says every a+ is
+    real."""
     tables = vars(f).setdefault("_tables", {})    # instance dict: the class is frozen
     if mp.prec not in tables:
         plus = {n: _coerce(c) for n, c in f.a_plus.items() if c}
@@ -152,21 +186,34 @@ def _table(f):
             re[n - n0], im[n - n0] = fixed_pair(c, bits)
             mags[n - n0] = float(abs(c))
         minus = sorted((n, _coerce(c)) for n, c in f.a_minus.items() if c)
-        tables[mp.prec] = (n0, bits, re, im, mags, minus)
+        tables[mp.prec] = (n0, bits, re, im, mags, minus, not any(im))
     return tables[mp.prec]
 
 
-def _series(f, x, y, absq):
+def _fixed_point(x, y):
+    """The point with raw mpf parts x and y as the fixed-point triple
+    (x, y, bits), with mp.prec + 16 fractional bits plus those by which y
+    lies below 1: the shape reduce_to_fundamental(z, fixed=True) returns."""
+    bits = mp.prec + 16 + max(0, -(y[2] + y[3]))
+    return to_fixed(x, bits), to_fixed(y, bits), bits
+
+
+def _series(f, x, y, absq, pbits=None):
     """(sum a+(n0 + k) q^k over f's a_plus as a fixed-point pair with
-    _table's bits, dropped sum, q) at q = e(x + iy), x and y raw mpf parts
-    and absq = |q|.  q = e^(-2 pi y) (cos 2 pi x + i sin 2 pi x) is read off
-    x and y 8 bits past the working precision and returned as an mpc.
-    Terms of positive index are dropped from the top down while the float
-    sum of the dropped |a+(n)| |q|^n stays below 10^-(dps + 10); the rest,
-    principal part included, are summed in one pass of Horner's rule in
-    fixed-point integers.
+    _table's bits, dropped sum, q as _q's (qr, qi, e)) at q = e(x + iy) and
+    absq = |q|, for x and y fixed-point integers with pbits fractional bits,
+    or raw mpf parts where pbits is None.  q is read off x and y 8 bits past
+    the working precision (_q).  Terms of positive index are dropped from
+    the top down while the float sum of the dropped |a+(n)| |q|^n stays
+    below 10^-(dps + 10); the rest, principal part included, are summed in
+    fixed-point integers: for a real table by the three-term recurrence
+    b_k = a_k + 2 Re(q) b_{k+1} - |q|^2 b_{k+2}, whose sum is
+    b_0 - b_1 conj(q), two products a term; otherwise by Horner's rule,
+    four.
     """
-    n0, bits, re, im, mags, _ = _table(f)
+    if pbits is None:
+        x, y, pbits = _fixed_point(x, y)
+    n0, bits, re, im, mags, _, real = _table(f)
     cut = 10.0 ** -(mp.dps + 10)
     keep, dropped = len(mags), 0.0
     while keep and n0 + keep - 1 > 0:
@@ -174,26 +221,42 @@ def _series(f, x, y, absq):
         if dropped + term >= cut:
             break
         keep, dropped = keep - 1, dropped + term
-    wp = mp.prec + 8
-    two_pi = mpf_shift(mpf_pi(wp), 1)
-    r = mpf_exp(mpf_neg(mpf_mul(two_pi, y, wp)), wp)
-    q = tuple(mpf_mul(r, t, wp) for t in mpf_cos_sin(mpf_mul(two_pi, x, wp), wp))
-    qr, qi = (to_fixed(t, bits) for t in q)
+    q = _q(x, y, pbits, mp.prec + 8)
+    qr, qi = (_shift(t, bits - q[2]) for t in q[:2])
+    if real:
+        t, s, b0, b1 = 2 * qr, (qr * qr + qi * qi) >> bits, 0, 0
+        for k in range(keep - 1, -1, -1):
+            b0, b1 = re[k] + ((t * b0 - s * b1) >> bits), b0
+        return (b0 - ((b1 * qr) >> bits), (b1 * qi) >> bits), dropped, q
     ar = ai = 0
     for k in range(keep - 1, -1, -1):
         ar, ai = ((ar * qr - ai * qi) >> bits) + re[k], ((ar * qi + ai * qr) >> bits) + im[k]
-    return (ar, ai), dropped, mp.make_mpc(q)
+    return (ar, ai), dropped, q
+
+
+def _y_power(kappa, y, pbits, bits):
+    """a-(0)'s mode y^(1-kappa) (log y where kappa = 1) at y = y 2^-pbits,
+    as a fixed-point integer with `bits` fractional bits."""
+    e = 1 - kappa
+    if not e:
+        return to_fixed(mpf_log(from_man_exp(y, -pbits), bits), bits)
+    if e > 0:
+        return _shift(y ** e, bits - e * pbits)
+    return (1 << bits - e * pbits) // y ** -e
 
 
 def _evaluate(f, z, prec, gamma=None):
     """(value, tail) of Fourier data f at z in H, at the working precision;
-    prec is passed on to E_kappa.
+    z is an mpc or reduce_to_fundamental's fixed-point triple (x, y, bits),
+    and prec is passed on to E_kappa.
 
     The a+ sum (_series), the a-(0) term and, where gamma = ((a, b), (c, d))
     moved a point z0 to z, the factor (a - c z)^kappa = (c z0 + d)^-kappa
-    giving f(z0) are carried in one fixed-point pass.  Where n0 != 0 or an
-    a-(n != 0) exists, q^n0 and those a- modes are taken in mpc arithmetic
-    at _series' q and carried on in fixed point to their last bits.
+    giving f(z0) are carried in one fixed-point pass from z's integers and
+    rounded to an mpc once.  Where n0 != 0 or an a-(n != 0) exists, q^n0
+    and those a- modes are taken in mpc arithmetic at _series' q, which
+    keeps its precision relative to |q|, and carried on in fixed point to
+    their last bits.
 
     The tail is the a+ terms the height cut dropped, plus a bound for
     those past the order that lets the coefficients grow by up to a factor
@@ -201,45 +264,47 @@ def _evaluate(f, z, prec, gamma=None):
     |a - c z|^kappa where gamma is given; where 2|q| >= 1 that bound does
     not converge and TailBoundError is raised.
     """
-    xr, yr = z._mpc_
-    if yr[0] or not yr[1]:
+    x, y, pbits = _fixed_point(*z._mpc_) if isinstance(z, mpc) else z
+    if y <= 0:
         raise ValueError("z must lie in the upper half-plane")
-    absq = math.exp(-2 * math.pi * to_float(yr))
+    zf = complex(x / (1 << pbits), y / (1 << pbits))
+    absq = math.exp(-2 * math.pi * zf.imag)
     if 2 * absq >= 1:
         raise TailBoundError(
             "q-series tail does not converge at this height; "
             "reduce to the fundamental domain first")
-    n0, bits, _, _, mags, minus = _table(f)
-    acc, dropped, q = _series(f, xr, yr, absq)
-    y = z.imag
-    modes = [c * e_kappa(f.kappa, 4 * mpmath.pi * n * y, prec).value * q ** n
-             for n, c in minus if n]
-    if n0 or modes:
+    n0, bits, _, _, mags, minus, _ = _table(f)
+    acc, dropped, q = _series(f, x, y, absq, pbits)
+    if n0 or any(n for n, _ in minus):
+        q, ym = pair_to_mpc(q[:2], q[2]), mpmath.ldexp(y, -pbits)
+        modes = [c * e_kappa(f.kappa, 4 * mpmath.pi * n * ym, prec).value * q ** n
+                 for n, c in minus if n]
         val = sum(modes, pair_to_mpc(acc, bits) * q ** n0)
         bits = max([bits] + [-p[2] for p in val._mpc_ if p[1]])    # val's last bits
         acc = fixed_pair(val, bits)
     for n, c in minus:
-        if not n:      # a-(0) y^(1-kappa), log y where kappa = 1
-            mode = mpmath.log(y) if f.kappa == 1 else y ** (1 - f.kappa)
-            acc = [s + t for s, t in zip(acc, fixed_pair(c * mode, bits))]
+        if not n:      # a-(0) y^(1-kappa)
+            mode = _y_power(f.kappa, y, pbits, bits)
+            acc = [s + ((t * mode) >> bits) for s, t in zip(acc, fixed_pair(c, bits))]
     top = max(mags[-6:], default=0.0)
     tail = top * 2 * absq ** (f.order + 1) / (1 - 2 * absq) + dropped
     if gamma is not None:
-        acc, bits = _cocycle(acc, bits, gamma, z, f.kappa)
-        tail *= abs(gamma[0][0] - gamma[1][0] * complex(z)) ** f.kappa
+        acc, bits = _cocycle(acc, bits, gamma, (x, y, pbits), f.kappa)
+        tail *= abs(gamma[0][0] - gamma[1][0] * zf) ** f.kappa
     return pair_to_mpc(acc, bits), tail
 
 
 def _cocycle(acc, bits, gamma, z, kappa):
     """(acc (a - c z)^kappa, its fractional bits) for the fixed-point pair
-    acc with `bits` fractional bits, gamma = ((a, b), (c, d)) and z in F,
-    where |a - c z| >= sqrt(3)/2.  For kappa < 0 the factor can be tiny, so
-    the pair first gains the bits by which it may lie below 1."""
+    acc with `bits` fractional bits, gamma = ((a, b), (c, d)) and z in F
+    the fixed-point triple (x, y, pbits), where |a - c z| >= sqrt(3)/2.
+    For kappa < 0 the factor can be tiny, so the pair first gains the bits
+    by which it may lie below 1."""
     (a, _), (c, _) = gamma
     if not kappa or (not c and a ** kappa == 1):
         return acc, bits
-    x, y = z._mpc_
-    j = (a << bits) - c * to_fixed(x, bits), -c * to_fixed(y, bits)
+    x, y, pbits = z
+    j = (a << bits) - c * _shift(x, bits - pbits), -c * _shift(y, bits - pbits)
     if kappa < 0:
         extra = -kappa * (max(map(abs, j)).bit_length() - bits + 1)
         acc, (jr, ji), bits = [t << extra for t in acc], [t << extra for t in j], bits + extra
@@ -262,10 +327,12 @@ def eval_qexp(f, z, prec=DEFAULT_PRECISION):
 def eval_modular(f, z, prec=DEFAULT_PRECISION):
     """(value, tail) of genuinely modular Fourier data f, evaluated after
     moving z into F: f(z) = f(z*) (a - c z*)^kappa for gamma z = z*, taken
-    in _evaluate's fixed-point pass, the tail scaled by |a - c z*|^kappa.
-    Reduction, series and cocycle all run at prec's working precision."""
+    in _evaluate's fixed-point pass from z*'s exact fixed-point integers
+    (reduce_to_fundamental(z, fixed=True); z* is never rounded to an mpc),
+    the tail scaled by |a - c z*|^kappa.  Reduction, series and cocycle all
+    run at prec's working precision."""
     with _workdps(prec):
-        zstar, gamma = hyperbolic.reduce_to_fundamental(z)
+        zstar, gamma = hyperbolic.reduce_to_fundamental(z, fixed=True)
         return _evaluate(f, zstar, prec, gamma)
 
 

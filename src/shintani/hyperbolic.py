@@ -63,9 +63,9 @@ REDUCTION_MAX_STEPS = 10000   # T/S steps before reduction gives up
 
 
 def _moebius_fixed(gamma, z):
-    """gamma z for an integer matrix of det 1, as
-    ((ax + b)(cx + d) + ac y^2 + i y) / |cz + d|^2 in fixed-point integers
-    fine enough that cz + d cancels exactly; rounded once to mp.prec."""
+    """gamma z for an integer matrix of det 1, as the fixed-point triple
+    (re, im, bits) of ((ax + b)(cx + d) + ac y^2 + i y) / |cz + d|^2, with
+    bits fine enough that cz + d cancels exactly."""
     (a, b), (c, d) = gamma
     xm, ym = z._mpc_
     bits = mp.prec + 2 * max(abs(c), abs(d)).bit_length() + max(0, -(ym[2] + ym[3])) + 8
@@ -73,15 +73,15 @@ def _moebius_fixed(gamma, z):
     C = c * X + d * one
     den = C * C + c * c * Y * Y
     re = (((a * X + b * one) * C + a * c * Y * Y) << bits) // den
-    im = (Y << 2 * bits) // den
-    return mp.make_mpc((from_man_exp(re, -bits, mp.prec, round_nearest),
-                        from_man_exp(im, -bits, mp.prec, round_nearest)))
+    return re, (Y << 2 * bits) // den, bits
 
 
-def reduce_to_fundamental(z):
+def reduce_to_fundamental(z, fixed=False):
     """Move z into F = {|x| <= 1/2, |z| >= 1} by T/S words.
 
-    Returns (z', gamma) with gamma z = z', z' rounded to mp.prec.  Boundary
+    Returns (z', gamma) with gamma z = z', z' rounded to mp.prec; with
+    fixed=True z' is instead the fixed-point triple (x, y, bits) of gamma z,
+    exact to its last bit, which eval_modular carries on unrounded.  Boundary
     ties go to x = -1/2 and, on |z| = 1, to Re(z) <= 0.  The word is chosen
     by one T/S loop in fixed-point integers with mp.prec + log2(1/y) + 16
     fractional bits, read off z's own bits (an mpc is not rounded first), and
@@ -107,7 +107,13 @@ def reduce_to_fundamental(z):
         r2 = X * X + Y * Y
         if r2 >= (one + eps) << bits or (r2 >= (one - eps) << bits and X <= eps):
             g = ((a, b), (c, d))
-            return (+z if g == ((1, 0), (0, 1)) else _moebius_fixed(g, z)), g
+            if g == ((1, 0), (0, 1)):
+                return ((X, Y, bits) if fixed else +z), g
+            re, im, pbits = point = _moebius_fixed(g, z)
+            if fixed:
+                return point, g
+            return mp.make_mpc(tuple(from_man_exp(t, -pbits, mp.prec, round_nearest)
+                                     for t in (re, im))), g
         # inside the unit circle, or on it with Re(z) > 0: z -> -1/z
         X, Y = (-X << 2 * bits) // r2, (Y << 2 * bits) // r2
         a, b, c, d = -c, -d, a, b

@@ -278,6 +278,14 @@ def pell_fundamental_4(D):
 # genus character, class numbers, sigma
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=256)
+def _delta_primes(delta):
+    """The primes of a fundamental discriminant delta, checked once per delta."""
+    if not is_fundamental_discriminant(delta):
+        raise ValueError("delta must be a fundamental discriminant")
+    return tuple(_factor(delta))
+
+
 def genus_char(delta, Q):
     """The genus character chi_delta(Q) = (delta/n) on represented values.
 
@@ -291,9 +299,7 @@ def genus_char(delta, Q):
     chi(-Q) = sgn(delta) chi(Q).
     """
     delta = int(delta)
-    if not is_fundamental_discriminant(delta):
-        raise ValueError("delta must be a fundamental discriminant")
-    q = abs(delta)
+    primes, q = _delta_primes(delta), abs(delta)
     disc = Q.disc
     if disc % q:
         raise ValueError("disc(Q) must be divisible by |delta|")
@@ -305,7 +311,7 @@ def genus_char(delta, Q):
         return 0
     x = y = 0     # delta = 1 has no primes: (1/Q(0, 0)) = (1/0) = 1
     m = 1
-    for p in _factor(q):
+    for p in primes:
         px, py = (1, 0) if Q.a % p else (0, 1) if Q.c % p else (1, 1)
         t = pow(m, -1, p)
         x += m * ((px - x) * t % p)

@@ -13,9 +13,10 @@ caller's tolerance (specfun._tol).
 
 For real-analytic integrands both rules converge geometrically, so the
 error estimate is the change under the one doubling taken, or, once three
-levels exist, the last change squared over the one before plus a rounding
-floor.  Integrands may be complex valued; intervals are finite (the
-analytic integrands in this package are truncated explicitly).
+levels exist, the last change squared over the one before; either way plus
+a rounding floor from the samples' own rounding and the running sum's.
+Integrands may be complex valued; intervals are finite (the analytic
+integrands in this package are truncated explicitly).
 """
 
 import mpmath
@@ -61,16 +62,19 @@ def _until_converged(levels, tol, nmax):
         prev = cur
 
 
-def _error_estimate(changes, width, size):
+def _error_estimate(changes, width, size, n):
     """The change under a single doubling; after more, the last change
     squared over the one before (the rule's error is at most that while the
-    changes shrink geometrically) plus the rounding floor eps |width| size,
-    size being the float sum of |f| over the samples."""
-    if len(changes) < 2:
-        return changes[-1]
-    last, before = changes[-1], changes[-2]
-    rate = last * last / before if before else last
-    return rate + mp.eps * abs(width) * size
+    changes shrink geometrically).  Either way plus the rounding floor
+    eps |width| size (n + 1)/n, size being the float sum of |f| over the n
+    samples: each sample arrives rounded to the working precision, within
+    eps |f| of its value, and each of at most n additions to a running sum
+    rounds by at most eps size; a weight of about |width|/n carries both
+    into the value."""
+    last = changes[-1]
+    if len(changes) > 1 and changes[-2]:
+        last = last * last / changes[-2]
+    return last + mp.eps * abs(width) * size * (n + 1) / n
 
 
 def integrate_cc_doubling(f, a, b, tol, n0=16, nmax=4096):
@@ -98,7 +102,7 @@ def integrate_cc_doubling(f, a, b, tol, n0=16, nmax=4096):
             n *= 2
 
     value, changes, n = _until_converged(levels(), tol, nmax)
-    return value, _error_estimate(changes, b - a, size), n
+    return value, _error_estimate(changes, b - a, size, n), n
 
 
 def integrate_periodic_doubling(f, a, b, tol, n0=16, nmax=4096):
@@ -132,4 +136,4 @@ def integrate_periodic_doubling(f, a, b, tol, n0=16, nmax=4096):
             n *= 2
 
     value, changes, n = _until_converged(levels(), tol, nmax)
-    return value, _error_estimate(changes, width, size), n
+    return value, _error_estimate(changes, width, size, n), n

@@ -11,9 +11,10 @@ whatever the ambient mp.dps.  A nested quadrature rule stops at
 _tol(prec, margin) = 10^-(d/2 + margin): each doubling squares the error of
 a geometrically converging rule, so half the digits suffice.  The margin is
 3 for closed cycles, 7 for regularized integrals (rays and line) and 1 for
-the lemma integrals: 1e-18, 1e-22 and 1e-16 at d = 30.  The CLI scopes its
-own arithmetic in mp.workdps(d).  The kernels without `prec` run at the
-caller's precision: quadrature, hyperbolic and thetacore.fd_operators
+the lemma integrals: 1e-18, 1e-22 and 1e-16 at d = 30; from d = 600 it is
+an mpf, as the float would underflow.  The CLI scopes its own arithmetic
+in mp.workdps(d).  The kernels without `prec` run at the caller's
+precision: quadrature, hyperbolic and thetacore.fd_operators
 (hyperbolic's reduction widens only its own word search, by the bits a
 deep point needs, and keeps the caller's tie width).
 
@@ -33,12 +34,14 @@ deep point needs, and keeps the caller's tie width).
 """
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
 from mpmath import mp, mpf, mpc
+from mpmath.libmp import dps_to_prec
 
 
 # ---------------------------------------------------------------------------
@@ -69,13 +72,18 @@ class SpecialValue:
 
 
 def _workdps(prec):
-    # guard digits for intermediate cancellation
-    return mp.workdps(prec.working_digits + 10)
+    # guard digits for intermediate cancellation; nothing to enter where the
+    # caller already holds those bits (bits, not dps: one bit more or less
+    # reads as the same dps)
+    bits = dps_to_prec(prec.working_digits + 10)
+    return nullcontext() if mp.prec == bits else mp.workprec(bits)
 
 
 def _tol(prec, margin):
-    # a nested rule's stopping tolerance (module docstring)
-    return 10.0 ** -(prec.working_digits / 2 + margin)
+    # a nested rule's stopping tolerance (module docstring); an mpf from 600
+    # digits, where the float would turn subnormal and then underflow to 0
+    e = prec.working_digits / 2 + margin
+    return 10.0 ** -e if prec.working_digits < 600 else mpf(10) ** -e
 
 
 # ---------------------------------------------------------------------------

@@ -282,6 +282,25 @@ def test_fixed_point_series_matches_plain_sum(name, digits, x, y):
             float(abs(value - want) / (mpf(2) ** -mp.prec * size)))
 
 
+@settings(max_examples=80)
+@given(digits=st.sampled_from([15, 30, 50]),
+       x=st.one_of(st.sampled_from([0.0, 0.25, -0.25, 0.5, -0.5]), st.floats(-0.5, 0.5)),
+       y=st.floats(math.sqrt(3) / 2, 40))
+def test_fixed_point_q_matches_mpmath_exp(digits, x, y):
+    # q = e(z) from z's fixed-point parts (exp_basecase past multiples of
+    # ln 2, cos_sin_basecase on the folded quarter turn) against mpmath's
+    # exp, within a few units of the working precision's last place
+    # relative to |q|, at the quarter turns and up to |q| ~ 1e-109
+    with mp.workdps(digits):
+        z = mpc(x, y)
+        qr, qi, e = fo._q(*fo._fixed_point(*z._mpc_), mp.prec + 8)
+        bound = 4 * mpf(2) ** -mp.prec
+        with mp.workprec(mp.prec + 64):
+            want = mpmath.exp(2j * mpmath.pi * z)
+            got = mpc(mpmath.ldexp(qr, -e), mpmath.ldexp(qi, -e))
+            assert abs(got - want) <= bound * abs(want), float(abs(got / want - 1) / bound)
+
+
 # weight -2, a principal part, and a- modes of nonzero index: the
 # evaluator's mpc branch and the negative-weight cocycle
 _SYNTHETIC = HarmonicFourierData(

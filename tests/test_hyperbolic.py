@@ -157,6 +157,19 @@ def test_reduce_to_fundamental_random():
         assert abs(hy.apply_moebius(g, z0) - z) < 1e-12
 
 
+def test_reduce_to_fundamental_fixed_triple_rounds_to_the_point():
+    # fixed=True returns the same word and the reduced point as exact
+    # fixed-point integers, which round to the default mpc, identity words
+    # (points already in F) and deep points included
+    rng = random.Random(62)
+    for _ in range(100):
+        z0 = mpc(rng.uniform(-3, 3), 10 ** rng.uniform(-8, 0.5))
+        z, g = hy.reduce_to_fundamental(z0)
+        (x, y, bits), g_fixed = hy.reduce_to_fundamental(z0, fixed=True)
+        assert g_fixed == g
+        assert +mpmath.ldexp(x, -bits) == z.real and +mpmath.ldexp(y, -bits) == z.imag
+
+
 def _reduce_exact_loop(z, max_steps=10000):
     # the T/S loop in plain mpmath, run 60 digits past the caller's precision
     # with the caller's tie width 10^-(dps-5): the oracle for the word

@@ -402,6 +402,15 @@ def test_genus_char_rejects_bad_disc():
         qf.genus_char(-3, QForm(1, 0, 1))   # disc -4 not divisible by 3
 
 
+def test_genus_char_rejects_non_fundamental_delta_every_call():
+    # the check is memoized per delta with the primes, and a rejected delta
+    # is not: every call raises, also after an accepted one
+    assert qf.genus_char(-4, QForm(1, 0, 1)) == qf.genus_char(-4, QForm(1, 0, 1)) == 1
+    for delta in (-12, -12, 8, 0):
+        with pytest.raises(ValueError):
+            qf.genus_char(delta, QForm(1, 0, 3))
+
+
 # ---------------------------------------------------------------------------
 # class numbers and sigma
 # ---------------------------------------------------------------------------

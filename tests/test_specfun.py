@@ -462,6 +462,42 @@ def test_prec_functions_ignore_ambient_precision():
         assert runs[0] == runs[1], key
 
 
+def test_workdps_skips_only_an_equal_precision():
+    # _workdps enters no context where mp.prec already holds its bits, and
+    # one bit more or less at the same dps is not that precision: eval_modular
+    # and gamma_upper return the same bits from all three
+    from mpmath.libmp import dps_to_prec
+    from shintani import forms as fo
+    P = sf.Precision(30)
+    G = fo.e2_star_data(16, P)
+    bits = dps_to_prec(40)
+    runs = []
+    for prec in (bits - 1, bits, bits + 1):
+        with mp.workprec(prec):
+            assert mp.dps == 40
+            runs.append(_bits((fo.eval_modular(G, 0.3 + 0.05j, P), sf.gamma_upper(3, 0.7, P))))
+            with sf._workdps(P):
+                assert mp.prec == bits
+            assert mp.prec == prec
+    assert runs[0] == runs[1] == runs[2]
+
+
+def test_tol_past_float_range():
+    # the float tolerance turns subnormal and then 0 past about 610 digits:
+    # from 600 digits _tol is an mpf, and a nested trapezoid rule at 700
+    # digits stops at it; below, the float is unchanged
+    from shintani.quadrature import integrate_periodic_doubling
+    assert sf._tol(sf.Precision(599), 3) == 10.0 ** -(599 / 2 + 3)
+    P = sf.Precision(700)
+    tol = sf._tol(P, 3)
+    assert 0 < tol < mpf(10) ** -352
+    with sf._workdps(P):
+        val, err, n = integrate_periodic_doubling(lambda t: mpmath.exp(mpmath.cos(t)),
+                                                  0, 2 * mpmath.pi, tol)
+        exact = 2 * mpmath.pi * mpmath.besseli(0, 1)
+        assert abs(val - exact) <= err and err < mpf(10) ** -700, (n, float(err))
+
+
 def test_kernels_without_prec_follow_the_caller():
     # the other half of the split: the quadrature rules, the reduction
     # (whose tie width must stay at the caller's precision) and the finite
