@@ -63,8 +63,8 @@ from .specfun import (DEFAULT_PRECISION, gamma_upper, e_kappa, kronecker_symbol,
 from .qforms import (class_reps, divisor_sigma1, genus_char, pell_fundamental_4,
                      square_normalize, _xgcd)
 from .quadrature import integrate_cc_doubling, integrate_periodic_doubling
-from .forms import (HarmonicFourierData, eval_modular, eval_qexp, xi_symbolic, fixed_exp,
-                    fixed_pair, pair_mul_pow, pair_to_mpc, _shift)
+from .forms import (HarmonicFourierData, eval_modular, eval_qexp, xi_symbolic, fine_bits,
+                    fixed_exp, fixed_pair, pair_mul_pow, pair_to_mpc, _shift)
 
 
 @dataclass(frozen=True)
@@ -92,10 +92,12 @@ def closed_cycle_integral(G_eval, Q, k=0, nodes=16, prec=DEFAULT_PRECISION,
     point on the semicircle (default pi/2, the top).  Each node takes z and
     Q(z,1)^k dz/dt from u = e^t (module docstring, fixed_exp) in fixed-point
     integers, with bits enough for the smallest sech t of the period, and
-    multiplies G(z) by it in the same fixed point, rounding once.  The
-    reported error is the rule's estimate plus its rounding floor
-    (quadrature._error_estimate), which bounds the observed error also on
-    the classes whose integral is 0.
+    multiplies G(z) by it in the same fixed point, widened by the bits
+    |G(z)| lies below 1 so that a small G(z) keeps its relative precision,
+    rounding once.  The reported error is the rule's estimate plus its
+    rounding floor (quadrature._error_estimate); for E2* it bounds the
+    observed error on every class of D < 230, those whose integral is 0
+    included.
     """
     D = Q.disc
     if D <= 0 or math.isqrt(D) ** 2 == D:
@@ -128,8 +130,10 @@ def closed_cycle_integral(G_eval, Q, k=0, nodes=16, prec=DEFAULT_PRECISION,
             # the node keeps every bit: reduction reads them
             z = mp.make_mpc((from_man_exp(c0 + ((r0 * tanh) >> bits), -bits),
                              from_man_exp((r0 * sech) >> bits, -bits)))
-            return pair_to_mpc(pair_mul_pow(fixed_pair(G_eval(z), bits),
-                                            pair_mul_pow(K, sw, k + 1, bits), 1, bits), bits)
+            g = G_eval(z)
+            gb = fine_bits(g, bits)    # a small G(z) keeps its relative precision
+            return pair_to_mpc(pair_mul_pow(fixed_pair(g, gb),
+                                            pair_mul_pow(K, sw, k + 1, bits), 1, bits), gb)
 
         val, err, used = integrate_periodic_doubling(integrand, t0, t1, _tol(prec, 3),
                                                      n0=nodes)

@@ -129,6 +129,14 @@ def fixed_pair(c, bits):
     return tuple(to_fixed(x, bits) for x in parts)
 
 
+def fine_bits(c, bits):
+    """bits plus those by which the real or complex c lies below 1: the
+    fractional bits that keep c to `bits` bits relative to |c|."""
+    parts = c._mpc_ if isinstance(c, mpc) else (mpf(c)._mpf_,)
+    tops = [p[2] + p[3] for p in parts if p[1]]
+    return bits + max(0, -max(tops)) if tops else bits
+
+
 def pair_to_mpc(acc, bits):
     """The fixed-point pair acc, with `bits` fractional bits, rounded to an mpc."""
     return mp.make_mpc(tuple(from_man_exp(t, -bits, mp.prec, round_nearest) for t in acc))
@@ -193,7 +201,7 @@ def _table(f):
 def _fixed_point(x, y):
     """The point with raw mpf parts x and y as the fixed-point triple
     (x, y, bits), with mp.prec + 16 fractional bits plus those by which y
-    lies below 1: the shape reduce_to_fundamental(z, fixed=True) returns."""
+    lies below 1: the shape reduce_to_fundamental returns."""
     bits = mp.prec + 16 + max(0, -(y[2] + y[3]))
     return to_fixed(x, bits), to_fixed(y, bits), bits
 
@@ -201,11 +209,12 @@ def _fixed_point(x, y):
 def _series(f, x, y, absq, pbits=None):
     """(sum a+(n0 + k) q^k over f's a_plus as a fixed-point pair with
     _table's bits, dropped sum, q as _q's (qr, qi, e)) at q = e(x + iy) and
-    absq = |q|, for x and y fixed-point integers with pbits fractional bits,
-    or raw mpf parts where pbits is None.  q is read off x and y 8 bits past
-    the working precision (_q).  Terms of positive index are dropped from
-    the top down while the float sum of the dropped |a+(n)| |q|^n stays
-    below 10^-(dps + 10); the rest, principal part included, are summed in
+    absq = |q|, for x and y fixed-point integers with pbits fractional bits
+    (raw mpf parts, read by _fixed_point, where pbits is None).  q is read
+    off x and y 8 bits past the working precision (_q).  Terms of positive
+    index are dropped from the top down while the float sum of the dropped
+    |a+(n)| |q|^n stays below 10^-(dps + 10); the rest, principal part
+    included, are summed in
     fixed-point integers: for a real table by the three-term recurrence
     b_k = a_k + 2 Re(q) b_{k+1} - |q|^2 b_{k+2}, whose sum is
     b_0 - b_1 conj(q), two products a term; otherwise by Horner's rule,
@@ -247,8 +256,9 @@ def _y_power(kappa, y, pbits, bits):
 
 def _evaluate(f, z, prec, gamma=None):
     """(value, tail) of Fourier data f at z in H, at the working precision;
-    z is an mpc or reduce_to_fundamental's fixed-point triple (x, y, bits),
-    and prec is passed on to E_kappa.
+    z is a fixed-point triple (x, y, bits) as reduce_to_fundamental and
+    _fixed_point return (an mpc is read by _fixed_point), and prec is
+    passed on to E_kappa.
 
     The a+ sum (_series), the a-(0) term and, where gamma = ((a, b), (c, d))
     moved a point z0 to z, the factor (a - c z)^kappa = (c z0 + d)^-kappa
@@ -280,7 +290,7 @@ def _evaluate(f, z, prec, gamma=None):
         modes = [c * e_kappa(f.kappa, 4 * mpmath.pi * n * ym, prec).value * q ** n
                  for n, c in minus if n]
         val = sum(modes, pair_to_mpc(acc, bits) * q ** n0)
-        bits = max([bits] + [-p[2] for p in val._mpc_ if p[1]])    # val's last bits
+        bits = fine_bits(val, bits)
         acc = fixed_pair(val, bits)
     for n, c in minus:
         if not n:      # a-(0) y^(1-kappa)
@@ -321,18 +331,18 @@ def eval_qexp(f, z, prec=DEFAULT_PRECISION):
     fundamental-domain reduction.
     """
     with _workdps(prec):
-        return _evaluate(f, mpc(z), prec)
+        return _evaluate(f, _fixed_point(*mpc(z)._mpc_), prec)
 
 
 def eval_modular(f, z, prec=DEFAULT_PRECISION):
     """(value, tail) of genuinely modular Fourier data f, evaluated after
     moving z into F: f(z) = f(z*) (a - c z*)^kappa for gamma z = z*, taken
-    in _evaluate's fixed-point pass from z*'s exact fixed-point integers
-    (reduce_to_fundamental(z, fixed=True); z* is never rounded to an mpc),
+    in _evaluate's fixed-point pass from z*'s fixed-point integers as
+    reduce_to_fundamental returns them (z* is never rounded to an mpc),
     the tail scaled by |a - c z*|^kappa.  Reduction, series and cocycle all
     run at prec's working precision."""
     with _workdps(prec):
-        zstar, gamma = hyperbolic.reduce_to_fundamental(z, fixed=True)
+        zstar, gamma = hyperbolic.reduce_to_fundamental(z)
         return _evaluate(f, zstar, prec, gamma)
 
 

@@ -19,7 +19,7 @@ and z_{gamma . Q} = gamma z_Q.
 
 import mpmath
 from mpmath import mp, mpc
-from mpmath.libmp import from_man_exp, round_nearest, to_fixed
+from mpmath.libmp import to_fixed
 
 from .qforms import mat_inv
 
@@ -76,17 +76,18 @@ def _moebius_fixed(gamma, z):
     return re, (Y << 2 * bits) // den, bits
 
 
-def reduce_to_fundamental(z, fixed=False):
+def reduce_to_fundamental(z):
     """Move z into F = {|x| <= 1/2, |z| >= 1} by T/S words.
 
-    Returns (z', gamma) with gamma z = z', z' rounded to mp.prec; with
-    fixed=True z' is instead the fixed-point triple (x, y, bits) of gamma z,
-    exact to its last bit, which eval_modular carries on unrounded.  Boundary
-    ties go to x = -1/2 and, on |z| = 1, to Re(z) <= 0.  The word is chosen
-    by one T/S loop in fixed-point integers with mp.prec + log2(1/y) + 16
-    fractional bits, read off z's own bits (an mpc is not rounded first), and
-    gamma is applied to z once.  Ties are decided within the caller's tie
-    width 10^-(dps-5): more digits would move them.
+    Returns ((x, y, bits), gamma) with gamma z = z' = (x + iy) 2^-bits:
+    z' as fixed-point integers, within a unit of their last bit and never
+    rounded (eval_modular carries them on; mpmath.ldexp(x, -bits) reads a
+    part).  Boundary ties go to x = -1/2 and, on |z| = 1, to Re(z) <= 0.
+    The word is chosen by one T/S loop in fixed-point integers with
+    mp.prec + log2(1/y) + 16 fractional bits, read off z's own bits (an mpc
+    is not rounded first), and gamma is applied to z once.  Ties are
+    decided within the caller's tie width 10^-(dps-5): more digits would
+    move them.
     """
     if not isinstance(z, mpc):
         z = mpc(z)
@@ -107,13 +108,7 @@ def reduce_to_fundamental(z, fixed=False):
         r2 = X * X + Y * Y
         if r2 >= (one + eps) << bits or (r2 >= (one - eps) << bits and X <= eps):
             g = ((a, b), (c, d))
-            if g == ((1, 0), (0, 1)):
-                return ((X, Y, bits) if fixed else +z), g
-            re, im, pbits = point = _moebius_fixed(g, z)
-            if fixed:
-                return point, g
-            return mp.make_mpc(tuple(from_man_exp(t, -pbits, mp.prec, round_nearest)
-                                     for t in (re, im))), g
+            return ((X, Y, bits) if g == ((1, 0), (0, 1)) else _moebius_fixed(g, z)), g
         # inside the unit circle, or on it with Re(z) > 0: z -> -1/z
         X, Y = (-X << 2 * bits) // r2, (Y << 2 * bits) // r2
         a, b, c, d = -c, -d, a, b

@@ -34,14 +34,12 @@ deep point needs, and keeps the caller's tie width).
 """
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
 from mpmath import mp, mpf, mpc
-from mpmath.libmp import dps_to_prec
 
 
 # ---------------------------------------------------------------------------
@@ -72,11 +70,8 @@ class SpecialValue:
 
 
 def _workdps(prec):
-    # guard digits for intermediate cancellation; nothing to enter where the
-    # caller already holds those bits (bits, not dps: one bit more or less
-    # reads as the same dps)
-    bits = dps_to_prec(prec.working_digits + 10)
-    return nullcontext() if mp.prec == bits else mp.workprec(bits)
+    # guard digits for intermediate cancellation
+    return mp.workdps(prec.working_digits + 10)
 
 
 def _tol(prec, margin):

@@ -157,6 +157,27 @@ def test_closed_integral_rademacher_symbol_on_images(D, index, sign, seed):
     assert err <= qerr, (Q, image, err, qerr)
 
 
+@pytest.mark.parametrize("shift", [100, 300])
+def test_closed_cycle_node_keeps_a_small_integrands_precision(shift, monkeypatch):
+    # each node widens its fixed point by the bits |G(z)| lies below 1, so the
+    # node values of G 2^-shift are 2^-shift times those of G to a few eps of
+    # the largest, the scale of the rule's rounding floor
+    integrands = []
+    monkeypatch.setattr(cy, "integrate_periodic_doubling",
+                        lambda f, a, b, tol, n0: integrands.append((f, a, b)) or (0, 0.0, n0))
+    scale = mpf(2) ** -shift
+    for s in (1, scale):
+        cy.closed_cycle_integral(lambda z, s=s: fo.eval_modular(E2, z)[0] * s,
+                                 QForm(-1, 13, 1), 0)
+    (f, a, b), (g, _, _) = integrands
+    with mp.workdps(40):
+        ts = [a + (b - a) * j / 16 for j in range(16)]
+        want = [f(t) * scale for t in ts]
+        size = max(map(abs, want))
+        for j, t in enumerate(ts):
+            assert abs(g(t) - want[j]) <= 4 * mp.eps * size, j
+
+
 # ---------------------------------------------------------------------------
 # regularized integrals
 # ---------------------------------------------------------------------------

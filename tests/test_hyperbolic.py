@@ -139,10 +139,16 @@ def test_moebius_requires_det_one():
 # fundamental domain
 # ---------------------------------------------------------------------------
 
+def _reduced(z0):
+    # reduce_to_fundamental's point rounded to an mpc at the working precision
+    (x, y, bits), g = hy.reduce_to_fundamental(z0)
+    return mpc(+mpmath.ldexp(x, -bits), +mpmath.ldexp(y, -bits)), g
+
+
 def test_reduce_to_fundamental_examples():
-    z, g = hy.reduce_to_fundamental(mpc(0, 1))
+    z, g = _reduced(mpc(0, 1))
     assert abs(z - mpc(0, 1)) < 1e-25 and g == qf.IDENTITY
-    z, g = hy.reduce_to_fundamental(mpc(0.5, 2))
+    z, g = _reduced(mpc(0.5, 2))
     assert abs(z - mpc(-0.5, 2)) < 1e-25
     assert g == ((1, -1), (0, 1))
 
@@ -151,23 +157,24 @@ def test_reduce_to_fundamental_random():
     rng = random.Random(61)
     for _ in range(100):
         z0 = mpc(rng.uniform(-3, 3), rng.uniform(0.05, 4))
-        z, g = hy.reduce_to_fundamental(z0)
+        z, g = _reduced(z0)
         assert abs(z.real) <= 0.5 + 1e-20
         assert abs(z) >= 1 - 1e-20
         assert abs(hy.apply_moebius(g, z0) - z) < 1e-12
 
 
-def test_reduce_to_fundamental_fixed_triple_rounds_to_the_point():
-    # fixed=True returns the same word and the reduced point as exact
-    # fixed-point integers, which round to the default mpc, identity words
-    # (points already in F) and deep points included
+def test_reduce_to_fundamental_triple_is_gamma_z():
+    # the fixed-point triple is gamma z0 to a unit of its last bit, identity
+    # words (points already in F) and deep points included
     rng = random.Random(62)
     for _ in range(100):
         z0 = mpc(rng.uniform(-3, 3), 10 ** rng.uniform(-8, 0.5))
-        z, g = hy.reduce_to_fundamental(z0)
-        (x, y, bits), g_fixed = hy.reduce_to_fundamental(z0, fixed=True)
-        assert g_fixed == g
-        assert +mpmath.ldexp(x, -bits) == z.real and +mpmath.ldexp(y, -bits) == z.imag
+        (x, y, bits), g = hy.reduce_to_fundamental(z0)
+        assert bits >= mp.prec + 8
+        with mp.workprec(bits + 64):
+            exact = hy.apply_moebius(g, z0)
+            assert abs(x - exact.real * 2 ** bits) <= 1
+            assert abs(y - exact.imag * 2 ** bits) <= 1
 
 
 def _reduce_exact_loop(z, max_steps=10000):
@@ -214,7 +221,7 @@ _points = st.one_of(
 def test_reduce_to_fundamental_matches_exact_loop(z0):
     # the fixed-point loop chooses the wide loop's word, ties included, and
     # the point is no further from gamma z0 than the wide loop's
-    z, g = hy.reduce_to_fundamental(z0)
+    z, g = _reduced(z0)
     want_z, want_g = _reduce_exact_loop(z0)
     assert g == want_g
     (a, b), (c, d) = g
@@ -226,7 +233,7 @@ def test_reduce_to_fundamental_matches_exact_loop(z0):
 def test_reduce_to_fundamental_beyond_float_range():
     # x past the float range: the first T step removes it exactly
     z0 = mpc(mpf("1e400"), 2)
-    z, g = hy.reduce_to_fundamental(z0)
+    z, g = _reduced(z0)
     assert g == _reduce_exact_loop(z0)[1]
     assert abs(z.real) <= 0.5 and abs(z - mpc(0, 2)) < 1e-20
 
@@ -241,7 +248,7 @@ def test_reduce_to_fundamental_deep_ties(dps, y):
         for k in (-2, 0, 3):
             for s in (-1, 1):
                 z0 = mpc(k + s * mpf(1) / 2, mpf(y))
-                z, g = hy.reduce_to_fundamental(z0)
+                z, g = _reduced(z0)
                 assert abs(z.real + mpf(1) / 2) <= eps, (k, s, str(z))
                 assert abs(z.imag * 4 * mpf(y) - 1) <= eps, (k, s, str(z))
 

@@ -462,10 +462,10 @@ def test_prec_functions_ignore_ambient_precision():
         assert runs[0] == runs[1], key
 
 
-def test_workdps_skips_only_an_equal_precision():
-    # _workdps enters no context where mp.prec already holds its bits, and
-    # one bit more or less at the same dps is not that precision: eval_modular
-    # and gamma_upper return the same bits from all three
+def test_workdps_ignores_one_bit_of_ambient_precision():
+    # an ambient mp.prec one bit off _workdps' target reads as the same dps;
+    # the target is still set in bits, so eval_modular and gamma_upper return
+    # the same bits from all three
     from mpmath.libmp import dps_to_prec
     from shintani import forms as fo
     P = sf.Precision(30)
