@@ -132,9 +132,10 @@ def _check(identity_id, params, target, compute, prec, tol):
 # each identity's tolerance on abs_error, by step name
 IDENTITY_TOLS = {"class-number": 1e-10, "square-lvalue": 1e-5, "hecke": 1e-5,
                  "square-trace": 1e-10}
+SQUARE_TRACE_DMAX = 25     # the square-trace step checks |D| = 1, ..., this
 
 
-def identity_steps(D_list=(3, 4), prec=DEFAULT_PRECISION, tol=None, square_trace_Dmax=25):
+def identity_steps(D_list=(3, 4), prec=DEFAULT_PRECISION, tol=None):
     """The closed-form identity checks in report order, as {name: step}.
 
     step(delta) runs one identity for one delta and returns its reports;
@@ -173,7 +174,7 @@ def identity_steps(D_list=(3, 4), prec=DEFAULT_PRECISION, tol=None, square_trace
         return [_check("square-trace", {"delta": delta, "D": -aD},
                        H if math.isqrt(aD) ** 2 == aD else 0, lambda: tr(aD), prec,
                        tols["square-trace"])
-                for aD in range(1, square_trace_Dmax + 1) if _admissible_cm(delta, -aD)]
+                for aD in range(1, SQUARE_TRACE_DMAX + 1) if _admissible_cm(delta, -aD)]
 
     def step(rows):
         return lambda delta: (rows(delta, hurwitz_class_number(-delta))

@@ -152,14 +152,10 @@ def _square_ray_data(Q):
     r_plus = Fraction(-QN.c, f)
     q = r_plus.denominator
     p = r_plus.numerator
-    # sigma_minus sends infinity to the bottom cusp p/q
-    g, u, v = _xgcd(p, q)
-    assert g == 1
-    sigma = ((p, -v), (q, u))
-    Qm = QN.neg().compose(sigma)
-    assert Qm.a == 0 and Qm.b == f, "orientation convention violated"
-    r_minus = Fraction(-Qm.c, f)
-    return f, r_plus, q, r_minus
+    # sigma = ((p, -v), (q, u)), pu + qv = 1, sends infinity to the bottom
+    # cusp p/q, and -Q_N o sigma = (0, f, -u(cu - fv)) puts that ray at -u/q
+    _, u, _ = _xgcd(p, q)
+    return f, r_plus, q, Fraction(-u, q)
 
 
 def _ray_quadrature(G_fun, r, c0, T, k, tol, nodes):

@@ -48,6 +48,7 @@ from mpmath.libmp.libelefun import cos_sin_basecase, exp_basecase
 from .specfun import DEFAULT_PRECISION, e_kappa, _coerce, _workdps
 from .qforms import hurwitz_class_number, divisor_sigma1, _divisors
 from . import hyperbolic
+from .hyperbolic import _fixed_point
 
 
 # ---------------------------------------------------------------------------
@@ -198,19 +199,10 @@ def _table(f):
     return tables[mp.prec]
 
 
-def _fixed_point(x, y):
-    """The point with raw mpf parts x and y as the fixed-point triple
-    (x, y, bits), with mp.prec + 16 fractional bits plus those by which y
-    lies below 1: the shape reduce_to_fundamental returns."""
-    bits = mp.prec + 16 + max(0, -(y[2] + y[3]))
-    return to_fixed(x, bits), to_fixed(y, bits), bits
-
-
-def _series(f, x, y, absq, pbits=None):
+def _series(f, z, absq):
     """(sum a+(n0 + k) q^k over f's a_plus as a fixed-point pair with
-    _table's bits, dropped sum, q as _q's (qr, qi, e)) at q = e(x + iy) and
-    absq = |q|, for x and y fixed-point integers with pbits fractional bits
-    (raw mpf parts, read by _fixed_point, where pbits is None).  q is read
+    _table's bits, dropped sum, q as _q's (qr, qi, e)) at q = e(z) and
+    absq = |q|, for z the fixed-point triple (x, y, pbits).  q is read
     off x and y 8 bits past the working precision (_q).  Terms of positive
     index are dropped from the top down while the float sum of the dropped
     |a+(n)| |q|^n stays below 10^-(dps + 10); the rest, principal part
@@ -220,8 +212,7 @@ def _series(f, x, y, absq, pbits=None):
     b_0 - b_1 conj(q), two products a term; otherwise by Horner's rule,
     four.
     """
-    if pbits is None:
-        x, y, pbits = _fixed_point(x, y)
+    x, y, pbits = z
     n0, bits, re, im, mags, _, real = _table(f)
     cut = 10.0 ** -(mp.dps + 10)
     keep, dropped = len(mags), 0.0
@@ -257,8 +248,7 @@ def _y_power(kappa, y, pbits, bits):
 def _evaluate(f, z, prec, gamma=None):
     """(value, tail) of Fourier data f at z in H, at the working precision;
     z is a fixed-point triple (x, y, bits) as reduce_to_fundamental and
-    _fixed_point return (an mpc is read by _fixed_point), and prec is
-    passed on to E_kappa.
+    hyperbolic._fixed_point return, and prec is passed on to E_kappa.
 
     The a+ sum (_series), the a-(0) term and, where gamma = ((a, b), (c, d))
     moved a point z0 to z, the factor (a - c z)^kappa = (c z0 + d)^-kappa
@@ -274,7 +264,7 @@ def _evaluate(f, z, prec, gamma=None):
     |a - c z|^kappa where gamma is given; where 2|q| >= 1 that bound does
     not converge and TailBoundError is raised.
     """
-    x, y, pbits = _fixed_point(*z._mpc_) if isinstance(z, mpc) else z
+    x, y, pbits = z
     if y <= 0:
         raise ValueError("z must lie in the upper half-plane")
     zf = complex(x / (1 << pbits), y / (1 << pbits))
@@ -284,7 +274,7 @@ def _evaluate(f, z, prec, gamma=None):
             "q-series tail does not converge at this height; "
             "reduce to the fundamental domain first")
     n0, bits, _, _, mags, minus, _ = _table(f)
-    acc, dropped, q = _series(f, x, y, absq, pbits)
+    acc, dropped, q = _series(f, z, absq)
     if n0 or any(n for n, _ in minus):
         q, ym = pair_to_mpc(q[:2], q[2]), mpmath.ldexp(y, -pbits)
         modes = [c * e_kappa(f.kappa, 4 * mpmath.pi * n * ym, prec).value * q ** n

@@ -62,6 +62,14 @@ def act_on_form(gamma, Q):
 REDUCTION_MAX_STEPS = 10000   # T/S steps before reduction gives up
 
 
+def _fixed_point(x, y):
+    """The point with raw mpf parts x and y as the fixed-point triple
+    (x, y, bits), with mp.prec + 16 fractional bits plus those by which y
+    lies below 1: the shape reduce_to_fundamental starts from and returns."""
+    bits = mp.prec + 16 + max(0, -(y[2] + y[3]))
+    return to_fixed(x, bits), to_fixed(y, bits), bits
+
+
 def _moebius_fixed(gamma, z):
     """gamma z for an integer matrix of det 1, as the fixed-point triple
     (re, im, bits) of ((ax + b)(cx + d) + ac y^2 + i y) / |cz + d|^2, with
@@ -94,10 +102,9 @@ def reduce_to_fundamental(z):
     xm, ym = z._mpc_
     if ym[0] or not ym[1]:
         raise ValueError("z must lie in the upper half-plane")
-    bits = mp.prec + max(0, -(ym[2] + ym[3])) + 16
+    X, Y, bits = _fixed_point(xm, ym)
     one, eps = 1 << bits, (1 << bits) // 10 ** (mp.dps - 5)
     half = one >> 1
-    X, Y = to_fixed(xm, bits), to_fixed(ym, bits)
     a, b, c, d = 1, 0, 0, 1
     for _ in range(REDUCTION_MAX_STEPS):
         n = (X + half) >> bits

@@ -19,14 +19,12 @@ precision: quadrature, hyperbolic and thetacore.fd_operators
 deep point needs, and keeps the caller's tie width).
 
 * gamma_upper(s, y)    -- Gamma(s,y) = int_y^oo e^-t t^(s-1) dt, integer s >= 1,
-                          via the closed form (s-1)! e^-y sum_{j<s} y^j/j!,
-                          valid for every real y (including y < 0).
-* e_kappa(kappa, y)    -- the antiderivative of e^y (-y)^(-kappa) used in the
-                          non-holomorphic Fourier parts:
-                              Gamma(1-kappa, -y)                    kappa <= 0
-                              ((-1)^(kappa+1)/(kappa-1)!) *
-                                  (e^y sum_{j=0}^{kappa-2} y^(-j-1) j! - Ei(y))
-                                                                    kappa > 0
+                          any real y: mpmath.gammainc.
+* e_kappa(kappa, y)    -- the antiderivative Re Gamma(1-kappa, -y) of
+                          e^y (-y)^(-kappa) used in the non-holomorphic
+                          Fourier parts (a principal value for kappa > 0
+                          and y > 0): mpmath.gammainc.
+* bernoulli_number     -- exact rational B_n: mpmath.bernfrac.
 * bernoulli_poly       -- exact rational Bernoulli polynomial values.
 * kronecker_symbol     -- the Kronecker symbol (Delta/n), exact integers.
 * dirichlet_L          -- L_Delta(s) for fundamental Delta at s = 1 and at
@@ -86,45 +84,23 @@ def _tol(prec, margin):
 # ---------------------------------------------------------------------------
 
 def gamma_upper(s, y, prec=DEFAULT_PRECISION):
-    r"""Gamma(s, y) for integer s >= 1 and any real y.
-
-    Uses Gamma(k+1, x) = k! e^-x sum_{j=0}^k x^j/j!, which extends the
-    integral to x < 0.
-    """
+    r"""Gamma(s, y) for integer s >= 1 and any real y: mpmath's gammainc,
+    which for integer s is entire in y, so y < 0 is allowed."""
     if s < 1 or s != int(s):
         raise ValueError("gamma_upper requires integer s >= 1")
-    s = int(s)
     with _workdps(prec):
-        yy = mpf(y)
-        term = mpf(1)
-        acc = mpf(1)
-        for j in range(1, s):
-            term = term * yy / j
-            acc += term
-        return SpecialValue(mpmath.factorial(s - 1) * mpmath.e ** (-yy) * acc)
+        return SpecialValue(mpmath.gammainc(int(s), mpf(y)))
 
 
 def e_kappa(kappa, y, prec=DEFAULT_PRECISION):
-    r"""The antiderivative E_kappa(y) of e^y (-y)^(-kappa), y != 0.
-
-    Two branches: Gamma(1-kappa, -y) for kappa <= 0, and the finite sum
-    minus Ei(y) for kappa > 0 (mpmath's Ei, a principal value when y > 0).
-    """
-    kappa = int(kappa)
+    r"""The antiderivative E_kappa(y) = Re Gamma(1-kappa, -y) of
+    e^y (-y)^(-kappa), y != 0, by mpmath's gammainc.  For kappa > 0 and
+    y > 0, -y lies on the cut and the real part is the principal value;
+    otherwise the value is real already."""
     if y == 0:
         raise ValueError("E_kappa is singular at y = 0")
     with _workdps(prec):
-        yy = mpf(y)
-        if kappa <= 0:
-            return gamma_upper(1 - kappa, -yy, prec)
-        acc = mpf(0)
-        fact = mpf(1)   # j!
-        for j in range(kappa - 1):
-            if j > 0:
-                fact *= j
-            acc += yy ** (-j - 1) * fact
-        return SpecialValue((mpf(-1) ** (kappa + 1) / mpmath.factorial(kappa - 1))
-                            * (mpmath.e ** yy * acc - mpmath.ei(yy)))
+        return SpecialValue(mpmath.re(mpmath.gammainc(1 - int(kappa), -mpf(y))))
 
 
 # ---------------------------------------------------------------------------
@@ -145,18 +121,8 @@ def _coerce(x):
 
 @lru_cache(maxsize=None)
 def bernoulli_number(n):
-    """Exact Bernoulli number B_n (B_1 = -1/2), cached."""
-    if n == 0:
-        return Fraction(1)
-    if n == 1:
-        return Fraction(-1, 2)
-    if n % 2 == 1:
-        return Fraction(0)
-    # sum_{j=0}^{m} C(m+1, j) B_j = 0
-    acc = Fraction(0)
-    for j in range(n):
-        acc += math.comb(n + 1, j) * bernoulli_number(j)
-    return -acc / (n + 1)
+    """Exact Bernoulli number B_n (B_1 = -1/2), by mpmath's bernfrac, cached."""
+    return Fraction(*mpmath.bernfrac(n))
 
 
 def bernoulli_poly(n, x):

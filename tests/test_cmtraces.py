@@ -90,7 +90,7 @@ def test_f_series_stable_under_order_doubling():
 
 
 def test_identity_suite_reports():
-    steps = cm.identity_steps((4,), square_trace_Dmax=9)
+    steps = cm.identity_steps((4,))
     named = [(name, r) for name, step in steps.items() for r in step(-3)]
     # each identity keeps its own tolerance unless one tol replaces them all
     assert all(r.tolerance == cm.IDENTITY_TOLS[name] for name, r in named)

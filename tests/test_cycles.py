@@ -14,7 +14,8 @@ from mpmath import mp, mpf, mpc
 from shintani import cycles as cy
 from shintani import forms as fo
 from shintani.specfun import Precision
-from shintani.qforms import QForm, class_reps, hurwitz_class_number, pell_fundamental_4
+from shintani.qforms import (QForm, class_reps, hurwitz_class_number, pell_fundamental_4,
+                             square_normalize)
 from shintani.forms import HarmonicFourierData, build_standard_forms
 from test_qforms import random_sl2
 
@@ -244,6 +245,21 @@ def test_synthetic_one_term_kminus():
     rd = cy.reg_cycle_integral(data, QForm(0, 3, 1), 1, T=2)
     ra = cy.reg_cycle_integral_alt(data, QForm(0, 3, 1), 1, T=2)
     assert abs(rd.value - ra.value) < 1e-6
+
+
+def test_square_ray_data_bottom_ray_orientation():
+    # r- = -u/q comes from sigma = ((p, -v), (q, u)) in SL2(Z) with sigma
+    # infinity = r+ = p/q, and -Q_N o sigma is the normal form (0, f, -f r-)
+    # of the bottom ray, for every square class with f <= 40
+    for f in range(1, 41):
+        for Q in class_reps(f * f).reps:
+            g, r_plus, q, r_minus = cy._square_ray_data(Q)
+            p, u = r_plus.numerator, -r_minus * q
+            assert g == f and q == r_plus.denominator and u.denominator == 1
+            v, rem = divmod(1 - p * int(u), q)
+            assert rem == 0
+            Qm = square_normalize(Q)[0].neg().compose(((p, -v), (q, int(u))))
+            assert (Qm.a, Qm.b, Fraction(-Qm.c, f)) == (0, f, r_minus)
 
 
 def test_reg_rays_match_counterterm_closed_form():

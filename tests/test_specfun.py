@@ -10,9 +10,11 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
 
 from shintani import specfun as sf
+from shintani.qforms import hurwitz_class_number
 
 PREC = sf.DEFAULT_PRECISION
 
@@ -110,6 +112,34 @@ def test_e_kappa_is_antiderivative():
             assert abs(d - expect) <= 1e-7 * (1 + abs(expect)), (kappa, float(y))
 
 
+def _e_kappa_reference(kappa, y):
+    """E_kappa(y) at 150 digits by the closed forms: the finite sum
+    (-kappa)! e^y sum_{j <= -kappa} (-y)^j/j! for kappa <= 0, and
+    ((-1)^(kappa+1)/(kappa-1)!) (e^y sum_{j <= kappa-2} j!/y^(j+1) - Ei(y))
+    for kappa > 0."""
+    with mp.workdps(150):
+        y = mpf(y)
+        if kappa <= 0:
+            return mpmath.factorial(-kappa) * mpmath.exp(y) * mpmath.fsum(
+                (-y) ** j / mpmath.factorial(j) for j in range(1 - kappa))
+        acc = mpmath.fsum(mpmath.factorial(j) / y ** (j + 1) for j in range(kappa - 1))
+        return (-1) ** (kappa + 1) / mpmath.factorial(kappa - 1) * (
+            mpmath.exp(y) * acc - mpmath.ei(y))
+
+
+def test_e_kappa_accuracy_against_closed_forms():
+    # E_kappa at Precision(30) keeps its working digits where the closed
+    # form cancels (kappa >= 3, |y| large: up to 16 of 40 digits lost)
+    for kappa in range(-3, 9):
+        for y in (0.003, 0.5, 7, 37.7, 80, 500):
+            for y in (y, -y):
+                got = sf.e_kappa(kappa, y, sf.Precision(30)).value
+                want = _e_kappa_reference(kappa, y)
+                with mp.workdps(150):
+                    err = abs(got - want) / abs(want)
+                assert err <= mpf("1e-36"), (kappa, y, mpmath.nstr(err, 3))
+
+
 def test_e_kappa_rejects_zero():
     with pytest.raises(ValueError):
         sf.e_kappa(3, 0)
@@ -204,6 +234,23 @@ def test_dirichlet_L_at_one_accelerated_oracle():
         S2 = full_period_partial(20000)
         extrapolated = 2 * S2 - S1   # kills the 1/M term of the tail
     assert abs(got - extrapolated) < 1e-8
+
+
+NEGATIVE_FUNDAMENTALS = [d for d in range(-3, -10001, -1) if sf.is_fundamental_discriminant(d)]
+
+
+@settings(max_examples=20)
+@given(d=st.sampled_from(NEGATIVE_FUNDAMENTALS))
+@example(d=-3)
+@example(d=-4)
+def test_class_number_formula(d):
+    # L_d(0) = H(|d|) exactly (Bernoulli numbers), and sqrt|d| L_d(1)/pi
+    # = H(|d|) at the working precision, for fundamental d < 0, |d| <= 10^4
+    H = hurwitz_class_number(-d)
+    assert sf.dirichlet_L_exact_nonpositive(d, 0) == H
+    with mp.workdps(40):
+        L1 = mpmath.sqrt(-d) * sf.dirichlet_L(d, 1).value / mpmath.pi
+        assert abs(L1 - mpf(H.numerator) / H.denominator) <= mpf("1e-25")
 
 
 def test_dirichlet_L_pole_rejected():
