@@ -19,7 +19,9 @@ content of Q and (tr, v) the least solution of tr^2 - (D/g^2) v^2 = 4
 G(z) Q(z,1)^k dz is invariant under the stabilizer, the integrand in t is
 periodic and real-analytic, so the equispaced trapezoid rule over one period
 converges geometrically (Trefethen and Weideman, SIAM Rev. 56 (2014)) and
-its samples nest under doubling.
+its samples nest under doubling.  Each level's new nodes form one
+arithmetic progression t, t + h, ..., along which u = e^t takes one
+product a node, u <- u e^h.
 
 Regularized case (disc = f^2).  Normalize Q to (0, f, c); the geodesic is
 the vertical line Re(z) = r with r = -c/f, an infinite geodesic running
@@ -63,7 +65,7 @@ from .specfun import (DEFAULT_PRECISION, gamma_upper, e_kappa, kronecker_symbol,
 from .qforms import (class_reps, divisor_sigma1, genus_char, pell_fundamental_4,
                      square_normalize, _xgcd)
 from .quadrature import integrate_cc_doubling, integrate_periodic_doubling
-from .forms import (HarmonicFourierData, eval_modular, eval_qexp, xi_symbolic, fine_bits,
+from .forms import (HarmonicFourierData, eval_modular, eval_qexp, xi_symbolic, fine_pair,
                     fixed_exp, fixed_pair, pair_mul_pow, pair_to_mpc, _shift)
 
 
@@ -89,15 +91,18 @@ def closed_cycle_integral(G_eval, Q, k=0, nodes=16, prec=DEFAULT_PRECISION,
     violations show up as base-point dependence.  The period is integrated
     in arc length t by the nested trapezoid rule from `nodes` samples,
     doubling to _tol(prec, 3); base_angle is the polar angle of the base
-    point on the semicircle (default pi/2, the top).  Each node takes z and
-    Q(z,1)^k dz/dt from u = e^t (module docstring, fixed_exp) in fixed-point
-    integers, with bits enough for the smallest sech t of the period, and
-    multiplies G(z) by it in the same fixed point, widened by the bits
-    |G(z)| lies below 1 so that a small G(z) keeps its relative precision,
-    rounding once.  The reported error is the rule's estimate plus its
-    rounding floor (quadrature._error_estimate); for E2* it bounds the
-    observed error on every class of D < 230, those whose integral is 0
-    included.
+    point on the semicircle (default pi/2, the top).  The rule asks for the
+    sum over a progression t, t + h, ...: u = e^t walks as u <- u e^h in
+    fixed-point integers from two fixed_exp, with guard bits for the walk's
+    products, and each node takes z and (sech t w)^(k+1) from u (module
+    docstring), with bits enough for the smallest sech t of the period.  G(z)
+    is multiplied by it in the same fixed point, widened by the bits |G(z)|
+    lies below 1 so that a small G(z) keeps its relative precision; the sum
+    is kept at the largest bits seen and multiplied once by the constant
+    (2i a radius^2)^k (-i radius), and the rule rounds each level to an mpc
+    once.  The reported error is the rule's estimate plus its rounding
+    floor (quadrature._error_estimate); for E2* it bounds the observed
+    error on every class of D < 230, those whose integral is 0 included.
     """
     D = Q.disc
     if D <= 0 or math.isqrt(D) ** 2 == D:
@@ -118,24 +123,38 @@ def closed_cycle_integral(G_eval, Q, k=0, nodes=16, prec=DEFAULT_PRECISION,
         one = 1 << bits
         c0, r0 = (-Q.b << bits) // (2 * Q.a), math.isqrt(D << 2 * bits) // (2 * abs(Q.a))
         K = [(t * r0) >> bits for t in fixed_pair(mpc(0, D) ** k / (2 * Q.a) ** k * -1j, bits)]
+        Kabs = float(abs(pair_to_mpc(K, bits)))
 
-        wt = mp.prec + 16      # t's fractional bits; e^t keeps all but log2(|t|/ln 2)
+        def progression(t, h, n):
+            # u = e^t, then u <- u e^h: two fixed_exp a level, one product a
+            # node, with guard bits for the n products' rounding
+            wu = mp.prec + 24 + n.bit_length()
+            m, e = fixed_exp(to_fixed(t._mpf_, wu), wu)
+            mh, eh = fixed_exp(to_fixed(h._mpf_, wu), wu)
+            top = 2 << wu
+            acc, abits, size = [0, 0], bits, 0.0
+            for _ in range(n):
+                u = _shift(m, e + bits - wu)
+                u2 = (u * u) >> bits
+                tanh, sech = ((u2 - one) << bits) // (u2 + one), (u << bits + 1) // (u2 + one)
+                # the node keeps every bit: reduction reads them
+                z = mp.make_mpc((from_man_exp(c0 + ((r0 * tanh) >> bits), -bits),
+                                 from_man_exp((r0 * sech) >> bits, -bits)))
+                g, gb = fine_pair(G_eval(z), bits)   # a small G(z) keeps its relative precision
+                sw = (sech * tanh) >> bits, (sech * sech) >> bits
+                vr, vi = pair_mul_pow(g, sw, k + 1, bits)
+                sh = max(vr.bit_length(), vi.bit_length(), 60) - 60
+                size += math.ldexp(math.hypot(vr >> sh, vi >> sh), sh - gb)
+                if gb > abits:
+                    acc, abits = [x << gb - abits for x in acc], gb
+                acc[0] += vr << abits - gb
+                acc[1] += vi << abits - gb
+                m, e = (m * mh) >> wu, e + eh
+                if m >= top:
+                    m, e = m >> 1, e + 1
+            return pair_mul_pow(acc, K, 1, bits), abits, size * Kabs
 
-        def integrand(t):
-            m, n = fixed_exp(to_fixed(t._mpf_, wt), wt)
-            u = _shift(m, n + bits - wt)
-            u2 = (u * u) >> bits
-            tanh, sech = ((u2 - one) << bits) // (u2 + one), (u << bits + 1) // (u2 + one)
-            sw = (sech * tanh) >> bits, (sech * sech) >> bits
-            # the node keeps every bit: reduction reads them
-            z = mp.make_mpc((from_man_exp(c0 + ((r0 * tanh) >> bits), -bits),
-                             from_man_exp((r0 * sech) >> bits, -bits)))
-            g = G_eval(z)
-            gb = fine_bits(g, bits)    # a small G(z) keeps its relative precision
-            return pair_to_mpc(pair_mul_pow(fixed_pair(g, gb),
-                                            pair_mul_pow(K, sw, k + 1, bits), 1, bits), gb)
-
-        val, err, used = integrate_periodic_doubling(integrand, t0, t1, _tol(prec, 3),
+        val, err, used = integrate_periodic_doubling(progression, t0, t1, _tol(prec, 3),
                                                      n0=nodes)
         return CycleIntegralResult(val, "closed-quadrature", float(err),
                                    float("nan"), used)

@@ -115,6 +115,7 @@ class TailBoundError(ArithmeticError):
 
 
 SERIES_GUARD_BITS = 24     # fixed-point bits carried past mp.prec by _series
+_LN2, _LN10 = math.log(2), math.log(10)
 
 
 def _shift(v, n):
@@ -130,12 +131,13 @@ def fixed_pair(c, bits):
     return tuple(to_fixed(x, bits) for x in parts)
 
 
-def fine_bits(c, bits):
-    """bits plus those by which the real or complex c lies below 1: the
-    fractional bits that keep c to `bits` bits relative to |c|."""
-    parts = c._mpc_ if isinstance(c, mpc) else (mpf(c)._mpf_,)
-    tops = [p[2] + p[3] for p in parts if p[1]]
-    return bits + max(0, -max(tops)) if tops else bits
+def fine_pair(c, bits):
+    """(fixed_pair(c, fine), fine) for fine = bits plus those by which the
+    real or complex c lies below 1: the fractional bits that keep c to
+    `bits` bits relative to |c|."""
+    parts = c._mpc_ if isinstance(c, mpc) else (mpf(c)._mpf_, fzero)
+    bits += max(0, -max((p[2] + p[3] for p in parts if p[1]), default=0))
+    return tuple(to_fixed(p, bits) for p in parts), bits
 
 
 def pair_to_mpc(acc, bits):
@@ -177,13 +179,13 @@ def _q(x, y, pbits, wp):
 
 def _table(f):
     """f's coefficients, coerced once per object and working precision:
-    (n0, bits, re, im, mags, minus, real).  re, im and mags hold
+    (n0, bits, re, im, mags, top, minus, real).  re, im and mags hold
     a+(n0 + k), dense from the lowest nonzero index n0 (negative allowed)
     to the highest, as fixed-point integers with `bits` fractional bits and
     as float magnitudes; bits is mp.prec plus the guard, plus what |a+(n0)|
     lies below 1, so the rounding stays below the leading term's last bits.
-    minus is the sorted list of nonzero (n, a-(n)); real says every a+ is
-    real."""
+    top is the largest magnitude of positive index (_height_cut); minus is
+    the sorted list of nonzero (n, a-(n)); real says every a+ is real."""
     tables = vars(f).setdefault("_tables", {})    # instance dict: the class is frozen
     if mp.prec not in tables:
         plus = {n: _coerce(c) for n, c in f.a_plus.items() if c}
@@ -195,32 +197,56 @@ def _table(f):
             re[n - n0], im[n - n0] = fixed_pair(c, bits)
             mags[n - n0] = float(abs(c))
         minus = sorted((n, _coerce(c)) for n, c in f.a_minus.items() if c)
-        tables[mp.prec] = (n0, bits, re, im, mags, minus, not any(im))
+        top = max(mags[max(0, 1 - n0):], default=0.0)
+        tables[mp.prec] = (n0, bits, re, im, mags, top, minus, not any(im))
     return tables[mp.prec]
+
+
+def _height_cut(n0, mags, top, absq):
+    """(keep, dropped) for a table's n0, float magnitudes and largest
+    positive-index magnitude top, at |q| = absq: terms of positive index are
+    dropped from the top down while the float sum of the dropped
+    |a+(n)| |q|^n stays below 10^-(dps + 10), and keep counts those left.
+    The walk starts at the first index n whose geometric tail
+    top |q|^n / (1 - |q|) lies below 2^-100 of the cut, beside hi, that
+    tail as a float bound for the skipped terms' sum.  Float rounding is
+    monotone, so the full walk's sum lies between dropped and hi: once the
+    two agree it is theirs, bit for bit; where they do not by the cut, the
+    walk starts again from the top."""
+    cut = 10.0 ** -(mp.dps + 10)
+    keep, dropped, hi = len(mags), 0.0, 0.0
+    if absq and top:
+        n = math.ceil(((mp.dps + 10) * _LN10 + 100 * _LN2 - math.log1p(-absq) + math.log(top))
+                      / -math.log(absq))
+        if n - n0 < keep:
+            keep = max(n - n0, 0)
+            hi = (top * absq ** n / (1 - absq) * (1 + 2.0 ** -30)
+                  + (top + 1) * len(mags) * 2.0 ** -1074)
+    while True:
+        while keep and n0 + keep - 1 > 0:
+            term = mags[keep - 1] * absq ** (n0 + keep - 1)
+            if hi + term >= cut:
+                break
+            keep, dropped, hi = keep - 1, dropped + term, hi + term
+        if hi == dropped:
+            return keep, dropped
+        keep, dropped, hi = len(mags), 0.0, 0.0
 
 
 def _series(f, z, absq):
     """(sum a+(n0 + k) q^k over f's a_plus as a fixed-point pair with
     _table's bits, dropped sum, q as _q's (qr, qi, e)) at q = e(z) and
     absq = |q|, for z the fixed-point triple (x, y, pbits).  q is read
-    off x and y 8 bits past the working precision (_q).  Terms of positive
-    index are dropped from the top down while the float sum of the dropped
-    |a+(n)| |q|^n stays below 10^-(dps + 10); the rest, principal part
-    included, are summed in
-    fixed-point integers: for a real table by the three-term recurrence
+    off x and y 8 bits past the working precision (_q).  The terms that
+    _height_cut keeps, principal part included, are summed in fixed-point
+    integers: for a real table by the three-term recurrence
     b_k = a_k + 2 Re(q) b_{k+1} - |q|^2 b_{k+2}, whose sum is
     b_0 - b_1 conj(q), two products a term; otherwise by Horner's rule,
     four.
     """
     x, y, pbits = z
-    n0, bits, re, im, mags, _, real = _table(f)
-    cut = 10.0 ** -(mp.dps + 10)
-    keep, dropped = len(mags), 0.0
-    while keep and n0 + keep - 1 > 0:
-        term = mags[keep - 1] * absq ** (n0 + keep - 1)
-        if dropped + term >= cut:
-            break
-        keep, dropped = keep - 1, dropped + term
+    n0, bits, re, im, mags, top, _, real = _table(f)
+    keep, dropped = _height_cut(n0, mags, top, absq)
     q = _q(x, y, pbits, mp.prec + 8)
     qr, qi = (_shift(t, bits - q[2]) for t in q[:2])
     if real:
@@ -273,15 +299,13 @@ def _evaluate(f, z, prec, gamma=None):
         raise TailBoundError(
             "q-series tail does not converge at this height; "
             "reduce to the fundamental domain first")
-    n0, bits, _, _, mags, minus, _ = _table(f)
+    n0, bits, _, _, mags, _, minus, _ = _table(f)
     acc, dropped, q = _series(f, z, absq)
     if n0 or any(n for n, _ in minus):
         q, ym = pair_to_mpc(q[:2], q[2]), mpmath.ldexp(y, -pbits)
         modes = [c * e_kappa(f.kappa, 4 * mpmath.pi * n * ym, prec).value * q ** n
                  for n, c in minus if n]
-        val = sum(modes, pair_to_mpc(acc, bits) * q ** n0)
-        bits = fine_bits(val, bits)
-        acc = fixed_pair(val, bits)
+        acc, bits = fine_pair(sum(modes, pair_to_mpc(acc, bits) * q ** n0), bits)
     for n, c in minus:
         if not n:      # a-(0) y^(1-kappa)
             mode = _y_power(f.kappa, y, pbits, bits)

@@ -8,8 +8,11 @@ Clenshaw-Curtis is the trapezoid rule in theta = arccos x applied to
 f(cos theta); its nodes cos(j pi / n) are explicit, and each weight is one
 cosine sum (Trefethen, "Is Gauss quadrature better than Clenshaw-Curtis?",
 SIAM Rev. 50 (2008)).  Nodes and weights are cached per (n, mp.prec).
-The rules take no Precision: they run at the caller's mp.prec, to the
-caller's tolerance (specfun._tol).
+The trapezoid rule's new nodes at each level are one arithmetic
+progression, and its integrand returns their sum in fixed point, so that
+the integrand can walk the progression in its own arithmetic and the rule
+rounds to an mpc once a level.  The rules take no Precision: they run at
+the caller's mp.prec, to the caller's tolerance (specfun._tol).
 
 For real-analytic integrands both rules converge geometrically, so the
 error estimate is the change under the one doubling taken, or, once three
@@ -21,6 +24,7 @@ integrands in this package are truncated explicitly).
 
 import mpmath
 from mpmath import mp, mpf
+from mpmath.libmp import from_man_exp, round_nearest
 
 _CC_CACHE = {}
 
@@ -109,30 +113,38 @@ def integrate_periodic_doubling(f, a, b, tol, n0=16, nmax=4096):
     """Nested trapezoid rule for f periodic with period b - a; returns
     (value, error_estimate, n_used).
 
-    For a real-analytic periodic f the equispaced rule converges
-    geometrically.  Each doubling samples only the new midpoints, so n_used
-    is also the number of evaluations of f.  Convergence, failure and the
-    error estimate as in integrate_cc_doubling.
+    f is asked for sums over arithmetic progressions: f(t, h, n) returns
+    the sum of the samples at t, t + h, ..., t + (n - 1) h as (pair, bits,
+    size), a fixed-point pair (re, im) with `bits` fractional bits and the
+    float sum of the samples' moduli.  The rule passes t and h exactly
+    (each level's midpoints start at a + h/2), adds each level's new sum to
+    the last in fixed point at the larger of the two bits, and rounds h
+    times that sum to an mpc once a level.  For a real-analytic periodic f
+    the equispaced rule converges geometrically; each doubling samples only
+    the new midpoints, so n_used is also the number of samples.
+    Convergence, failure and the error estimate as in integrate_cc_doubling.
     """
     a0, width = mpf(a), mpf(b) - mpf(a)
     size = 0.0       # float sum of |f| over the samples
 
-    def total(ts):
-        nonlocal size
-        acc = 0
-        for t in ts:
-            v = f(t)
-            acc += v
-            size += abs(complex(v))
-        return acc
+    def scaled(pair, bits, h):
+        sign, man, exp, _ = h._mpf_
+        man = -man if sign else man
+        return mp.make_mpc(tuple(from_man_exp(t * man, exp - bits, mp.prec, round_nearest)
+                                 for t in pair))
 
     def levels():
+        nonlocal size
         n, h = n0, width / n0
-        acc = total(a0 + j * h for j in range(n))
+        acc, bits, size = f(a0, h, n)
         while True:
-            yield h * acc, n
+            yield scaled(acc, bits, h), n
+            new, nbits, s = f(mpmath.fadd(a0, h / 2, exact=True), h, n)
+            size += s
+            if nbits > bits:
+                acc, bits, new, nbits = new, nbits, acc, bits
+            acc = tuple(x + (y << bits - nbits) for x, y in zip(acc, new))
             h /= 2
-            acc += total(a0 + (2 * j + 1) * h for j in range(n))
             n *= 2
 
     value, changes, n = _until_converged(levels(), tol, nmax)

@@ -14,8 +14,8 @@ from mpmath import mp, mpf, mpc
 from shintani import cycles as cy
 from shintani import forms as fo
 from shintani.specfun import Precision
-from shintani.qforms import (QForm, class_reps, hurwitz_class_number, pell_fundamental_4,
-                             square_normalize)
+from shintani.qforms import (QForm, class_reps, genus_char, hurwitz_class_number,
+                             pell_fundamental_4, square_normalize, _cycle)
 from shintani.forms import HarmonicFourierData, build_standard_forms
 from test_qforms import random_sl2
 
@@ -171,12 +171,69 @@ def test_closed_cycle_node_keeps_a_small_integrands_precision(shift, monkeypatch
         cy.closed_cycle_integral(lambda z, s=s: fo.eval_modular(E2, z)[0] * s,
                                  QForm(-1, 13, 1), 0)
     (f, a, b), (g, _, _) = integrands
+
+    def node(f, t):
+        # the integrand sums progressions: one node is a progression of one
+        (re, im), bits, _ = f(t, b - a, 1)
+        return mpc(mpmath.ldexp(re, -bits), mpmath.ldexp(im, -bits))
+
     with mp.workdps(40):
         ts = [a + (b - a) * j / 16 for j in range(16)]
-        want = [f(t) * scale for t in ts]
+        want = [node(f, t) * scale for t in ts]
         size = max(map(abs, want))
         for j, t in enumerate(ts):
-            assert abs(g(t) - want[j]) <= 4 * mp.eps * size, j
+            assert abs(node(g, t) - want[j]) <= 4 * mp.eps * size, j
+
+
+@pytest.mark.parametrize("delta, D", [(-11, 59), (-7, 103), (-11, 107)])
+def test_closed_cycle_nodes_follow_the_u_recurrence(delta, D, monkeypatch):
+    # a progression walks u <- u e^h in fixed point from two fixed_exp: over
+    # a full period of 512 nodes, every node's z, and its height, agrees with
+    # z at u = e^t taken node by node at t = a + j h, to 2^-(prec + 4)
+    # relative, on the longest regulators the CLI reaches (log eps to 44)
+    integrands = []
+    monkeypatch.setattr(cy, "integrate_periodic_doubling",
+                        lambda f, a, b, tol, n0: integrands.append((f, a, b)) or (0, 0.0, n0))
+    for Q in class_reps(-delta * D).reps:
+        zs = []
+        cy.closed_cycle_integral(lambda z: zs.append(z) or mpc(1), Q, 0)
+        f, a, b = integrands.pop()
+        with mp.workdps(40):     # the closed integral's working precision
+            h = (b - a) / 512
+            f(a, h, 512)
+            bound = mpf(2) ** -(mp.prec + 4)
+            with mp.workprec(mp.prec + 64):
+                center, radius = mpf(-Q.b) / (2 * Q.a), mpmath.sqrt(Q.disc) / (2 * abs(Q.a))
+                for j, z in enumerate(zs):
+                    t = a + j * h
+                    want = center + radius * mpc(mpmath.tanh(t), mpmath.sech(t))
+                    assert abs(z - want) <= bound * abs(want), (Q, j)
+                    assert abs(z.imag - want.imag) <= bound * want.imag, (Q, j)
+        assert len(zs) == 512
+
+
+def test_closed_integral_of_the_negated_class():
+    # -Q's class, represented by P = min of the rho-cycle of (-c, b, -a), which
+    # is (-Q) o S, integrates to (-1)^(k+1) times Q's: Q(z,1)^k changes sign k
+    # times and the geodesic's orientation reverses.  On the hecke pairs of
+    # these discriminants, -Q lies in another class wherever chi(Q) != 0, with
+    # chi(-Q) = -chi(Q)
+    forms = build_standard_forms(48)
+    evals = {0: E2_EVAL, 1: lambda z: fo.eval_modular(forms["E4"], z)[0],
+             2: lambda z: fo.eval_modular(forms["E6"], z)[0]}
+    pairs = {12: [(-3, 4), (-4, 3)], 21: [(-3, 7), (-7, 3)],
+             60: [(-3, 20), (-20, 3), (-4, 15), (-15, 4)], 96: [(-4, 24), (-24, 4)]}
+    for D, hecke in pairs.items():
+        for Q in class_reps(D).reps:
+            P = min(_cycle(QForm(-Q.c, Q.b, -Q.a))[0])
+            for delta, _ in hecke:
+                chi = genus_char(delta, Q)
+                assert genus_char(delta, P) == -chi and (not chi or P != Q), (delta, Q)
+            for k, ev in evals.items():
+                value = cy.closed_cycle_integral(ev, Q, k).value
+                negated = cy.closed_cycle_integral(ev, P, k).value
+                assert abs(negated - (-1) ** (k + 1) * value) <= 1e-36 * max(1, abs(value)), (
+                    Q, k, float(abs(negated - (-1) ** (k + 1) * value)))
 
 
 # ---------------------------------------------------------------------------

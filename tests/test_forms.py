@@ -283,6 +283,45 @@ def test_fixed_point_series_matches_plain_sum(name, digits, x, y):
             float(abs(value - want) / (mpf(2) ** -mp.prec * size)))
 
 
+def _full_walk(n0, mags, absq):
+    """The height cut's walk from the top index down: the oracle of
+    _height_cut, which starts lower."""
+    cut = 10.0 ** -(mp.dps + 10)
+    keep, dropped = len(mags), 0.0
+    while keep and n0 + keep - 1 > 0:
+        term = mags[keep - 1] * absq ** (n0 + keep - 1)
+        if dropped + term >= cut:
+            break
+        keep, dropped = keep - 1, dropped + term
+    return keep, dropped
+
+
+_CUT_TABLES = {
+    **{name: F[name] for name in ("E4", "E6", "DeltaCusp", "j", "J")},
+    **{f"E2*/{order}": fo.e2_star_data(order) for order in (16, 32, 64)},
+    **{f"series/{name}": f for name, f in _SERIES_OBJECTS.items()},
+    # zero coefficients: a lone top term far below the rest above a gap, and
+    # a table that is zero at six indices in seven
+    "sparse": HarmonicFourierData(0, {1: 1, 2: 0, 30: 2.5, 64: 1e-20}, {}, 64),
+    "gaps": HarmonicFourierData(2, {n: (n % 7 == 0) * n ** 3 for n in range(-1, 50)}, {}, 49),
+}
+
+
+def test_height_cut_matches_full_walk():
+    # keep and dropped bit for bit as the walk from the top gives them, from
+    # |q| just below 1/2 through sqrt(3)/2 height (|q| = 0.0043) up to
+    # height 20, at 15 to 100 digits
+    qs = [0.4999 * math.exp(-2 * math.pi * 20 * i / 299) for i in range(300)]
+    assert min(qs) < math.exp(-math.pi * math.sqrt(3)) < max(qs)
+    for digits in (15, 30, 50, 100):
+        with mp.workdps(digits):
+            for name, f in _CUT_TABLES.items():
+                n0, _, _, _, mags, top, _, _ = fo._table(f)
+                for absq in qs:
+                    assert fo._height_cut(n0, mags, top, absq) == _full_walk(n0, mags, absq), (
+                        name, digits, absq)
+
+
 @settings(max_examples=80)
 @given(digits=st.sampled_from([15, 30, 50]),
        x=st.one_of(st.sampled_from([0.0, 0.25, -0.25, 0.5, -0.5]), st.floats(-0.5, 0.5)),

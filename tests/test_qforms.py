@@ -85,6 +85,26 @@ def test_reduce_definite_lands_on_same_form():
         assert R == R0
 
 
+_DEFINITE = [d for d in range(-3, -400, -1) if d % 4 in (0, 1)]
+
+
+@settings(max_examples=60)
+@given(disc=st.sampled_from(_DEFINITE), index=st.integers(0, 63), sign=st.sampled_from([1, -1]),
+       seed=st.integers(0, 2 ** 32))
+def test_reduce_matrix_maps_the_form_to_its_reduced_form(disc, index, sign, seed):
+    # reduce(Q) = (R, M): M in SL2(Z) with Q o M = R (-Q o M where Q.a < 0),
+    # R reduced, and R the representative Q's orbit started from
+    reps = qf.class_reps(disc).reps
+    R0 = reps[index % len(reps)]
+    Q = R0.compose(random_sl2(random.Random(seed)))
+    Q = Q if sign > 0 else Q.neg()
+    R, M = qf.reduce(Q)
+    (p, q), (r, s) = M
+    assert p * s - q * r == 1
+    assert (Q if Q.a > 0 else Q.neg()).compose(M) == R
+    assert _is_reduced_definite(R) and R == R0
+
+
 def test_reduce_rejects_degenerate():
     # disc 0, and indefinite: reduce is for definite forms only
     for Q in (QForm(1, 2, 1), QForm(1, 1, -1)):
@@ -120,6 +140,47 @@ def test_class_reps_definite_covers_orbits():
                 Q = Q.neg()
             R, _ = qf.reduce(Q)
             assert R in reps
+
+
+def _equivalent(Q, R):
+    """Whether some M in SL2(Z) has Q o M = R, by brute force, for positive
+    definite Q and R of one discriminant -d: M's first column (p, r)
+    represents R.a = Q(p, r) >= d r^2 / 4Q.a and >= d p^2 / 4Q.c, which
+    bounds it, and given that column the second is fixed up to adding
+    t (p, r), which moves the middle coefficient by 2 t R.a."""
+    d = -Q.disc
+    rmax, pmax = math.isqrt(4 * Q.a * R.a // d), math.isqrt(4 * Q.c * R.a // d)
+    for r in range(-rmax, rmax + 1):
+        for p in range(-pmax, pmax + 1):
+            if math.gcd(p, r) != 1 or Q(p, r) != R.a:
+                continue
+            _, s, q = qf._xgcd(p, r)      # p s + r q = 1
+            b = Q.compose(((p, -q), (r, s))).b
+            if (R.b - b) % (2 * R.a) == 0:
+                return True
+    return False
+
+
+@settings(max_examples=30)
+@given(disc=st.sampled_from(_DEFINITE))
+def test_class_reps_match_brute_force_equivalence_count(disc):
+    # the forms (a, b, c) with |b| <= a <= c, a superset of the reduced ones,
+    # fall into as many SL2(Z) classes under brute-force equivalence as
+    # class_reps lists, one representative in each
+    forms = [QForm(a, b, (b * b - disc) // (4 * a))
+             for a in range(1, math.isqrt(-disc // 3) + 1) for b in range(-a, a + 1)
+             if (b * b - disc) % (4 * a) == 0 and (b * b - disc) // (4 * a) >= a]
+    classes = []
+    for Q in forms:
+        for cls in classes:
+            if _equivalent(cls[0], Q):
+                cls.append(Q)
+                break
+        else:
+            classes.append([Q])
+    reps = qf.class_reps(disc).reps
+    assert len(classes) == len(reps)
+    assert sorted(sum(R in cls for R in reps) for cls in classes) == [1] * len(classes)
 
 
 def test_class_reps_indefinite_pairwise_inequivalent():

@@ -534,13 +534,14 @@ def test_tol_past_float_range():
     # from 600 digits _tol is an mpf, and a nested trapezoid rule at 700
     # digits stops at it; below, the float is unchanged
     from shintani.quadrature import integrate_periodic_doubling
+    from test_quadrature import progression
     assert sf._tol(sf.Precision(599), 3) == 10.0 ** -(599 / 2 + 3)
     P = sf.Precision(700)
     tol = sf._tol(P, 3)
     assert 0 < tol < mpf(10) ** -352
     with sf._workdps(P):
-        val, err, n = integrate_periodic_doubling(lambda t: mpmath.exp(mpmath.cos(t)),
-                                                  0, 2 * mpmath.pi, tol)
+        val, err, n = integrate_periodic_doubling(
+            progression(lambda t: mpmath.exp(mpmath.cos(t))), 0, 2 * mpmath.pi, tol)
         exact = 2 * mpmath.pi * mpmath.besseli(0, 1)
         assert abs(val - exact) <= err and err < mpf(10) ** -700, (n, float(err))
 
@@ -550,12 +551,13 @@ def test_kernels_without_prec_follow_the_caller():
     # (whose tie width must stay at the caller's precision) and the finite
     # differences take no prec and compute at the caller's mp.dps
     from shintani import hyperbolic as hy, quadrature as qu, thetacore as th
+    from test_quadrature import progression
     cases = {
         ("quadrature", "integrate_cc_doubling"):
             lambda: qu.integrate_cc_doubling(mpmath.exp, 0, 1, 1e-10)[0],
         ("quadrature", "integrate_periodic_doubling"):
-            lambda: qu.integrate_periodic_doubling(lambda t: mpmath.exp(mpmath.cos(t)),
-                                                   0, 2 * mpmath.pi, 1e-10)[0],
+            lambda: qu.integrate_periodic_doubling(
+                progression(lambda t: mpmath.exp(mpmath.cos(t))), 0, 2 * mpmath.pi, 1e-10)[0],
         ("hyperbolic", "reduce_to_fundamental"): lambda: hy.reduce_to_fundamental(0.3 + 0.05j)[0],
         ("thetacore", "fd_operators"): lambda: th.fd_operators(mpmath.exp, 2, 0.3 + 1.1j)[1],
     }
