@@ -135,14 +135,17 @@ def fine_pair(c, bits):
     """(fixed_pair(c, fine), fine) for fine = bits plus those by which the
     real or complex c lies below 1: the fractional bits that keep c to
     `bits` bits relative to |c|."""
-    parts = c._mpc_ if isinstance(c, mpc) else (mpf(c)._mpf_, fzero)
-    bits += max(0, -max((p[2] + p[3] for p in parts if p[1]), default=0))
-    return tuple(to_fixed(p, bits) for p in parts), bits
+    re, im = c._mpc_ if isinstance(c, mpc) else (mpf(c)._mpf_, fzero)
+    if re[1] or im[1]:
+        bits += max(0, -max(p[2] + p[3] for p in (re, im) if p[1]))
+    return (to_fixed(re, bits), to_fixed(im, bits)), bits
 
 
 def pair_to_mpc(acc, bits):
     """The fixed-point pair acc, with `bits` fractional bits, rounded to an mpc."""
-    return mp.make_mpc(tuple(from_man_exp(t, -bits, mp.prec, round_nearest) for t in acc))
+    (re, im), prec = acc, mp.prec
+    return mp.make_mpc((from_man_exp(re, -bits, prec, round_nearest),
+                        from_man_exp(im, -bits, prec, round_nearest)))
 
 
 def pair_mul_pow(acc, j, n, bits):
@@ -179,13 +182,16 @@ def _q(x, y, pbits, wp):
 
 def _table(f):
     """f's coefficients, coerced once per object and working precision:
-    (n0, bits, re, im, mags, top, minus, real).  re, im and mags hold
-    a+(n0 + k), dense from the lowest nonzero index n0 (negative allowed)
-    to the highest, as fixed-point integers with `bits` fractional bits and
-    as float magnitudes; bits is mp.prec plus the guard, plus what |a+(n0)|
-    lies below 1, so the rounding stays below the leading term's last bits.
-    top is the largest magnitude of positive index (_height_cut); minus is
-    the sorted list of nonzero (n, a-(n)); real says every a+ is real."""
+    (n0, bits, re, im, mags, top, minus, real, mixed, zero, last).  re, im
+    and mags hold a+(n0 + k), dense from the lowest nonzero index n0
+    (negative allowed) to the highest, as fixed-point integers with `bits`
+    fractional bits and as float magnitudes; bits is mp.prec plus the
+    guard, plus what |a+(n0)| lies below 1, so the rounding stays below the
+    leading term's last bits.  top is the largest magnitude of positive
+    index (_height_cut); minus is the sorted list of nonzero (n, a-(n));
+    real says every a+ is real; mixed says n0 != 0 or an a-(n != 0) exists
+    (_evaluate's mpc branch); zero lists a nonzero a-(0) as fixed_pair at
+    bits; last is the largest of the last six magnitudes (the tail)."""
     tables = vars(f).setdefault("_tables", {})    # instance dict: the class is frozen
     if mp.prec not in tables:
         plus = {n: _coerce(c) for n, c in f.a_plus.items() if c}
@@ -198,7 +204,10 @@ def _table(f):
             mags[n - n0] = float(abs(c))
         minus = sorted((n, _coerce(c)) for n, c in f.a_minus.items() if c)
         top = max(mags[max(0, 1 - n0):], default=0.0)
-        tables[mp.prec] = (n0, bits, re, im, mags, top, minus, not any(im))
+        tables[mp.prec] = (n0, bits, re, im, mags, top, minus, not any(im),
+                           bool(n0) or any(n for n, _ in minus),
+                           [fixed_pair(c, bits) for n, c in minus if not n],
+                           max(mags[-6:], default=0.0))
     return tables[mp.prec]
 
 
@@ -233,9 +242,9 @@ def _height_cut(n0, mags, top, absq):
         keep, dropped, hi = len(mags), 0.0, 0.0
 
 
-def _series(f, z, absq):
-    """(sum a+(n0 + k) q^k over f's a_plus as a fixed-point pair with
-    _table's bits, dropped sum, q as _q's (qr, qi, e)) at q = e(z) and
+def _series(table, z, absq):
+    """(sum a+(n0 + k) q^k over table = _table(f) as a fixed-point
+    pair with its bits, dropped sum, q as _q's (qr, qi, e)) at q = e(z) and
     absq = |q|, for z the fixed-point triple (x, y, pbits).  q is read
     off x and y 8 bits past the working precision (_q).  The terms that
     _height_cut keeps, principal part included, are summed in fixed-point
@@ -245,10 +254,10 @@ def _series(f, z, absq):
     four.
     """
     x, y, pbits = z
-    n0, bits, re, im, mags, top, _, real = _table(f)
+    n0, bits, re, im, mags, top, _, real, _, _, _ = table
     keep, dropped = _height_cut(n0, mags, top, absq)
-    q = _q(x, y, pbits, mp.prec + 8)
-    qr, qi = (_shift(t, bits - q[2]) for t in q[:2])
+    q = qr, qi, e = _q(x, y, pbits, mp.prec + 8)
+    qr, qi = _shift(qr, bits - e), _shift(qi, bits - e)
     if real:
         t, s, b0, b1 = 2 * qr, (qr * qr + qi * qi) >> bits, 0, 0
         for k in range(keep - 1, -1, -1):
@@ -299,19 +308,19 @@ def _evaluate(f, z, prec, gamma=None):
         raise TailBoundError(
             "q-series tail does not converge at this height; "
             "reduce to the fundamental domain first")
-    n0, bits, _, _, mags, _, minus, _ = _table(f)
-    acc, dropped, q = _series(f, z, absq)
-    if n0 or any(n for n, _ in minus):
+    table = _table(f)
+    n0, bits, _, _, _, _, minus, _, mixed, zero, last = table
+    acc, dropped, q = _series(table, z, absq)
+    if mixed:
         q, ym = pair_to_mpc(q[:2], q[2]), mpmath.ldexp(y, -pbits)
         modes = [c * e_kappa(f.kappa, 4 * mpmath.pi * n * ym, prec).value * q ** n
                  for n, c in minus if n]
         acc, bits = fine_pair(sum(modes, pair_to_mpc(acc, bits) * q ** n0), bits)
-    for n, c in minus:
-        if not n:      # a-(0) y^(1-kappa)
-            mode = _y_power(f.kappa, y, pbits, bits)
-            acc = [s + ((t * mode) >> bits) for s, t in zip(acc, fixed_pair(c, bits))]
-    top = max(mags[-6:], default=0.0)
-    tail = top * 2 * absq ** (f.order + 1) / (1 - 2 * absq) + dropped
+        zero = [fixed_pair(c, bits) for n, c in minus if not n]
+    for c in zero:      # a-(0) y^(1-kappa)
+        mode = _y_power(f.kappa, y, pbits, bits)
+        acc = [s + ((t * mode) >> bits) for s, t in zip(acc, c)]
+    tail = last * 2 * absq ** (f.order + 1) / (1 - 2 * absq) + dropped
     if gamma is not None:
         acc, bits = _cocycle(acc, bits, gamma, (x, y, pbits), f.kappa)
         tail *= abs(gamma[0][0] - gamma[1][0] * zf) ** f.kappa

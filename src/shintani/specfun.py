@@ -12,11 +12,13 @@ _tol(prec, margin) = 10^-(d/2 + margin): each doubling squares the error of
 a geometrically converging rule, so half the digits suffice.  The margin is
 3 for closed cycles, 7 for regularized integrals (rays and line) and 1 for
 the lemma integrals: 1e-18, 1e-22 and 1e-16 at d = 30; from d = 600 it is
-an mpf, as the float would underflow.  The CLI scopes its own arithmetic
-in mp.workdps(d).  The kernels without `prec` run at the caller's
-precision: quadrature, hyperbolic and thetacore.fd_operators
-(hyperbolic's reduction widens only its own word search, by the bits a
-deep point needs, and keeps the caller's tie width).
+an mpf, as the float would underflow.  A nested scope at the same working
+precision is free: package code never assigns mp.prec or mp.dps, only
+enters scopes, so _workdps at its target already returns one shared no-op.
+The CLI scopes its own arithmetic in mp.workdps(d).  The kernels without
+`prec` run at the caller's precision: quadrature, hyperbolic and
+thetacore.fd_operators (hyperbolic's reduction widens only its own word
+search, by the bits a deep point needs, and keeps the caller's tie width).
 
 * gamma_upper(s, y)    -- Gamma(s,y) = int_y^oo e^-t t^(s-1) dt, integer s >= 1,
                           any real y: mpmath.gammainc.
@@ -32,12 +34,14 @@ deep point needs, and keeps the caller's tie width).
 """
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
 from mpmath import mp, mpf, mpc
+from mpmath.libmp import dps_to_prec
 
 
 # ---------------------------------------------------------------------------
@@ -67,9 +71,16 @@ class SpecialValue:
             raise ArithmeticError("NaN produced in special-function evaluation")
 
 
+_SAME = nullcontext()
+
+
 def _workdps(prec):
-    # guard digits for intermediate cancellation
-    return mp.workdps(prec.working_digits + 10)
+    # guard digits for intermediate cancellation; at the target already,
+    # the shared no-op (module docstring)
+    dps = prec.working_digits + 10
+    if mp.dps == dps and mp.prec == dps_to_prec(dps):
+        return _SAME
+    return mp.workdps(dps)
 
 
 def _tol(prec, margin):
