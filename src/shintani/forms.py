@@ -317,9 +317,9 @@ def _evaluate(f, z, prec, gamma=None):
                  for n, c in minus if n]
         acc, bits = fine_pair(sum(modes, pair_to_mpc(acc, bits) * q ** n0), bits)
         zero = [fixed_pair(c, bits) for n, c in minus if not n]
-    for c in zero:      # a-(0) y^(1-kappa)
+    for pair in zero:      # a-(0) y^(1-kappa)
         mode = _y_power(f.kappa, y, pbits, bits)
-        acc = [s + ((t * mode) >> bits) for s, t in zip(acc, c)]
+        acc = [s + ((t * mode) >> bits) for s, t in zip(acc, pair)]
     tail = last * 2 * absq ** (f.order + 1) / (1 - 2 * absq) + dropped
     if gamma is not None:
         acc, bits = _cocycle(acc, bits, gamma, (x, y, pbits), f.kappa)

@@ -539,3 +539,63 @@ def test_closed_integral_weight_four_invariance():
     r3 = cy.closed_cycle_integral(ev, QT, 1, nodes=64)
     assert abs(r1.value - r3.value) < 1e-8
 
+
+def _cohen_H(r, N):
+    """Cohen's generalized class number H(r, N) for N > 0, exactly: with
+    (-1)^r N = d f^2 and d fundamental, L(1 - r, chi_d) times
+    sum_{e | f} mu(e) chi_d(e) e^(r-1) sigma_(2r-1)(f/e); 0 where (-1)^r N
+    is not a discriminant."""
+    from shintani.specfun import (dirichlet_L_exact_nonpositive, is_fundamental_discriminant,
+                                  kronecker_symbol, _factor)
+    M = (-1) ** r * N
+    if M % 4 not in (0, 1):
+        return Fraction(0)
+    f = next(f for f in range(math.isqrt(N), 0, -1)
+             if M % (f * f) == 0 and is_fundamental_discriminant(M // (f * f)))
+    d = M // (f * f)
+    mu = lambda e: 0 if any(x > 1 for x in _factor(e).values()) else (-1) ** len(_factor(e))
+    sigma = lambda n: sum(t ** (2 * r - 1) for t in range(1, n + 1) if n % t == 0)
+    return dirichlet_L_exact_nonpositive(d, 1 - r) * sum(
+        mu(e) * kronecker_symbol(d, e) * e ** (r - 1) * sigma(f // e)
+        for e in range(1, f + 1) if f % e == 0)
+
+
+def test_cohen_class_number_is_hurwitz_at_r_one():
+    # the oracle of the test below: H(1, N) is the Hurwitz class number
+    assert [_cohen_H(1, N) for N in range(1, 201)] == \
+        [hurwitz_class_number(N) for N in range(1, 201)]
+    assert _cohen_H(2, 16) == Fraction(-55, 12) and _cohen_H(2, 3) == 0
+
+
+# (delta, D), delta fundamental with (-1)^(k+1) delta > 0 and |delta| D not
+# a square; (8, 16) has a non-fundamental D
+_EISENSTEIN_PAIRS = {
+    1: [(5, 1), (5, 4), (5, 8), (5, 12), (8, 1), (8, 5), (8, 16), (12, 1), (13, 4)],
+    2: [(-3, 4), (-3, 7), (-3, 8), (-4, 3), (-4, 7), (-4, 8), (-7, 3), (-7, 4), (-8, 3)],
+    3: [(5, 1), (5, 4), (5, 8), (8, 1), (8, 5), (8, 12), (12, 1), (12, 5), (13, 4)],
+}
+
+
+def test_eisenstein_traces_on_closed_cycles():
+    # tr_delta(E_{2k+2}, D) = -H(k+1, |delta|) H(k+1, D) / zeta(-1-2k) for
+    # k = 1, 2, 3 (the constants -120, 252, -240; k = 0 is crit 3's
+    # 12 H H) on closed cycles: the holomorphic tables and the cocycle at
+    # weight 4, 6 and 8, with Q(z, 1)^k in the node geometry.  Square
+    # discriminants stay out: there the odd-k sign is not settled
+    from shintani.specfun import dirichlet_L_exact_nonpositive
+    F = build_standard_forms(64)
+    e4 = [F["E4"].a_plus[n] for n in range(65)]
+    E = {1: F["E4"], 2: F["E6"],
+         3: HarmonicFourierData(8, dict(enumerate(fo._series_mul(e4, e4, 64))), {}, 64)}
+    for k, pairs in _EISENSTEIN_PAIRS.items():
+        c = -1 / dirichlet_L_exact_nonpositive(1, -1 - 2 * k)
+        assert c == (-120, 252, -240)[k - 1]
+        for delta, D in pairs:
+            assert math.isqrt(abs(delta) * D) ** 2 != abs(delta) * D
+            target = c * _cohen_H(k + 1, abs(delta)) * _cohen_H(k + 1, D)
+            tr, qerr = cy.trace_cycle(E[k], delta, D, k)
+            with mp.workdps(80):
+                # within the reported error itself, which is stricter than
+                # that error plus 1e-35 max(1, |target|)
+                t = mpf(target.numerator) / target.denominator
+                assert abs(tr - t) <= qerr, (k, delta, D, float(abs(tr - t)), qerr, target)

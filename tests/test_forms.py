@@ -412,6 +412,25 @@ def test_eval_modular_matches_plain_mpmath_route(name, digits):
                 name, str(z), float(abs(value - want)))
 
 
+@pytest.mark.parametrize("name", ["E2*", "synthetic"])
+def test_table_values_are_keyed_by_precision(name):
+    # _table keeps per-precision values (a-(0)'s fixed-point pair, the mpc
+    # branch's flag, the tail's magnitude): one object evaluated at 30,
+    # then 50, then 30 digits again returns, at each, a fresh object's bits.
+    # E2* has the a-(0) pair; the synthetic data has n0 < 0 and a-(n != 0)
+    f = {"E2*": fo.e2_star_data(64, Precision(50)), "synthetic": _SYNTHETIC}[name]
+    pts = [mpc(0.1, 0.9), mpc(-0.45, 1.2), mpc(0.3, 0.05)]
+    for digits in (30, 50, 30):
+        prec = Precision(digits)
+        fresh = HarmonicFourierData(f.kappa, dict(f.a_plus), dict(f.a_minus), f.order)
+        for z in pts:
+            for evaluate in (fo.eval_modular, fo.eval_qexp):
+                if evaluate is fo.eval_qexp and z.imag < 0.5:
+                    continue
+                got, want = evaluate(f, z, prec), evaluate(fresh, z, prec)
+                assert (got[0]._mpc_, got[1]) == (want[0]._mpc_, want[1]), (digits, str(z))
+
+
 def test_xi_e2_star():
     xi = fo.xi_symbolic(fo.e2_star_data(16))
     assert xi.kappa == 0 and xi.a_minus == {}

@@ -425,12 +425,35 @@ def _prec_functions():
     return out
 
 
+def _assigns_precision(source):
+    """(line, name) of every store to an attribute prec, dps, _prec or _dps
+    in the source: plain, augmented and annotated assignments and loop,
+    with and tuple targets."""
+    return [(node.lineno, node.attr) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+            and node.attr in ("prec", "dps", "_prec", "_dps")]
+
+
+def test_package_never_assigns_mp_precision():
+    # _workdps hands out one shared no-op scope where the ambient precision
+    # is its target already; that is exact only while no package code sets
+    # mp.prec or mp.dps itself (a real scope would restore them on exit)
+    assert _assigns_precision("mp.dps = 5\nmpmath.mp.prec += 1\n(a, mp._dps) = 1, 2") == \
+        [(1, "dps"), (2, "prec"), (3, "_dps")]
+    assert _assigns_precision("with mp.workdps(5):\n    x = mp.prec + mp.dps") == []
+    for path in PKG.glob("*.py"):
+        assert _assigns_precision(path.read_text()) == [], path.name
+
+
+GUARD_PREC = sf.Precision(40)
+
+
 def _guard_cases():
-    """One call per prec-taking function, at Precision(40), on inputs that
+    """One call per prec-taking function, at GUARD_PREC, on inputs that
     are exact at any ambient precision (ints, Fractions, floats, complex)."""
     from shintani import cmtraces as cm, cycles as cy, forms as fo, thetacore as th
     from shintani.qforms import QForm
-    P = sf.Precision(40)
+    P = GUARD_PREC
     G = fo.e2_star_data(16, P)
     H = fo.HarmonicFourierData(2, {0: 1, 1: -24}, {0: Fraction(1, 3), -1: 0.5}, 1)
     J = fo.build_standard_forms(32)["J"]
@@ -495,18 +518,21 @@ def _bits(v):
 
 def test_prec_functions_ignore_ambient_precision():
     # every public function with a prec parameter computes at prec alone:
-    # called under ambient mp.dps 15 and 60 it returns the same bits and
-    # leaves mp.dps as it found it.  The case table covers exactly the
-    # functions the AST finds, so a new one cannot skip the guard
+    # called under ambient mp.dps 15 and 60, and at its own working
+    # precision, where _workdps' scope is the shared no-op, it returns the
+    # same bits and leaves mp.dps and mp.prec as it found them.  The case
+    # table covers exactly the functions the AST finds, so a new one cannot
+    # skip the guard
+    from mpmath.libmp import dps_to_prec
     cases = _guard_cases()
     assert set(cases) == _prec_functions()
     for key, call in cases.items():
         runs = []
-        for dps in (15, 60):
+        for dps in (15, 60, GUARD_PREC.working_digits + 10):
             with mp.workdps(dps):
                 runs.append(_bits(call()))
-                assert mp.dps == dps, key
-        assert runs[0] == runs[1], key
+                assert (mp.dps, mp.prec) == (dps, dps_to_prec(dps)), key
+        assert runs[0] == runs[1] == runs[2], key
 
 
 def test_workdps_ignores_one_bit_of_ambient_precision():
