@@ -61,24 +61,23 @@ def _format_float(x):
     return format(x, ".17g")
 
 
-def emit_report(reports, fmt="json", out=None):
+def emit_report(reports, fmt="json"):
     """Serialize a list of flat dicts as JSON or CSV (the CSV header is the
     union of the rows' keys in first-seen order; a cell holding a comma,
-    such as a list, is quoted)."""
-    out = out or sys.stdout
+    such as a list, is quoted) to sys.stdout as it is at the call."""
     rows = [_flatten(_encode(r)) for r in reports]
     for row in rows:
         for k, v in row.items():
             if isinstance(v, float):
                 row[k] = _format_float(v)
     if fmt == "json":
-        out.write(json.dumps(rows, indent=2) + "\n")
+        sys.stdout.write(json.dumps(rows, indent=2) + "\n")
         return
     if not rows:
-        out.write("\n")
+        sys.stdout.write("\n")
         return
     header = list(dict.fromkeys(k for row in rows for k in row))
-    writer = csv.writer(out, lineterminator="\n")
+    writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(header)
     writer.writerows([row.get(h, "") for h in header] for row in rows)
 

@@ -32,7 +32,6 @@ from . import cycles
 class TraceResult:
     value: object
     class_count: int
-    params: dict
 
 
 @dataclass(frozen=True)
@@ -90,19 +89,20 @@ def trace_cm(F, delta, D, prec=DEFAULT_PRECISION):
             else:
                 acc += chi * eval_modular(F, cm_point(Q), prec)[0] / w
             count += 1
-        return TraceResult(acc, count, {"delta": delta, "D": D})
+        return TraceResult(acc, count)
 
 
-def f_series(delta, D_max, order=128, prec=DEFAULT_PRECISION):
+def f_series(delta, D_max, prec=DEFAULT_PRECISION):
     """Coefficients of the twisted singular-moduli series.
 
     Index delta carries 1 (principal term); index |D| carries
-    tr+_delta(J, D)/sqrt(|D|) for admissible D < 0, |D| <= D_max.
+    tr+_delta(J, D)/sqrt(|D|) for admissible D < 0, |D| <= D_max, with J's
+    q-series to order 128.
     """
     delta = int(delta)
     if delta >= 0 or not is_fundamental_discriminant(delta):
         raise ValueError("delta must be a negative fundamental discriminant")
-    J = build_standard_forms(order)["J"]
+    J = build_standard_forms(128)["J"]
     out = {delta: mpf(1)}
     with _workdps(prec):
         for aD in range(1, D_max + 1):

@@ -72,24 +72,21 @@ from .forms import (HarmonicFourierData, eval_modular, eval_qexp, xi_symbolic, f
 @dataclass(frozen=True)
 class CycleIntegralResult:
     value: object
-    method: str
     quadrature_error: float
-    T_used: float
-    nodes: int = 0
+    nodes: int
 
 
 # ---------------------------------------------------------------------------
 # closed geodesics
 # ---------------------------------------------------------------------------
 
-def closed_cycle_integral(G_eval, Q, k=0, nodes=16, prec=DEFAULT_PRECISION,
-                          base_angle=None):
+def closed_cycle_integral(G_eval, Q, k=0, prec=DEFAULT_PRECISION, base_angle=None):
     """One automorph period of G(z) Q(z,1)^k dz along the oriented geodesic.
 
     G_eval must evaluate an object transforming with weight 2k+2 anywhere
     in H (route through the fundamental domain for q-series objects);
     violations show up as base-point dependence.  The period is integrated
-    in arc length t by the nested trapezoid rule from `nodes` samples,
+    in arc length t by the nested trapezoid rule from 16 samples,
     doubling to _tol(prec, 3); base_angle is the polar angle of the base
     point on the semicircle (default pi/2, the top).  The rule asks for the
     sum over a progression t, t + h, ...: u = e^t walks as u <- u e^h in
@@ -154,10 +151,8 @@ def closed_cycle_integral(G_eval, Q, k=0, nodes=16, prec=DEFAULT_PRECISION,
                     m, e = m >> 1, e + 1
             return pair_mul_pow(acc, K, 1, bits), abits, size * Kabs
 
-        val, err, used = integrate_periodic_doubling(progression, t0, t1, _tol(prec, 3),
-                                                     n0=nodes)
-        return CycleIntegralResult(val, "closed-quadrature", float(err),
-                                   float("nan"), used)
+        val, err, used = integrate_periodic_doubling(progression, t0, t1, _tol(prec, 3))
+        return CycleIntegralResult(val, float(err), used)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +235,7 @@ def _ray_counterterms(G, k, r, T, prec):
         return acc
 
 
-def _regularized(G, Q, k, T, prec, evaluator, nodes, tol, tail, method):
+def _regularized(G, Q, k, T, prec, evaluator, nodes, tol, tail):
     """f^k i^(k+1) (S(r-, c-, T) + (-1)^(k+1) S(r+, c+, T)), each ray's S its
     quadrature from c0 to T plus tail(G, G_fun, k, r, T, tol) -> (value,
     error), the part above height T in one representation, called at prec's
@@ -263,7 +258,7 @@ def _regularized(G, Q, k, T, prec, evaluator, nodes, tol, tail, method):
         # sensitive to this labeling, and it is pinned by the weight-2
         # Eisenstein trace identity (the odd-k combination is symmetric)
         total = mpf(f) ** k * (1j) ** (k + 1) * (S_minus + (-1) ** (k + 1) * S_plus)
-        return CycleIntegralResult(total, method, err, float(T), used)
+        return CycleIntegralResult(total, err, used)
 
 
 def reg_cycle_integral(G, Q, k=0, T=2, prec=DEFAULT_PRECISION,
@@ -277,8 +272,7 @@ def reg_cycle_integral(G, Q, k=0, T=2, prec=DEFAULT_PRECISION,
     so that the quadrature stays accurate at small heights).
     """
     tail = lambda G, G_fun, k, r, T, tol: (_ray_counterterms(G, k, r, T, prec), 0.0)
-    return _regularized(G, Q, k, T, prec, evaluator, nodes, tol, tail,
-                        "regularized-definition")
+    return _regularized(G, Q, k, T, prec, evaluator, nodes, tol, tail)
 
 
 def reg_cycle_integral_alt(G, Q, k=0, T=2, prec=DEFAULT_PRECISION,
@@ -326,8 +320,7 @@ def reg_cycle_integral_alt(G, Q, k=0, T=2, prec=DEFAULT_PRECISION,
             iline += am0 * (-mpmath.log(Tm)) if k == 0 else am0 * Tm ** (-k) / k
         return iline, float(err_line)
 
-    return _regularized(G, Q, k, T, prec, evaluator, nodes, tol, tail,
-                        "regularized-alternative")
+    return _regularized(G, Q, k, T, prec, evaluator, nodes, tol, tail)
 
 
 # ---------------------------------------------------------------------------
@@ -404,9 +397,10 @@ def lemma_integral_checks(k_max=4, n_max=3, ys=(0.5, 1, 2), prec=DEFAULT_PRECISI
 # traces and L-values
 # ---------------------------------------------------------------------------
 
-def trace_cycle(G, delta, D, k=0, prec=DEFAULT_PRECISION, T=2, evaluator=None):
+def trace_cycle(G, delta, D, k=0, prec=DEFAULT_PRECISION, evaluator=None):
     """tr_delta(G, D) = sum over classes of disc |delta| D of chi_delta(Q)
-    times the (regularized, if needed) cycle integral of G, of weight 2k+2."""
+    times the cycle integral of G, of weight 2k+2 (regularized, at T = 2, on
+    square discriminants)."""
     delta = int(delta)
     D = int(D)
     if G.kappa != 2 * k + 2:
@@ -430,7 +424,7 @@ def trace_cycle(G, delta, D, k=0, prec=DEFAULT_PRECISION, T=2, evaluator=None):
             if chi == 0:
                 continue
             if square:
-                res = reg_cycle_integral(G, Q, k, T=T, prec=prec, evaluator=evaluator)
+                res = reg_cycle_integral(G, Q, k, prec=prec, evaluator=evaluator)
             else:
                 res = closed_cycle_integral(evaluator, Q, k, prec=prec)
             acc += chi * res.value
@@ -438,13 +432,13 @@ def trace_cycle(G, delta, D, k=0, prec=DEFAULT_PRECISION, T=2, evaluator=None):
         return acc, qerr
 
 
-def l_star_value(G, delta, k=0, prec=DEFAULT_PRECISION, **kw):
+def l_star_value(G, delta, k=0, prec=DEFAULT_PRECISION, evaluator=None):
     """L*_delta(G, k+1) = sqrt(|delta|) tr_delta(G, -delta) (all classes
     regularized: the discriminant is the square delta^2)."""
     delta = int(delta)
     if (-1) ** (k + 1) * delta <= 0:
         raise ValueError("sign condition violated")
-    val, qerr = trace_cycle(G, delta, abs(delta), k, prec=prec, **kw)
+    val, qerr = trace_cycle(G, delta, abs(delta), k, prec=prec, evaluator=evaluator)
     with _workdps(prec):
         return mpmath.sqrt(abs(delta)) * val, qerr
 

@@ -109,9 +109,9 @@ def integrate_cc_doubling(f, a, b, tol, n0=16, nmax=4096):
     return value, _error_estimate(changes, b - a, size, n), n
 
 
-def integrate_periodic_doubling(f, a, b, tol, n0=16, nmax=4096):
-    """Nested trapezoid rule for f periodic with period b - a; returns
-    (value, error_estimate, n_used).
+def integrate_periodic_doubling(f, a, b, tol, nmax=4096):
+    """Nested trapezoid rule for f periodic with period b - a, from 16
+    samples; returns (value, error_estimate, n_used).
 
     f is asked for sums over arithmetic progressions: f(t, h, n) returns
     the sum of the samples at t, t + h, ..., t + (n - 1) h as (pair, bits,
@@ -135,7 +135,7 @@ def integrate_periodic_doubling(f, a, b, tol, n0=16, nmax=4096):
 
     def levels():
         nonlocal size
-        n, h = n0, width / n0
+        n, h = 16, width / 16
         acc, bits, size = f(a0, h, n)
         while True:
             yield scaled(acc, bits, h), n

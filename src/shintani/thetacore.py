@@ -181,18 +181,19 @@ def xi_eta_closed(ctx, Q, z, prec=DEFAULT_PRECISION):
 # finite-difference differential operators
 # ---------------------------------------------------------------------------
 
-def fd_operators(f, kappa, z, step=1e-3):
+def fd_operators(f, kappa, z):
     """Richardson-extrapolated central differences assembling
 
         xi_kappa f     = i y^kappa conj(f_x + i f_y)
         Delta_kappa f  = -y^2 (f_xx + f_yy) + i kappa y (f_x + i f_y)
 
-    at z.  Non-finite samples raise.  It runs at the caller's precision:
-    10 guard digits would move its result from the 13th digit on.
+    at z, from the steps h = mpf(1e-3) (eta-check's output depends on its
+    bits) and h/2.  Non-finite samples raise.  It runs at the caller's
+    precision: 10 guard digits would move its result from the 13th digit on.
     """
     z = mpc(z)
     y = z.imag
-    h = mpf(step)
+    h = mpf(1e-3)
 
     def stencil(hh):
         fxp, fxm = f(z + hh), f(z - hh)
@@ -288,12 +289,12 @@ def _e2star_coeffs(order):
     return np.array([a_plus[n] for n in range(order + 1)], dtype=np.float64)
 
 
-def _e2star_np(z, order=48):
+def _e2star_np(z):
     """E2* in float64 at an array of points, the series cut after the first
     index whose tail at the lowest point is below 1e-17 (about 9 terms at
     height sqrt(3)/2)."""
-    coeffs = _e2star_coeffs(order)
-    terms = np.abs(coeffs) * np.exp(-2 * np.pi * z.imag.min()) ** np.arange(order + 1)
+    coeffs = _e2star_coeffs(48)
+    terms = np.abs(coeffs) * np.exp(-2 * np.pi * z.imag.min()) ** np.arange(len(coeffs))
     tails = np.cumsum(terms[::-1])[::-1] - terms      # sum past each index
     cut = int(np.argmax(tails < 1e-17)) + 1
     return (np.polynomial.polynomial.polyval(np.exp(2j * np.pi * z), coeffs[:cut])
@@ -366,7 +367,7 @@ def _above_T_bound(disc, q, v, T):
         a += 1
 
 
-def lift_coefficient_quadrature(delta, D, v=0.25, grid=12, radius=40, normalized=True):
+def lift_coefficient_quadrature(delta, D, v=0.25, grid=12, radius=40):
     """The q^D Fourier coefficient of sqrt|Delta| I(E2*) by 2D quadrature
     over the truncated fundamental domain (k = 0).
 
@@ -386,9 +387,8 @@ def lift_coefficient_quadrature(delta, D, v=0.25, grid=12, radius=40, normalized
 
     The kernel-pairing value differs from the trace normalization of the
     Fourier expansion by the constant factor -1/|delta| (same family as the
-    phi0 kernel/preimage dictionary); the constant was measured across
-    (delta, D, v) and is frozen in the tests.  normalized=True applies it,
-    normalized=False returns the raw kernel pairing.
+    phi0 kernel/preimage dictionary), measured across (delta, D, v), frozen
+    in the tests and applied here.
     Returns (coefficient, error_estimate): the estimate is the change from a
     half-resolution pass, plus the pruned forms' bound, plus
     LIFT_ROUNDING_UNITS float64 units of the sum of the terms' magnitudes,
@@ -447,10 +447,8 @@ def lift_coefficient_quadrature(delta, D, v=0.25, grid=12, radius=40, normalized
 
     coarse, drop_c, _ = integrate(grid, grid)
     fine, drop_f, size = integrate(2 * grid, 2 * grid)
-    # sqrt|Delta| e^(4 pi D v) times A_D's 2 sqrt(v) e^(-4 pi D v) / sqrt|Delta|
-    scale = 2 * math.sqrt(v)
-    if normalized:
-        scale *= LIFT_KERNEL_DICTIONARY / q
+    # sqrt|Delta| e^(4 pi D v) A_D's 2 sqrt(v) e^(-4 pi D v) / sqrt|Delta|, -1/|Delta|
+    scale = 2 * math.sqrt(v) * (LIFT_KERNEL_DICTIONARY / q)
     rounding = LIFT_ROUNDING_UNITS * np.finfo(float).eps * size
     above = _above_T_bound(disc, q, v, T)
     return scale * fine, abs(scale) * (abs(fine - coarse) + drop_c + drop_f + rounding + above)

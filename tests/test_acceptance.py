@@ -125,7 +125,7 @@ def test_criterion_04_square_lvalue():
     worst_H = 0.0
     worst_cross = 0.0
     for delta in (-3, -4, -7, -8):
-        L, _ = cy.l_star_value(G, delta, 0, evaluator=ev, T=2)
+        L, _ = cy.l_star_value(G, delta, 0, evaluator=ev)
         val = L / (12 * mpmath.sqrt(abs(delta)))
         H = hurwitz_class_number(abs(delta))
         target = mpf(H.numerator) ** 2 / H.denominator ** 2

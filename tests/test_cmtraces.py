@@ -83,10 +83,12 @@ def test_f_series_coefficients_real():
 
 
 def test_f_series_stable_under_order_doubling():
-    a = cm.f_series(-3, 4, order=128)
-    b = cm.f_series(-3, 4, order=256)
+    # f_series builds J at order 128; J at order 256 gives the same series
+    a = cm.f_series(-3, 4)
+    J = build_standard_forms(256)["J"]
     for n in a:
-        assert abs(mpmath.mpmathify(a[n]) - mpmath.mpmathify(b[n])) < 1e-8
+        b = cm.trace_cm(J, -3, -n).value / mpmath.sqrt(n) if n > 0 else 1
+        assert abs(mpmath.mpmathify(a[n]) - mpmath.mpmathify(b)) < 1e-8
 
 
 def test_identity_suite_reports():

@@ -68,25 +68,25 @@ def test_periodic_trapezoid_nested_samples():
         return 1 / (2 - mpmath.cos(t))
 
     a = mpf("0.7")
-    val, err, n = integrate_periodic_doubling(progression(f), a, a + 2 * mpmath.pi, n0=8,
-                                              tol=1e-25)
+    val, err, n = integrate_periodic_doubling(progression(f), a, a + 2 * mpmath.pi, tol=1e-25)
     exact = 2 * mpmath.pi / mpmath.sqrt(3)
     assert abs(val - exact) < 1e-28
     assert abs(val - exact) <= err
     assert len(calls) == n and len(set(calls)) == n
     # the reversed period gives the negated value
-    back, _, _ = integrate_periodic_doubling(progression(f), a + 2 * mpmath.pi, a, n0=8, tol=1e-25)
+    back, _, _ = integrate_periodic_doubling(progression(f), a + 2 * mpmath.pi, a, tol=1e-25)
     assert abs(back + val) < 1e-28
 
 
 def test_periodic_trapezoid_complex_exact_at_first_doubling():
-    # a trigonometric polynomial of degree < n0 is integrated exactly
+    # a trigonometric polynomial of degree < 16 is integrated exactly from
+    # the rule's 16 samples on, so the first doubling changes nothing
     f = lambda t: mpmath.e ** (3j * t) + 2 - 1j * mpmath.sin(5 * t)
-    val, err, n = integrate_periodic_doubling(progression(f), 0, 2 * mpmath.pi, 1e-20, n0=8)
-    assert n == 16 and abs(val - 4 * mpmath.pi) < 1e-28 and err < 1e-28
+    val, err, n = integrate_periodic_doubling(progression(f), 0, 2 * mpmath.pi, 1e-20)
+    assert n == 32 and abs(val - 4 * mpmath.pi) < 1e-28 and err < 1e-28
 
 
 def test_periodic_trapezoid_raises_past_nmax():
     f = lambda t: 1 / (mpf("1.0001") - mpmath.cos(t))
     with pytest.raises(ArithmeticError):
-        integrate_periodic_doubling(progression(f), 0, 2 * mpmath.pi, 1e-20, n0=8, nmax=64)
+        integrate_periodic_doubling(progression(f), 0, 2 * mpmath.pi, 1e-20, nmax=64)

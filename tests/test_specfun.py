@@ -2,7 +2,9 @@
 series oracles."""
 
 import ast
+import collections
 import dataclasses
+import itertools
 import math
 import pathlib
 import random
@@ -409,6 +411,66 @@ def test_forms_and_hyperbolic_public_functions_are_called():
     _check_reached({"forms", "hyperbolic"})
 
 
+# Options that only tests set, each with the test that sets it: base_angle is
+# the one handle on base-point independence, each rule's nmax on its
+# non-convergence error, by_D on the theta series' per-D coefficients.
+TEST_OPTIONS = {
+    ("cycles", "closed_cycle_integral", "base_angle"):
+        ("test_cycles.py", "test_closed_integral_base_point_invariance"),
+    ("quadrature", "integrate_cc_doubling", "nmax"):
+        ("test_quadrature.py", "test_clenshaw_curtis_raises_past_nmax"),
+    ("quadrature", "integrate_periodic_doubling", "nmax"):
+        ("test_quadrature.py", "test_periodic_trapezoid_raises_past_nmax"),
+    ("thetacore", "theta_truncated", "by_D"):
+        ("test_thetacore.py", "test_theta_coefficient_extraction_two_paths"),
+}
+
+
+def _unpassed(defining, calling):
+    """(module, function, parameter) for every defaulted parameter of a
+    public module-level function in the trees `defining` ({module: tree})
+    that no call in the trees `calling` passes, by keyword or by position
+    (calls are matched by the function's name; a *args or **kwargs passes
+    nothing)."""
+    passed = collections.defaultdict(set)
+    for node in (n for tree in calling for n in ast.walk(tree)):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            positional = itertools.takewhile(lambda a: not isinstance(a, ast.Starred), node.args)
+            passed[name] |= {i for i, _ in enumerate(positional)} | \
+                {kw.arg for kw in node.keywords if kw.arg}
+    out = set()
+    for module, tree in defining.items():
+        for fn in tree.body:
+            if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+                continue
+            args = fn.args.posonlyargs + fn.args.args
+            first = len(args) - len(fn.args.defaults)
+            options = [(a.arg, i) for i, a in enumerate(args[first:], first)]
+            options += [(a.arg, None) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                        if d is not None]
+            out |= {(module, fn.name, arg) for arg, i in options
+                    if not {arg, i} & passed[fn.name]}
+    return out
+
+
+def test_package_options_are_set():
+    # every defaulted parameter of a public package function is passed by
+    # some call in the package or the benchmark, or is an option only a
+    # test sets, listed with that test; the ORACLES entry points are exempt
+    assert _unpassed({"m": ast.parse("def f(a, b=1, c=2, *, d=3, e=4):\n    pass")},
+                     [ast.parse("f(0, 1)\nm.f(d=1)\nf(*x, **y)")]) == \
+        {("m", "f", "c"), ("m", "f", "e")}
+    trees = {path.stem: ast.parse(path.read_text()) for path in PKG.glob("*.py")}
+    bench = [ast.parse(path.read_text()) for path in (TESTS.parent / "perfbench").glob("*.py")]
+    assert bench
+    assert {u for u in _unpassed(trees, list(trees.values()) + bench)
+            if u[:2] not in ORACLES} == set(TEST_OPTIONS)
+    for path, test in TEST_OPTIONS.values():
+        tests = ast.parse((TESTS / path).read_text())
+        assert test in {node.name for node in tests.body if isinstance(node, ast.FunctionDef)}
+
+
 # ---------------------------------------------------------------------------
 # precision guard
 # ---------------------------------------------------------------------------
@@ -490,7 +552,7 @@ def _guard_cases():
         ("cycles", "l_star_value"): lambda: cy.l_star_value(G, -3, 0, prec=P),
         ("cycles", "sigma_exp_sum"): lambda: cy.sigma_exp_sum(-4, P),
         ("cmtraces", "trace_cm"): lambda: cm.trace_cm(J, -3, -4, P),
-        ("cmtraces", "f_series"): lambda: cm.f_series(-3, 4, 32, P),
+        ("cmtraces", "f_series"): lambda: cm.f_series(-3, 4, P),
         ("cmtraces", "identity_steps"): steps,
         ("thetacore", "eta"): lambda: th.eta(ctx, Q, z, "recursion", P),
         ("thetacore", "xi_eta_closed"): lambda: th.xi_eta_closed(ctx, Q, z, P),

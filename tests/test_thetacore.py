@@ -293,8 +293,8 @@ def test_lift_kernel_dictionary_constant():
     # -1/|delta| across D and v (measured; frozen here)
     for delta, D in ((-3, 7), (-4, 8)):
         for v in (0.25, 0.4):
-            raw, est = th.lift_coefficient_quadrature(delta, D, v=v, grid=6,
-                                                      radius=32, normalized=False)
+            coeff, est = th.lift_coefficient_quadrature(delta, D, v=v, grid=6, radius=32)
+            raw = coeff / (th.LIFT_KERNEL_DICTIONARY / abs(delta))
             target = float(12 * hurwitz_class_number(abs(delta))
                            * hurwitz_class_number(D) / math.sqrt(abs(delta)))
             ratio = raw.real / target
@@ -372,6 +372,9 @@ def test_lift_quadrature_matches_per_point_oracle():
         for grid in (3, 5):
             for v in (0.25, 0.4):
                 coarse, fine = _lift_oracle_raw(delta, D, v, grid)
+                coeff, coeff_est = th.lift_coefficient_quadrature(delta, D, v=v, grid=grid)
+                # the raw kernel pairing, with the kernel dictionary taken out
+                dictionary = th.LIFT_KERNEL_DICTIONARY / abs(delta)
                 for normalized in (True, False):
                     scale = math.sqrt(abs(delta)) * math.exp(4 * math.pi * D * v)
                     if normalized:
@@ -380,8 +383,8 @@ def test_lift_quadrature_matches_per_point_oracle():
                     unit = 2 * math.sqrt(v) * (abs(th.LIFT_KERNEL_DICTIONARY) / abs(delta)
                                                if normalized else 1)
                     want_est += unit * th._above_T_bound(abs(delta) * D, abs(delta), v, 6.0)
-                    got, est = th.lift_coefficient_quadrature(
-                        delta, D, v=v, grid=grid, normalized=normalized)
+                    got, est = ((coeff, coeff_est) if normalized
+                                else (coeff / dictionary, coeff_est / abs(dictionary)))
                     case = (delta, D, grid, v, normalized)
                     assert abs(got - want) <= 1e-13 * abs(want), case
                     assert abs(est - want_est) <= 1e-13 * abs(want), case
@@ -443,7 +446,7 @@ def test_e2star_np_matches_multiprecision():
     from shintani.forms import e2_star_data, eval_qexp
     xs, ys = np.meshgrid(np.linspace(-0.5, 0.5, 9), np.linspace(0.8, 6.0, 9))
     zs = (xs + 1j * ys).ravel()
-    got = th._e2star_np(zs, 48)
+    got = th._e2star_np(zs)
     for zv, gv in zip(zs, got):
         assert abs(gv - complex(eval_qexp(e2_star_data(48), mpc(zv))[0])) <= 1e-12
 
