@@ -350,6 +350,9 @@ GOLDEN_COMMANDS = [
     "chi --delta -4 --form 1,2,-2",
     "classes --disc 12",
     "e32",
+    "class-number 23",
+    "lift-coeff --delta -4 --D 3 --grid 5 --radius 28",
+    "theta --delta -3 --radius 12",
 ]
 
 
