@@ -6,8 +6,14 @@ lift-coeff.  Output is JSON by default (--format csv for flat tables);
 floats are printed with 17 significant digits, exact rationals as "p/q".
 Exit codes: 0 success; 1 identity-suite failure or a failed computation
 (an uncaught ArithmeticError); 2 usage error, including arguments the
-library rejects with ValueError or NotImplementedError.  Each command runs inside
-mpmath.workdps(--precision), so the caller's mp.dps is left as it was.
+library rejects with ValueError or NotImplementedError.
+
+Each command imports the modules it computes with.  class-number, classes
+and chi are exact integer arithmetic (qforms) and lift-coeff is a float64
+quadrature (numpy and qforms): these four load no mpmath.  Every other
+command loads mpmath, and theta, eta-check and lift-coeff load numpy.  A
+command runs inside mpmath.workdps(--precision) when it loads mpmath or
+mpmath is loaded already, so the caller's mp.dps is left as it was.
 """
 
 import csv
@@ -20,13 +26,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import click
-import mpmath
-from mpmath import mpc, mpf
 
-from .specfun import Precision
-from .hyperbolic import form_polynomials
+from . import Precision
 from .qforms import QForm, class_reps, genus_char, hurwitz_class_number
-from . import cmtraces, cycles, forms
+
+# the commands that load no mpmath (module docstring)
+_WITHOUT_MPMATH = ("class-number", "classes", "chi", "lift-coeff")
 
 
 @dataclass(frozen=True)
@@ -43,9 +48,10 @@ class Config:
 def _encode(v):
     if isinstance(v, Fraction):
         return str(v)   # "p/q", or "p" for integers
-    if isinstance(v, (mpf,)):
+    mp = sys.modules.get("mpmath")     # an mpf or mpc exists only once it is loaded
+    if mp and isinstance(v, mp.mpf):
         return float(v)
-    if isinstance(v, (mpc, complex)):
+    if isinstance(v, complex) or mp and isinstance(v, mp.mpc):
         c = complex(v)
         if c.imag == 0:
             return c.real
@@ -119,7 +125,9 @@ class _Group(click.Group):
 def main(ctx, precision, fmt, tolerance):
     """Quadratic-form classes, cycle-integral traces and theta-kernel checks."""
     ctx.obj = Config(Precision(precision), fmt, tolerance)
-    ctx.with_resource(mpmath.mp.workdps(precision))
+    if "mpmath" in sys.modules or ctx.invoked_subcommand not in _WITHOUT_MPMATH:
+        import mpmath
+        ctx.with_resource(mpmath.mp.workdps(precision))
 
 
 @main.command("class-number")
@@ -160,6 +168,7 @@ def cmd_chi(config, delta, form_str):
 @click.pass_obj
 def cmd_cm_trace(config, delta, dd, fname):
     """Twisted trace of CM values tr+_delta(F, D), D < 0."""
+    from . import cmtraces, forms
     F = 1 if fname == "one" else forms.build_standard_forms(128)["J"]
     tr = cmtraces.trace_cm(F, delta, dd, config.prec)
     emit_report([{"delta": delta, "D": dd, "F": fname,
@@ -173,6 +182,7 @@ def cmd_cm_trace(config, delta, dd, fname):
 def cmd_cycle_trace(config, delta, dd):
     """Twisted trace of cycle integrals of the completed weight-2
     Eisenstein series (weight 2, so k = 0)."""
+    from . import cycles, forms
     G = forms.e2_star_data(64, config.prec)
     tr, qerr = cycles.trace_cycle(G, delta, dd, 0, prec=config.prec)
     emit_report([{"delta": delta, "D": dd, "k": 0, "value": tr,
@@ -184,6 +194,8 @@ def cmd_cycle_trace(config, delta, dd):
 @click.pass_obj
 def cmd_l_value(config, delta):
     """(1/(12 sqrt|delta|)) L*(E2*, 1) with the sigma-sum cross-check."""
+    import mpmath
+    from . import cycles, forms
     G = forms.e2_star_data(64, config.prec)
     L, qerr = cycles.l_star_value(G, delta, 0, prec=config.prec)
     val = L / (12 * mpmath.sqrt(abs(delta)))
@@ -201,6 +213,8 @@ def cmd_l_value(config, delta):
 @click.pass_obj
 def cmd_f_series(config, delta, dmax):
     """Coefficients of the twisted singular-moduli generating series."""
+    import mpmath
+    from . import cmtraces
     coeffs = cmtraces.f_series(delta, dmax, prec=config.prec)
     emit_report([{"delta": delta, "index": n,
                   "coefficient": float(mpmath.re(mpmath.mpmathify(v))),
@@ -213,6 +227,7 @@ def cmd_f_series(config, delta, dmax):
 @click.pass_obj
 def cmd_e32(config, dmax):
     """Holomorphic coefficients H(D) of the weight-3/2 Eisenstein series."""
+    from . import forms
     holo = forms.e32_star_coeffs(dmax)
     emit_report([{"D": D, "H": v} for D, v in sorted(holo.items())], config.fmt)
 
@@ -226,6 +241,7 @@ def cmd_e32(config, dmax):
 @click.pass_obj
 def cmd_verify(config, which, deltas, ds):
     """Run the closed-form identity suite; exit 1 if any check fails."""
+    from . import cmtraces
     deltas = list(deltas) or [-3, -4]
     ds = list(ds) or [3, 4]
     steps = cmtraces.identity_steps(ds, config.prec, config.tolerance)
@@ -244,7 +260,9 @@ def cmd_verify(config, which, deltas, ds):
 @click.pass_obj
 def cmd_eta_check(config, k, samples, seed):
     """Finite-difference check of the differential equations for eta."""
-    from . import thetacore     # numpy: loaded only by the theta commands
+    from mpmath import mpc
+    from . import thetacore
+    from .hyperbolic import form_polynomials
     rng = random.Random(seed)
     delta = -3 if k % 2 == 0 else 5
     # D0 of both signs with sgn(delta) D0 = 0, 1 mod 4, so that every
@@ -287,7 +305,8 @@ def _form_of_disc(disc, rng):
 @click.pass_obj
 def cmd_theta(config, delta, k, tau, z_str, radius):
     """Truncated theta-kernel sum with its tail bound."""
-    from . import thetacore     # numpy: loaded only by the theta commands
+    from mpmath import mpc
+    from . import thetacore
     try:
         u, v = (float(t) for t in tau.split(","))
         x, y = (float(t) for t in z_str.split(","))
@@ -309,10 +328,9 @@ def cmd_theta(config, delta, k, tau, z_str, radius):
 @click.pass_obj
 def cmd_lift_coeff(config, delta, dd, v, grid, radius):
     """Direct 2D quadrature of the lift's q^D coefficient (k = 0, E2*)."""
-    from . import thetacore     # numpy: loaded only by the theta commands
+    from .lift import lift_coefficient_quadrature
     t0 = time.perf_counter()
-    coeff, est = thetacore.lift_coefficient_quadrature(delta, dd, v=v,
-                                                       grid=grid, radius=radius)
+    coeff, est = lift_coefficient_quadrature(delta, dd, v=v, grid=grid, radius=radius)
     target = float(12 * hurwitz_class_number(abs(delta)) * hurwitz_class_number(dd)
                    / math.sqrt(abs(delta)))
     emit_report([{"delta": delta, "D": dd, "coefficient": coeff.real,

@@ -21,8 +21,9 @@ import mpmath
 from mpmath import mpf, mpc
 
 from .specfun import (DEFAULT_PRECISION, dirichlet_L, dirichlet_L_exact_nonpositive,
-                      is_fundamental_discriminant, _coerce, _workdps)
-from .qforms import class_reps, genus_char, stabilizer_order, hurwitz_class_number
+                      _coerce, _workdps)
+from .qforms import (class_reps, genus_char, is_fundamental_discriminant, stabilizer_order,
+                     hurwitz_class_number)
 from .hyperbolic import cm_point
 from .forms import HarmonicFourierData, build_standard_forms, eval_modular, e2_star_data
 from . import cycles

@@ -60,10 +60,10 @@ import mpmath
 from mpmath import mp, mpf, mpc
 from mpmath.libmp import from_man_exp, to_fixed
 
-from .specfun import (DEFAULT_PRECISION, gamma_upper, e_kappa, kronecker_symbol,
-                      bernoulli_poly_eval, _coerce, _tol, _workdps)
-from .qforms import (class_reps, divisor_sigma1, genus_char, pell_fundamental_4,
-                     square_normalize, _xgcd)
+from .specfun import (DEFAULT_PRECISION, gamma_upper, e_kappa, bernoulli_poly_eval, _coerce,
+                      _tol, _workdps)
+from .qforms import (class_reps, divisor_sigma1, genus_char, kronecker_symbol,
+                     pell_fundamental_4, square_normalize, _xgcd)
 from .quadrature import integrate_cc_doubling, integrate_periodic_doubling
 from .forms import (HarmonicFourierData, eval_modular, eval_qexp, xi_symbolic, fine_pair,
                     fixed_exp, fixed_pair, pair_mul_pow, pair_to_mpc, _shift)

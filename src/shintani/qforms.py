@@ -7,16 +7,17 @@ class enumeration for all three discriminant regimes (definite, indefinite
 non-square, square, the indefinite classes as reduced forms on rho-cycles),
 the Pell equation t^2 - D u^2 = 4 from the principal form's rho-cycle (one
 walk, _cycle, serves both), the genus character attached to a fundamental
-discriminant, and Hurwitz class numbers all live here.  Everything is exact
-integer / rational arithmetic.
+discriminant with the Kronecker symbol and the fundamental-discriminant
+test it rests on, and Hurwitz class numbers all live here.  Everything is
+exact integer / rational arithmetic, and the module imports neither mpmath
+nor any other package module: the CLI's class-number, classes and chi load
+it alone.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-from .specfun import kronecker_symbol, is_fundamental_discriminant, _factor
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +276,71 @@ def pell_fundamental_4(D):
 
 
 # ---------------------------------------------------------------------------
-# genus character, class numbers, sigma
+# Kronecker symbol, genus character, class numbers, sigma
 # ---------------------------------------------------------------------------
+
+def kronecker_symbol(delta, n):
+    """The Kronecker symbol (delta/n), completely multiplicative in n."""
+    delta = int(delta)
+    n = int(n)
+    if n == 0:
+        return 1 if delta in (1, -1) else 0
+    if n < 0:
+        sign = -1 if delta < 0 else 1
+        return sign * kronecker_symbol(delta, -n)
+    result = 1
+    # factor out 2
+    while n % 2 == 0:
+        n //= 2
+        if delta % 2 == 0:
+            return 0
+        if delta % 8 in (3, 5):
+            result = -result
+    if delta % 2 == 0 and math.gcd(delta, n) > 1:
+        return 0
+    # Jacobi symbol (delta/n) for odd n > 0 by reciprocity
+    a = delta % n
+    while a != 0:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def is_fundamental_discriminant(delta):
+    """1, squarefree = 1 mod 4, or 4m with m squarefree = 2,3 mod 4."""
+    delta = int(delta)
+    if delta == 0:
+        return False
+    if delta % 4 == 1:
+        return _is_squarefree(delta)
+    if delta % 4 == 0:
+        m = delta // 4
+        return m % 4 in (2, 3) and _is_squarefree(m)
+    return False
+
+
+def _is_squarefree(n):
+    return n != 0 and all(e == 1 for e in _factor(n).values())
+
+
+def _factor(n):
+    """{p: e} with |n| = prod p^e, n != 0, by trial division."""
+    n, d, out = abs(n), 2, {}
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = 1
+    return out
+
 
 @lru_cache(maxsize=256)
 def _delta_primes(delta):

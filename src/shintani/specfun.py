@@ -5,7 +5,8 @@ Everything here is an ordinary function of real arguments together with an
 immutable Precision context.  Values are returned as SpecialValue wrappers,
 which reject NaN.
 
-The precision model.  Precision(d), the CLI's --precision d, runs every
+The precision model.  Precision(d) (defined in the package __init__, which
+imports nothing), the CLI's --precision d, runs every
 package function that takes `prec` at d + 10 working digits (_workdps),
 whatever the ambient mp.dps.  A nested quadrature rule stops at
 _tol(prec, margin) = 10^-(d/2 + margin): each doubling squares the error of
@@ -15,7 +16,8 @@ the lemma integrals: 1e-18, 1e-22 and 1e-16 at d = 30; from d = 600 it is
 an mpf, as the float would underflow.  A nested scope at the same working
 precision is free: package code never assigns mp.prec or mp.dps, only
 enters scopes, so _workdps at its target already returns one shared no-op.
-The CLI scopes its own arithmetic in mp.workdps(d).  The kernels without
+The CLI scopes its own arithmetic in mp.workdps(d) for every command that
+loads mpmath.  The kernels without
 `prec` run at the caller's precision: quadrature, hyperbolic and
 thetacore.fd_operators (hyperbolic's reduction widens only its own word
 search, by the bits a deep point needs, and keeps the caller's tie width).
@@ -28,9 +30,9 @@ search, by the bits a deep point needs, and keeps the caller's tie width).
                           and y > 0): mpmath.gammainc.
 * bernoulli_number     -- exact rational B_n: mpmath.bernfrac.
 * bernoulli_poly       -- exact rational Bernoulli polynomial values.
-* kronecker_symbol     -- the Kronecker symbol (Delta/n), exact integers.
 * dirichlet_L          -- L_Delta(s) for fundamental Delta at s = 1 and at
-                          integers s <= 0, through Hurwitz zeta / digamma.
+                          integers s <= 0, through Hurwitz zeta / digamma
+                          (the Kronecker symbol comes from qforms).
 """
 
 import math
@@ -43,20 +45,13 @@ import mpmath
 from mpmath import mp, mpf, mpc
 from mpmath.libmp import dps_to_prec
 
+from . import Precision
+from .qforms import kronecker_symbol, is_fundamental_discriminant
+
 
 # ---------------------------------------------------------------------------
 # precision context
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Precision:
-    """Working precision in decimal digits."""
-    working_digits: int = 30
-
-    def __post_init__(self):
-        if self.working_digits < 15:
-            raise ValueError("working_digits must be >= 15")
-
 
 DEFAULT_PRECISION = Precision()
 
@@ -161,69 +156,6 @@ def bernoulli_poly_eval(n, z):
 # ---------------------------------------------------------------------------
 # characters and L-series
 # ---------------------------------------------------------------------------
-
-def kronecker_symbol(delta, n):
-    """The Kronecker symbol (delta/n), completely multiplicative in n."""
-    delta = int(delta)
-    n = int(n)
-    if n == 0:
-        return 1 if delta in (1, -1) else 0
-    if n < 0:
-        sign = -1 if delta < 0 else 1
-        return sign * kronecker_symbol(delta, -n)
-    result = 1
-    # factor out 2
-    while n % 2 == 0:
-        n //= 2
-        if delta % 2 == 0:
-            return 0
-        if delta % 8 in (3, 5):
-            result = -result
-    if delta % 2 == 0 and math.gcd(delta, n) > 1:
-        return 0
-    # Jacobi symbol (delta/n) for odd n > 0 by reciprocity
-    a = delta % n
-    while a != 0:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0
-
-
-def is_fundamental_discriminant(delta):
-    """1, squarefree = 1 mod 4, or 4m with m squarefree = 2,3 mod 4."""
-    delta = int(delta)
-    if delta == 0:
-        return False
-    if delta % 4 == 1:
-        return _is_squarefree(delta)
-    if delta % 4 == 0:
-        m = delta // 4
-        return m % 4 in (2, 3) and _is_squarefree(m)
-    return False
-
-
-def _is_squarefree(n):
-    return n != 0 and all(e == 1 for e in _factor(n).values())
-
-
-def _factor(n):
-    """{p: e} with |n| = prod p^e, n != 0, by trial division."""
-    n, d, out = abs(n), 2, {}
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = 1
-    return out
-
 
 def dirichlet_L(delta, s, prec=DEFAULT_PRECISION):
     r"""L_Delta(s) = sum (Delta/n) n^-s for fundamental Delta.

@@ -17,6 +17,7 @@ from shintani import cycles as cy
 from shintani import cmtraces as cm
 from shintani import forms as fo
 from shintani import qforms as qf
+from shintani import lift
 from shintani import thetacore as th
 from shintani.specfun import Precision, dirichlet_L, dirichlet_L_exact_nonpositive
 from shintani.qforms import QForm, hurwitz_class_number
@@ -267,7 +268,7 @@ def test_criterion_10_direct_lift_quadrature():
     t0 = time.time()
     worst_rel = 0.0
     for delta, D in ((-3, 4), (-4, 3)):
-        coeff, est = th.lift_coefficient_quadrature(delta, D, v=0.25,
+        coeff, est = lift.lift_coefficient_quadrature(delta, D, v=0.25,
                                                     grid=12, radius=40)
         target = float(12 * hurwitz_class_number(abs(delta))
                        * hurwitz_class_number(D) / math.sqrt(abs(delta)))

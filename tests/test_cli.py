@@ -317,6 +317,56 @@ def test_commands_without_theta_leave_numpy_unloaded():
     assert r.stdout.strip().splitlines()[-1] == "False", r.stdout
 
 
+def _loaded(code, *args):
+    """sys.modules of a fresh process after `code`, which ends by printing
+    it as its last line."""
+    src = pathlib.Path(cli.__file__).parents[1]
+    r = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                       check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    return set(json.loads(r.stdout.splitlines()[-1]))
+
+
+def _loaded_by(command):
+    return _loaded("import json, sys\n"
+                   "from shintani.cli import main\n"
+                   "main(sys.argv[1].split(), standalone_mode=False)\n"
+                   "print(json.dumps(list(sys.modules)))\n", command)
+
+
+def test_exact_and_float_commands_leave_mpmath_unloaded():
+    # class-number, classes and chi run on qforms' integers and lift-coeff
+    # on numpy: none loads mpmath, and lift-coeff none of the mpmath
+    # modules; cycle-trace still does
+    mp_modules = {"mpmath", "shintani.forms", "shintani.cycles", "shintani.cmtraces"}
+    for command, absent in [("class-number 23", {"mpmath"}),
+                            ("classes --disc 12", {"mpmath"}),
+                            ("chi --delta -4 --form 1,2,-2", {"mpmath"}),
+                            ("lift-coeff --delta -4 --D 3 --grid 2 --radius 12", mp_modules)]:
+        assert not absent & _loaded_by(command), command
+    assert "mpmath" in _loaded_by("cycle-trace --delta -4 --D 3")
+
+
+def test_package_import_is_lazy():
+    # a bare import loads no submodule; each public name loads its module
+    # on first access and is that module's object
+    loaded = _loaded("import json, sys, shintani\nprint(json.dumps(list(sys.modules)))\n")
+    assert not {m for m in loaded if m.startswith("shintani.")}, loaded
+    import importlib
+    import shintani
+    exports = {"specfun": ["Precision", "SpecialValue", "DEFAULT_PRECISION"],
+               "qforms": ["QForm", "ClassList", "class_reps", "hurwitz_class_number",
+                          "genus_char"],
+               "forms": ["HarmonicFourierData", "build_standard_forms"],
+               "cycles": ["CycleIntegralResult"],
+               "cmtraces": ["TraceResult", "IdentityReport"]}
+    for module, names in exports.items():
+        mod = importlib.import_module(f"shintani.{module}")
+        for name in names:
+            assert getattr(shintani, name) is getattr(mod, name), name
+    with pytest.raises(AttributeError):
+        shintani.no_such_name
+
+
 @pytest.mark.parametrize("delta, D", [(-11, 59), (-11, 83), (-7, 103), (-11, 107),
                                       (-7, 79), (-8, 107)])
 def test_cycle_trace_long_regulators(delta, D):

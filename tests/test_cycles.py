@@ -546,7 +546,8 @@ def _cohen_H(r, N):
     sum_{e | f} mu(e) chi_d(e) e^(r-1) sigma_(2r-1)(f/e); 0 where (-1)^r N
     is not a discriminant."""
     from shintani.specfun import (dirichlet_L_exact_nonpositive, is_fundamental_discriminant,
-                                  kronecker_symbol, _factor)
+                                  kronecker_symbol)
+    from shintani.qforms import _factor
     M = (-1) ** r * N
     if M % 4 not in (0, 1):
         return Fraction(0)

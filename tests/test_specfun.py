@@ -507,6 +507,52 @@ def test_package_never_assigns_mp_precision():
         assert _assigns_precision(path.read_text()) == [], path.name
 
 
+def _eager(nodes):
+    """The statements that run when a module loads: all but function bodies."""
+    for node in nodes:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield node
+            yield from _eager(ast.iter_child_nodes(node))
+
+
+def _import_closure(sources, module):
+    """The outside top-level packages that loading package module `module`
+    imports: its own load-time imports, the package __init__'s, and those of
+    every package module they import, transitively.  `sources` maps each
+    package module's stem to its source."""
+    seen, todo, outside = set(), [module, "__init__"], set()
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in _eager(ast.parse(sources[name]).body):
+            if isinstance(node, ast.Import):
+                outside |= {a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                outside.add(node.module.split(".")[0])
+            elif isinstance(node, ast.ImportFrom):
+                todo += [node.module] if node.module else \
+                    [a.name for a in node.names if a.name in sources]
+    return outside
+
+
+def test_exact_and_float_modules_never_import_mpmath():
+    # qforms (class-number, classes, chi) and lift (lift-coeff) must load
+    # without mpmath, and so must the CLI module before a command picks its
+    # own imports: none imports it at load time, directly or through a
+    # package module
+    assert _import_closure({"__init__": "import dataclasses",
+                            "a": "from . import b, Name\nfrom .c import x",
+                            "b": "def f():\n    import numpy",
+                            "c": "try:\n    from mpmath.libmp import y\nexcept ImportError:\n"
+                                 "    pass"}, "a") == {"dataclasses", "mpmath"}
+    sources = {path.stem: path.read_text() for path in PKG.glob("*.py")}
+    assert "mpmath" in _import_closure(sources, "thetacore")
+    for module in ("qforms", "lift", "cli"):
+        assert "mpmath" not in _import_closure(sources, module), module
+
+
 GUARD_PREC = sf.Precision(40)
 
 

@@ -8,6 +8,7 @@ import mpmath
 import pytest
 from mpmath import mp, mpf, mpc
 
+from shintani import lift
 from shintani import thetacore as th
 from shintani.qforms import QForm, class_reps, hurwitz_class_number
 from shintani.hyperbolic import form_polynomials
@@ -293,8 +294,8 @@ def test_lift_kernel_dictionary_constant():
     # -1/|delta| across D and v (measured; frozen here)
     for delta, D in ((-3, 7), (-4, 8)):
         for v in (0.25, 0.4):
-            coeff, est = th.lift_coefficient_quadrature(delta, D, v=v, grid=6, radius=32)
-            raw = coeff / (th.LIFT_KERNEL_DICTIONARY / abs(delta))
+            coeff, est = lift.lift_coefficient_quadrature(delta, D, v=v, grid=6, radius=32)
+            raw = coeff / (lift.LIFT_KERNEL_DICTIONARY / abs(delta))
             target = float(12 * hurwitz_class_number(abs(delta))
                            * hurwitz_class_number(D) / math.sqrt(abs(delta)))
             ratio = raw.real / target
@@ -304,7 +305,7 @@ def test_lift_kernel_dictionary_constant():
 @pytest.mark.slow
 def test_lift_quadrature_acceptance_pairs():
     for delta, D in ((-3, 4), (-4, 3)):
-        coeff, est = th.lift_coefficient_quadrature(delta, D, v=0.25,
+        coeff, est = lift.lift_coefficient_quadrature(delta, D, v=0.25,
                                                     grid=12, radius=40)
         target = float(12 * hurwitz_class_number(abs(delta))
                        * hurwitz_class_number(D) / math.sqrt(abs(delta)))
@@ -320,7 +321,7 @@ def _lift_oracle_raw(delta, D, v, grid, T=6.0, radius=40, order=48):
     import numpy as np
     from shintani.forms import e2_star_data
     a_plus = e2_star_data(order).a_plus
-    forms = th._disc_forms(delta, D, radius, radius)
+    forms = lift._disc_forms(delta, D, radius, radius)
     q, disc = abs(delta), abs(delta) * D
     a, b, c, chi = forms.T
 
@@ -372,17 +373,17 @@ def test_lift_quadrature_matches_per_point_oracle():
         for grid in (3, 5):
             for v in (0.25, 0.4):
                 coarse, fine = _lift_oracle_raw(delta, D, v, grid)
-                coeff, coeff_est = th.lift_coefficient_quadrature(delta, D, v=v, grid=grid)
+                coeff, coeff_est = lift.lift_coefficient_quadrature(delta, D, v=v, grid=grid)
                 # the raw kernel pairing, with the kernel dictionary taken out
-                dictionary = th.LIFT_KERNEL_DICTIONARY / abs(delta)
+                dictionary = lift.LIFT_KERNEL_DICTIONARY / abs(delta)
                 for normalized in (True, False):
                     scale = math.sqrt(abs(delta)) * math.exp(4 * math.pi * D * v)
                     if normalized:
-                        scale *= th.LIFT_KERNEL_DICTIONARY / abs(delta)
+                        scale *= lift.LIFT_KERNEL_DICTIONARY / abs(delta)
                     want, want_est = scale * fine, abs(scale * (fine - coarse))
-                    unit = 2 * math.sqrt(v) * (abs(th.LIFT_KERNEL_DICTIONARY) / abs(delta)
+                    unit = 2 * math.sqrt(v) * (abs(lift.LIFT_KERNEL_DICTIONARY) / abs(delta)
                                                if normalized else 1)
-                    want_est += unit * th._above_T_bound(abs(delta) * D, abs(delta), v, 6.0)
+                    want_est += unit * lift._above_T_bound(abs(delta) * D, abs(delta), v, 6.0)
                     got, est = ((coeff, coeff_est) if normalized
                                 else (coeff / dictionary, coeff_est / abs(dictionary)))
                     case = (delta, D, grid, v, normalized)
@@ -395,7 +396,7 @@ def test_lift_quadrature_matches_per_point_oracle():
 def test_lift_error_estimate_bounds_error(delta, D, grid):
     # at T = 6 the part of F above y = T is what the fine and coarse passes
     # share: for (-4, 3) it is the 3.3e-12 that the pass difference misses
-    coeff, est = th.lift_coefficient_quadrature(delta, D, grid=grid)
+    coeff, est = lift.lift_coefficient_quadrature(delta, D, grid=grid)
     target = float(12 * hurwitz_class_number(abs(delta)) * hurwitz_class_number(D)
                    / math.sqrt(abs(delta)))
     assert abs(coeff.real - target) <= est, (abs(coeff.real - target), est)
@@ -406,7 +407,7 @@ def test_lift_error_estimate_bounds_error(delta, D, grid):
 def test_lift_cut_height_follows_discriminant(delta, D):
     # |delta| D > 36: the a = +-1 geodesics reach above y = 6, and at a fixed
     # T = 6 the error was O(1) (2.6 at (-4, 39))
-    coeff, est = th.lift_coefficient_quadrature(delta, D, grid=8)
+    coeff, est = lift.lift_coefficient_quadrature(delta, D, grid=8)
     target = float(12 * hurwitz_class_number(abs(delta)) * hurwitz_class_number(D)
                    / math.sqrt(abs(delta)))
     err = abs(coeff - target)
@@ -416,9 +417,9 @@ def test_lift_cut_height_follows_discriminant(delta, D):
 def test_above_T_bound_scales():
     # the bound follows the a = +-1 terms' decay e^(-beta m(T)^2); it is
     # infinite once an a = +-1 geodesic reaches above T
-    b6, b7 = (th._above_T_bound(12, 4, 0.25, T) for T in (6.0, 7.0))
+    b6, b7 = (lift._above_T_bound(12, 4, 0.25, T) for T in (6.0, 7.0))
     assert 1e-11 < b6 < 1e-9 and b7 < b6 * 1e-3
-    assert th._above_T_bound(400, 4, 0.25, 6.0) == math.inf
+    assert lift._above_T_bound(400, 4, 0.25, 6.0) == math.inf
 
 
 def test_lift_quadrature_memory():
@@ -427,7 +428,7 @@ def test_lift_quadrature_memory():
     import tracemalloc
     tracemalloc.start()
     try:
-        th.lift_coefficient_quadrature(-4, 3, grid=12)
+        lift.lift_coefficient_quadrature(-4, 3, grid=12)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -438,7 +439,7 @@ def test_lift_rejects_bad_arguments():
     # the CLI checks the others (test_usage_error_exit_code)
     for delta in (-5, 0):
         with pytest.raises(ValueError, match="negative fundamental discriminant"):
-            th.lift_coefficient_quadrature(delta, 1)
+            lift.lift_coefficient_quadrature(delta, 1)
 
 
 def test_e2star_np_matches_multiprecision():
@@ -446,11 +447,11 @@ def test_e2star_np_matches_multiprecision():
     from shintani.forms import e2_star_data, eval_qexp
     xs, ys = np.meshgrid(np.linspace(-0.5, 0.5, 9), np.linspace(0.8, 6.0, 9))
     zs = (xs + 1j * ys).ravel()
-    got = th._e2star_np(zs)
+    got = lift._e2star_np(zs)
     for zv, gv in zip(zs, got):
         assert abs(gv - complex(eval_qexp(e2_star_data(48), mpc(zv))[0])) <= 1e-12
 
 
 def test_lift_rejects_square_disc():
     with pytest.raises(NotImplementedError):
-        th.lift_coefficient_quadrature(-3, 3)
+        lift.lift_coefficient_quadrature(-3, 3)
