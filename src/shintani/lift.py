@@ -15,7 +15,6 @@ import numpy as np
 from .qforms import QForm, divisor_sigma1, genus_char, is_fundamental_discriminant
 
 
-
 @lru_cache(maxsize=None)
 def _e2star_coeffs(order):
     # E2*'s a+: 1, then -24 sigma_1(n), the integers of forms.e2_star_data

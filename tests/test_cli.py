@@ -1,6 +1,7 @@
 """CLI dispatch, exit codes, precision scoping and report serialization."""
 
 import csv
+import importlib
 import io
 import json
 import os
@@ -13,6 +14,7 @@ import mpmath
 import pytest
 from click.testing import CliRunner
 
+import shintani
 from shintani import cli, forms, quadrature
 from shintani.cli import emit_report
 
@@ -299,24 +301,6 @@ def test_csv_rows_parse(args):
     assert rows[1][rows[0].index(key)] == str(first[key])
 
 
-def test_commands_without_theta_leave_numpy_unloaded():
-    # numpy comes in only with thetacore, which only the theta commands use
-    code = ("import sys\n"
-            "from shintani.cli import main\n"
-            "for args in sys.argv[1:]:\n"
-            "    try:\n"
-            "        main(args.split(), standalone_mode=False)\n"
-            "    except SystemExit:\n"
-            "        pass\n"
-            "print('numpy' in sys.modules)\n")
-    src = pathlib.Path(cli.__file__).parents[1]
-    r = subprocess.run([sys.executable, "-c", code, "class-number 23",
-                        "cycle-trace --delta -4 --D 3", "l-value --delta -3"],
-                       capture_output=True, text=True, check=True,
-                       env={**os.environ, "PYTHONPATH": str(src)})
-    assert r.stdout.strip().splitlines()[-1] == "False", r.stdout
-
-
 def _loaded(code, *args):
     """sys.modules of a fresh process after `code`, which ends by printing
     it as its last line."""
@@ -326,11 +310,20 @@ def _loaded(code, *args):
     return set(json.loads(r.stdout.splitlines()[-1]))
 
 
-def _loaded_by(command):
+def _loaded_by(*commands):
+    """sys.modules of a fresh process after the CLI commands, in turn."""
     return _loaded("import json, sys\n"
                    "from shintani.cli import main\n"
-                   "main(sys.argv[1].split(), standalone_mode=False)\n"
-                   "print(json.dumps(list(sys.modules)))\n", command)
+                   "for args in sys.argv[1:]:\n"
+                   "    main(args.split(), standalone_mode=False)\n"
+                   "print(json.dumps(list(sys.modules)))\n", *commands)
+
+
+def test_commands_without_theta_leave_numpy_unloaded():
+    # numpy comes in only with thetacore and lift, which only the theta
+    # commands and lift-coeff use
+    assert "numpy" not in _loaded_by("class-number 23", "cycle-trace --delta -4 --D 3",
+                                     "l-value --delta -3")
 
 
 def test_exact_and_float_commands_leave_mpmath_unloaded():
@@ -351,8 +344,6 @@ def test_package_import_is_lazy():
     # on first access and is that module's object
     loaded = _loaded("import json, sys, shintani\nprint(json.dumps(list(sys.modules)))\n")
     assert not {m for m in loaded if m.startswith("shintani.")}, loaded
-    import importlib
-    import shintani
     exports = {"specfun": ["Precision", "SpecialValue", "DEFAULT_PRECISION"],
                "qforms": ["QForm", "ClassList", "class_reps", "hurwitz_class_number",
                           "genus_char"],
