@@ -217,8 +217,8 @@ def cmd_f_series(config, delta, dmax):
     from . import cmtraces
     coeffs = cmtraces.f_series(delta, dmax, prec=config.prec)
     emit_report([{"delta": delta, "index": n,
-                  "coefficient": float(mpmath.re(mpmath.mpmathify(v))),
-                  "imag_residual": float(mpmath.im(mpmath.mpmathify(v)))}
+                  "coefficient": float(mpmath.re(v)),
+                  "imag_residual": float(mpmath.im(v))}
                  for n, v in sorted(coeffs.items())], config.fmt)
 
 

@@ -2,8 +2,10 @@ r"""
 Exact-arithmetic engine for integral binary quadratic forms.
 
 A form (a, b, c) means Q(x, y) = a x^2 + b xy + c y^2 with discriminant
-b^2 - 4ac.  SL_2(Z) acts by substitution; reduction of definite forms,
-class enumeration for all three discriminant regimes (definite, indefinite
+b^2 - 4ac.  SL_2(Z) acts by substitution; reduction of definite forms
+(the tests' reference: no package code calls it), the square normal form
+from its one null vector, stabilizer orders from disc and content, class
+enumeration for all three discriminant regimes (definite, indefinite
 non-square, square, the indefinite classes as reduced forms on rho-cycles),
 the Pell equation t^2 - D u^2 = 4 from the principal form's rho-cycle (one
 walk, _cycle, serves both), the genus character attached to a fundamental
@@ -134,43 +136,24 @@ def reduce(Q):
 def square_normalize(Q):
     """Bring a form of square discriminant f^2 > 0 to (0, f, c), 0 <= c < f.
 
-    Returns (normal form, M) with Q o M equal to the normal form.
+    Returns (normal form, M) with Q o M equal to the normal form.  M's first
+    column is the one primitive null vector (p, q), q >= 0, that gives the
+    middle coefficient +f: the root (-b - f)/2a of Q(x, 1) when a != 0, else
+    (1, 0) when b = f and (-c, b) when b = -f.
     """
     D = Q.disc
     f = math.isqrt(D)
     if D <= 0 or f * f != D:
         raise ValueError("square_normalize expects positive square discriminant")
-    # primitive null vectors of Q from the rational roots of Q(x, 1)
-    if Q.a != 0:
-        vecs = []
-        for num in (-Q.b + f, -Q.b - f):
-            den = 2 * Q.a
-            g = math.gcd(abs(num), abs(den))
-            p, q = num // g, den // g
-            if q < 0:
-                p, q = -p, -q
-            vecs.append((p, q))
-    else:
-        vecs = [(1, 0)]
-        g = math.gcd(abs(Q.c), abs(Q.b))
-        p, q = -Q.c // g, Q.b // g
-        if q < 0:
-            p, q = -p, -q
-        vecs.append((p, q))
-    for (p, q) in vecs:
-        # extend (p, q) to an SL2 matrix with first column (p, q)
-        g, u, v = _xgcd(p, q)
-        assert g == 1
-        M = ((p, -v), (q, u))
-        QM = Q.compose(M)
-        assert QM.a == 0 and abs(QM.b) == f
-        if QM.b == f:
-            # translate c into [0, f)
-            t = -(QM.c // f)
-            T = ((1, t), (0, 1))
-            out = QM.compose(T)
-            return out, mat_mul(M, T)
-    raise ArithmeticError("no orientation-compatible null vector found")
+    p, q = (-Q.b - f, 2 * Q.a) if Q.a else (1, 0) if Q.b == f else (-Q.c, Q.b)
+    g = math.gcd(p, q) if q >= 0 else -math.gcd(p, q)
+    p, q = p // g, q // g
+    _, u, v = _xgcd(p, q)
+    M = ((p, -v), (q, u))
+    QM = Q.compose(M)
+    assert QM.a == 0 and QM.b == f
+    T = ((1, -(QM.c // f)), (0, 1))    # translate c into [0, f)
+    return QM.compose(T), mat_mul(M, T)
 
 
 def _xgcd(a, b):
@@ -385,20 +368,19 @@ def genus_char(delta, Q):
 
 
 def stabilizer_order(Q):
-    """|stabilizer in PSL_2(Z)| of a positive definite form: 1, 2 or 3."""
+    """|stabilizer in PSL_2(Z)| of a positive definite form: 3 if
+    disc = -3 g^2, 2 if disc = -4 g^2 and 1 otherwise, g the content.  A
+    nontrivial stabilizer fixes the CM point, which is then equivalent to rho
+    or i; the primitive forms of discriminants -3 and -4 make one class each,
+    and g Q' has the stabilizer of Q'."""
     if Q.disc >= 0:
         raise ValueError("stabilizer_order expects a definite form")
     if Q.a < 0:
         raise ValueError("expects a positive definite form (a > 0)")
-    R, _ = reduce(Q)
-    if R.a == R.b == R.c:
-        return 3
-    if R.b == 0 and R.a == R.c:
-        return 2
-    return 1
+    d = -Q.disc // Q.content ** 2
+    return 3 if d == 3 else 2 if d == 4 else 1
 
 
-@lru_cache(maxsize=None)
 def hurwitz_class_number(D):
     """Hurwitz class number H(D) as an exact Fraction; H(0) = -1/12.
 

@@ -57,16 +57,16 @@ class ThetaContext:
             raise ValueError("need k >= 0 and truncation radius >= 1")
         if (-1) ** (self.k + 1) * self.delta <= 0:
             raise ValueError("need (-1)^(k+1) delta > 0")
-        if mpmath.im(mpmath.mpmathify(self.tau)) <= 0:
+        if mpmath.im(self.tau) <= 0:
             raise ValueError("tau must lie in the upper half-plane")
 
     @property
     def v(self):
-        return mpmath.im(mpmath.mpmathify(self.tau))
+        return mpmath.im(self.tau)
 
     @property
     def u(self):
-        return mpmath.re(mpmath.mpmathify(self.tau))
+        return mpmath.re(self.tau)
 
 
 def _check_disc(ctx, Q):

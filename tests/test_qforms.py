@@ -195,15 +195,21 @@ def test_class_reps_indefinite_pairwise_inequivalent():
 
 def test_square_regime_residue_invariant():
     # (0, f, c) classes are distinguished by c mod f, and square_normalize
-    # recovers the residue from any translate
+    # recovers the residue from any translate, with M in SL2(Z); the negation
+    # (0, -f, -c) lands on c' = g (-c/g)^-1 mod f/g, g = gcd(c, f), the
+    # residue -Q o ((-c/g, -v), (f/g, u)) takes when (-c/g) u + (f/g) v = 1
     rng = random.Random(99)
-    for f in (3, 4, 5):
+    for f in range(1, 13):
         for Q in qf.class_reps(f * f).reps:
-            for _ in range(5):
+            g = math.gcd(Q.c, f)
+            N = QForm(0, f, g * pow(-Q.c // g, -1, f // g))
+            for _ in range(3):
                 QT = Q.compose(random_sl2(rng, size=3, length=4))
-                R, M = qf.square_normalize(QT)
-                assert R == Q
-                assert QT.compose(M) == R
+                for P, R in ((QT, Q), (QT.neg(), N)):
+                    out, M = qf.square_normalize(P)
+                    (p, q), (r, s) = M
+                    assert out == R and P.compose(M) == R
+                    assert p * s - q * r == 1 and math.gcd(p, r) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -483,6 +489,17 @@ def test_stabilizer_orders():
     assert qf.stabilizer_order(QForm(2, 2, 2)) == 3
     with pytest.raises(ValueError):
         qf.stabilizer_order(QForm(1, 0, -1))
+    # every class of |D| <= 300, imprimitive ones included, under seeded SL2
+    # words, against the oracle: reduce, then the (a, a, a) and (a, 0, a)
+    # shapes of the reduced forms fixed by rho and i
+    rng = random.Random(17)
+    for disc in _DEFINITE[:_DEFINITE.index(-300) + 1]:
+        for R0 in qf.class_reps(disc).reps:
+            for _ in range(3):
+                Q = R0.compose(random_sl2(rng))
+                R, _ = qf.reduce(Q)
+                order = 3 if R.a == R.b == R.c else 2 if R.b == 0 and R.a == R.c else 1
+                assert qf.stabilizer_order(Q) == order
 
 
 def test_hurwitz_class_number_values():

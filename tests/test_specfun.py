@@ -359,7 +359,10 @@ def _unreached():
 # reference for the word reduce_to_fundamental returns; act_on_form by
 # p_{gamma z}(Q) = p_z(gamma^-1 Q); phi_sh0_lattice
 # against phi_sh0's kernel normalization; lift_constant_term against the
-# -H(|delta|) constant of the Eisenstein lift.  The last three are the
+# -H(|delta|) constant of the Eisenstein lift; reduce, which the package no
+# longer calls (stabilizer orders come from disc and content, square forms
+# from their one null vector), as the tests' map from a form to its class,
+# against a brute-force orbit search.  The last three are the
 # acceptance criteria's entry points: the alternative representation
 # against the regularized definition (criterion 5), the lemma integrals'
 # quadrature against their closed forms (criterion 7), and the binomial
@@ -371,6 +374,7 @@ ORACLES = {
     ("thetacore", "phi_sh0_lattice"): ("test_thetacore.py",
                                        "test_normalization_dictionary_measured"),
     ("thetacore", "lift_constant_term"): ("test_thetacore.py", "test_lift_constant_term_values"),
+    ("qforms", "reduce"): ("test_qforms.py", "test_reduce_definite_example_orbit_oracle"),
     ("cycles", "reg_cycle_integral_alt"): ("test_acceptance.py",
                                            "test_criterion_05_regularized_well_defined"),
     ("cycles", "lemma_integral_checks"): ("test_acceptance.py",
