@@ -196,8 +196,8 @@ def test_class_reps_indefinite_pairwise_inequivalent():
 def test_square_regime_residue_invariant():
     # (0, f, c) classes are distinguished by c mod f, and square_normalize
     # recovers the residue from any translate, with M in SL2(Z); the negation
-    # (0, -f, -c) lands on c' = g (-c/g)^-1 mod f/g, g = gcd(c, f), the
-    # residue -Q o ((-c/g, -v), (f/g, u)) takes when (-c/g) u + (f/g) v = 1
+    # (0, -f, -c) lands on c' = g (-c/g)^-1 mod f/g, g = gcd(c, f), which
+    # -Q o ((-c/g, -v), (f/g, u)) reads when (-c/g) u + (f/g) v = 1
     rng = random.Random(99)
     for f in range(1, 13):
         for Q in qf.class_reps(f * f).reps:

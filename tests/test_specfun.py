@@ -359,9 +359,9 @@ def _unreached():
 # reference for the word reduce_to_fundamental returns; act_on_form by
 # p_{gamma z}(Q) = p_z(gamma^-1 Q); phi_sh0_lattice
 # against phi_sh0's kernel normalization; lift_constant_term against the
-# -H(|delta|) constant of the Eisenstein lift; reduce, which the package no
-# longer calls (stabilizer orders come from disc and content, square forms
-# from their one null vector), as the tests' map from a form to its class,
+# -H(|delta|) constant of the Eisenstein lift; reduce, which no package code
+# needs (stabilizer orders come from disc and content, square forms from
+# their one null vector), as the tests' map from a form to its class,
 # against a brute-force orbit search.  The last three are the
 # acceptance criteria's entry points: the alternative representation
 # against the regularized definition (criterion 5), the lemma integrals'
