@@ -1,12 +1,13 @@
 """Command-line front end, configuration and reporting.
 
-Subcommands cover the library surface: class-number, classes, chi,
-cm-trace, cycle-trace, l-value, f-series, e32, verify, eta-check, theta,
-lift-coeff.  Output is JSON by default (--format csv for flat tables);
-floats are printed with 17 significant digits, exact rationals as "p/q".
-Exit codes: 0 success; 1 identity-suite failure or a failed computation
-(an uncaught ArithmeticError); 2 usage error, including arguments the
-library rejects with ValueError or NotImplementedError.
+argparse subcommands cover the library surface: class-number, classes,
+chi, cm-trace, cycle-trace, l-value, f-series, e32, verify, eta-check,
+theta, lift-coeff.  Output is JSON by default (--format csv for flat
+tables); floats are printed with 17 significant digits, exact rationals as
+"p/q".  Exit codes: 0 success; 1 identity-suite failure or a failed
+computation (an uncaught ArithmeticError); 2 usage error (an "Error:" line
+on stderr), including arguments the library rejects with ValueError or
+NotImplementedError.
 
 Each command imports the modules it computes with.  class-number, classes
 and chi are exact integer arithmetic (qforms) and lift-coeff is a float64
@@ -16,29 +17,23 @@ command runs inside mpmath.workdps(--precision) when it loads mpmath or
 mpmath is loaded already, so the caller's mp.dps is left as it was.
 """
 
+import argparse
 import csv
 import json
 import math
 import random
+import re
 import sys
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-
-import click
 
 from . import Precision
 from .qforms import QForm, class_reps, genus_char, hurwitz_class_number
 
+Config = namedtuple("Config", "prec fmt tolerance")
 # the commands that load no mpmath (module docstring)
 _WITHOUT_MPMATH = ("class-number", "classes", "chi", "lift-coeff")
-
-
-@dataclass(frozen=True)
-class Config:
-    prec: Precision
-    fmt: str
-    tolerance: float
 
 
 # ---------------------------------------------------------------------------
@@ -100,98 +95,48 @@ def _flatten(d, prefix=""):
 
 
 # ---------------------------------------------------------------------------
-# the command group
+# the commands
 # ---------------------------------------------------------------------------
 
-class _Group(click.Group):
-    """Reports a ValueError or NotImplementedError from any command as a
-    usage error (exit 2)."""
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except (ValueError, NotImplementedError) as exc:
-            raise click.UsageError(str(exc), ctx) from exc
-
-
-@click.group(cls=_Group)
-@click.option("--precision", default=30, show_default=True,
-              help="working precision in decimal digits")
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
-              default="json", show_default=True)
-@click.option("--tolerance", type=float, default=None,
-              help="per-run override of identity tolerances")
-@click.pass_context
-def main(ctx, precision, fmt, tolerance):
-    """Quadratic-form classes, cycle-integral traces and theta-kernel checks."""
-    ctx.obj = Config(Precision(precision), fmt, tolerance)
-    if "mpmath" in sys.modules or ctx.invoked_subcommand not in _WITHOUT_MPMATH:
-        import mpmath
-        ctx.with_resource(mpmath.mp.workdps(precision))
-
-
-@main.command("class-number")
-@click.argument("d", type=int)
-@click.pass_obj
 def cmd_class_number(config, d):
     """Hurwitz class number H(D)."""
     emit_report([{"D": d, "H": hurwitz_class_number(d)}], config.fmt)
 
 
-@main.command("classes")
-@click.option("--disc", type=int, required=True)
-@click.pass_obj
 def cmd_classes(config, disc):
     """Class representatives of a discriminant."""
     emit_report([class_reps(disc).to_json()], config.fmt)
 
 
-@main.command("chi")
-@click.option("--delta", type=int, required=True)
-@click.option("--form", "form_str", required=True, metavar="a,b,c")
-@click.pass_obj
 def cmd_chi(config, delta, form_str):
     """Genus character of a form."""
     try:
         a, b, c = (int(t) for t in form_str.split(","))
     except ValueError:
-        raise click.UsageError("--form expects three integers a,b,c")
+        raise ValueError("--form expects three integers a,b,c") from None
     chi = genus_char(delta, QForm(a, b, c))
     emit_report([{"delta": delta, "form": [a, b, c], "chi": chi}], config.fmt)
 
 
-@main.command("cm-trace")
-@click.option("--delta", type=int, required=True)
-@click.option("--D", "dd", type=int, required=True)
-@click.option("--F", "fname", type=click.Choice(["one", "J"]), default="J",
-              show_default=True)
-@click.pass_obj
-def cmd_cm_trace(config, delta, dd, fname):
+def cmd_cm_trace(config, delta, D, fname):
     """Twisted trace of CM values tr+_delta(F, D), D < 0."""
     from . import cmtraces, forms
     F = 1 if fname == "one" else forms.build_standard_forms(128)["J"]
-    tr = cmtraces.trace_cm(F, delta, dd, config.prec)
-    emit_report([{"delta": delta, "D": dd, "F": fname,
+    tr = cmtraces.trace_cm(F, delta, D, config.prec)
+    emit_report([{"delta": delta, "D": D, "F": fname,
                   "value": tr.value, "classes": tr.class_count}], config.fmt)
 
 
-@main.command("cycle-trace")
-@click.option("--delta", type=int, required=True)
-@click.option("--D", "dd", type=int, required=True)
-@click.pass_obj
-def cmd_cycle_trace(config, delta, dd):
+def cmd_cycle_trace(config, delta, D):
     """Twisted trace of cycle integrals of the completed weight-2
     Eisenstein series (weight 2, so k = 0)."""
     from . import cycles, forms
     G = forms.e2_star_data(64, config.prec)
-    tr, qerr = cycles.trace_cycle(G, delta, dd, 0, prec=config.prec)
-    emit_report([{"delta": delta, "D": dd, "k": 0, "value": tr,
+    tr, qerr = cycles.trace_cycle(G, delta, D, 0, prec=config.prec)
+    emit_report([{"delta": delta, "D": D, "k": 0, "value": tr,
                   "quadrature_error": qerr}], config.fmt)
 
 
-@main.command("l-value")
-@click.option("--delta", type=int, required=True)
-@click.pass_obj
 def cmd_l_value(config, delta):
     """(1/(12 sqrt|delta|)) L*(E2*, 1) with the sigma-sum cross-check."""
     import mpmath
@@ -207,10 +152,6 @@ def cmd_l_value(config, delta):
                 config.fmt)
 
 
-@main.command("f-series")
-@click.option("--delta", type=int, required=True)
-@click.option("--dmax", type=int, default=12, show_default=True)
-@click.pass_obj
 def cmd_f_series(config, delta, dmax):
     """Coefficients of the twisted singular-moduli generating series."""
     import mpmath
@@ -222,9 +163,6 @@ def cmd_f_series(config, delta, dmax):
                  for n, v in sorted(coeffs.items())], config.fmt)
 
 
-@main.command("e32")
-@click.option("--dmax", type=int, default=20, show_default=True)
-@click.pass_obj
 def cmd_e32(config, dmax):
     """Holomorphic coefficients H(D) of the weight-3/2 Eisenstein series."""
     from . import forms
@@ -232,18 +170,11 @@ def cmd_e32(config, dmax):
     emit_report([{"D": D, "H": v} for D, v in sorted(holo.items())], config.fmt)
 
 
-@main.command("verify")
-@click.option("--identity", "which", default="all",
-              type=click.Choice(["all", "hecke", "square-lvalue", "class-number",
-                                 "square-trace"]))
-@click.option("--delta", "deltas", type=int, multiple=True)
-@click.option("--D", "ds", type=int, multiple=True)
-@click.pass_obj
 def cmd_verify(config, which, deltas, ds):
     """Run the closed-form identity suite; exit 1 if any check fails."""
     from . import cmtraces
-    deltas = list(deltas) or [-3, -4]
-    ds = list(ds) or [3, 4]
+    deltas = deltas or [-3, -4]
+    ds = ds or [3, 4]
     steps = cmtraces.identity_steps(ds, config.prec, config.tolerance)
     if which != "all":
         steps = {which: steps[which]}
@@ -253,11 +184,6 @@ def cmd_verify(config, which, deltas, ds):
         sys.exit(1)
 
 
-@main.command("eta-check")
-@click.option("--k", type=int, default=0, show_default=True)
-@click.option("--samples", type=int, default=5, show_default=True)
-@click.option("--seed", type=int, default=1)
-@click.pass_obj
 def cmd_eta_check(config, k, samples, seed):
     """Finite-difference check of the differential equations for eta."""
     from mpmath import mpc
@@ -272,7 +198,7 @@ def cmd_eta_check(config, k, samples, seed):
     for _ in range(samples):
         ctx = thetacore.ThetaContext(delta, k,
                                      mpc(rng.uniform(-0.4, 0.4), rng.uniform(0.5, 1.5)))
-        Q = _form_of_disc(abs(delta) * rng.choice(choices), rng)
+        Q = rng.choice(class_reps(abs(delta) * rng.choice(choices)).reps)
         z = mpc(rng.uniform(-0.8, 0.8), rng.uniform(0.6, 1.6))
         p, qz, _ = form_polynomials(Q, z)
         if abs(qz) / z.imag ** 2 < 0.05 or abs(p) < 0.05:
@@ -288,21 +214,6 @@ def cmd_eta_check(config, k, samples, seed):
     emit_report(rows, config.fmt)
 
 
-def _form_of_disc(disc, rng):
-    reps = class_reps(disc).reps
-    Q = rng.choice(reps)
-    if Q.disc < 0 and Q.a < 0:
-        Q = Q.neg()
-    return Q
-
-
-@main.command("theta")
-@click.option("--delta", type=int, required=True)
-@click.option("--k", type=int, default=0, show_default=True)
-@click.option("--tau", default="0.1,0.8", metavar="u,v", show_default=True)
-@click.option("--z", "z_str", default="0.2,1.3", metavar="x,y", show_default=True)
-@click.option("--radius", type=int, default=25, show_default=True)
-@click.pass_obj
 def cmd_theta(config, delta, k, tau, z_str, radius):
     """Truncated theta-kernel sum with its tail bound."""
     from mpmath import mpc
@@ -311,7 +222,7 @@ def cmd_theta(config, delta, k, tau, z_str, radius):
         u, v = (float(t) for t in tau.split(","))
         x, y = (float(t) for t in z_str.split(","))
     except ValueError:
-        raise click.UsageError("--tau and --z expect two floats each")
+        raise ValueError("--tau and --z expect two floats each") from None
     ctx = thetacore.ThetaContext(delta, k, mpc(u, v), radius)
     val, tail = thetacore.theta_truncated(ctx, mpc(x, y))
     emit_report([{"delta": delta, "k": k, "tau": [u, v], "z": [x, y],
@@ -319,26 +230,109 @@ def cmd_theta(config, delta, k, tau, z_str, radius):
                 config.fmt)
 
 
-@main.command("lift-coeff")
-@click.option("--delta", type=int, required=True)
-@click.option("--D", "dd", type=int, required=True)
-@click.option("--v", type=float, default=0.25, show_default=True)
-@click.option("--grid", type=int, default=10, show_default=True)
-@click.option("--radius", type=int, default=40, show_default=True)
-@click.pass_obj
-def cmd_lift_coeff(config, delta, dd, v, grid, radius):
+def cmd_lift_coeff(config, delta, D, v, grid, radius):
     """Direct 2D quadrature of the lift's q^D coefficient (k = 0, E2*)."""
     from .lift import lift_coefficient_quadrature
     t0 = time.perf_counter()
-    coeff, est = lift_coefficient_quadrature(delta, dd, v=v, grid=grid, radius=radius)
-    target = float(12 * hurwitz_class_number(abs(delta)) * hurwitz_class_number(dd)
+    coeff, est = lift_coefficient_quadrature(delta, D, v=v, grid=grid, radius=radius)
+    target = float(12 * hurwitz_class_number(abs(delta)) * hurwitz_class_number(D)
                    / math.sqrt(abs(delta)))
-    emit_report([{"delta": delta, "D": dd, "coefficient": coeff.real,
+    emit_report([{"delta": delta, "D": D, "coefficient": coeff.real,
                   "imag_residual": coeff.imag,
                   "target": target, "abs_error": abs(coeff.real - target),
                   "error_estimate": est,
                   "runtime_ms": int((time.perf_counter() - t0) * 1000)}], config.fmt)
 
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):   # usage errors exit 2 with an "Error: <message>" line
+        self.exit(2, f"{self.format_usage()}Error: {message}\n")
+
+
+def _parser():
+    formatter = argparse.ArgumentDefaultsHelpFormatter
+    parser = _Parser(prog="shintani", description=main.__doc__, allow_abbrev=False,
+                     formatter_class=formatter)
+    parser.add_argument("--precision", type=int, default=30,
+                        help="working precision in decimal digits")
+    parser.add_argument("--format", dest="fmt", choices=["json", "csv"], default="json")
+    parser.add_argument("--tolerance", type=float,
+                        help="per-run override of identity tolerances")
+    commands = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+
+    def command(name, run, *required):
+        """The add_argument of a subcommand that calls run(config, **options),
+        with the required integer options already added."""
+        doc = " ".join(run.__doc__.split())
+        sub = commands.add_parser(name, help=doc, description=doc, allow_abbrev=False,
+                                  formatter_class=formatter)
+        sub.set_defaults(run=run)
+        for flag in required:
+            sub.add_argument(flag, type=int, required=True)
+        return sub.add_argument
+
+    command("class-number", cmd_class_number)("d", type=int, metavar="D")
+    command("classes", cmd_classes, "--disc")
+    command("chi", cmd_chi, "--delta")("--form", dest="form_str", required=True,
+                                       metavar="a,b,c")
+    command("cm-trace", cmd_cm_trace, "--delta", "--D")(
+        "--F", dest="fname", choices=["one", "J"], default="J", help="the form: 1 or J")
+    command("cycle-trace", cmd_cycle_trace, "--delta", "--D")
+    command("l-value", cmd_l_value, "--delta")
+    command("f-series", cmd_f_series, "--delta")("--dmax", type=int, default=12,
+                                                 help="largest index")
+    command("e32", cmd_e32)("--dmax", type=int, default=20, help="largest D")
+    arg = command("verify", cmd_verify)
+    arg("--identity", dest="which", default="all", help="the identities to run",
+        choices=["all", "hecke", "square-lvalue", "class-number", "square-trace"])
+    arg("--delta", dest="deltas", type=int, action="append")
+    arg("--D", dest="ds", type=int, action="append")
+    arg = command("eta-check", cmd_eta_check)
+    arg("--k", type=int, default=0, help="weight parameter")
+    arg("--samples", type=int, default=5, help="random points tried")
+    arg("--seed", type=int, default=1, help="random seed")
+    arg = command("theta", cmd_theta, "--delta")
+    arg("--k", type=int, default=0, help="weight parameter")
+    arg("--tau", default="0.1,0.8", metavar="u,v", help="tau = u + iv")
+    arg("--z", dest="z_str", default="0.2,1.3", metavar="x,y", help="z = x + iy")
+    arg("--radius", type=int, default=25, help="truncation radius")
+    arg = command("lift-coeff", cmd_lift_coeff, "--delta", "--D")
+    arg("--v", type=float, default=0.25, help="imaginary part of tau")
+    arg("--grid", type=int, default=10, help="quadrature resolution")
+    arg("--radius", type=int, default=40, help="truncation radius")
+    return parser
+
+
+def _glued(argv):
+    # a value that starts like a negative number but is not one (--form -1,2,3)
+    # is joined to its option by "=", as argparse would read it as an option
+    out = []
+    for arg in argv:
+        if out and re.fullmatch(r"--[^=]+", out[-1]) and re.match(r"-[\d.]", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
+def main(argv=None):
+    """Quadratic-form classes, cycle-integral traces and theta-kernel checks."""
+    parser = _parser()
+    options = vars(parser.parse_args(_glued(sys.argv[1:] if argv is None else argv)))
+    run, command, precision = (options.pop(k) for k in ("run", "command", "precision"))
+    try:
+        config = Config(Precision(precision), options.pop("fmt"), options.pop("tolerance"))
+        if "mpmath" in sys.modules or command not in _WITHOUT_MPMATH:
+            import mpmath
+            with mpmath.workdps(precision):
+                return run(config, **options)
+        return run(config, **options)
+    except (ValueError, NotImplementedError) as exc:
+        parser.error(str(exc))
+
+
+# perfbench/launch.py calls main the way click's command objects are called
+main.main = lambda args=None, prog_name=None: main(args)
 
 if __name__ == "__main__":
     main()

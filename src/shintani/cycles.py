@@ -36,12 +36,12 @@ of G, each ray contributes
             - 2^(-2k-1) k! / (2 pi n)^(k+1)
               * sum_{j=0}^k (-1)^j / j!  E_{2k+2-j}(2 pi n T) ),
 
-and the full integral is f^k i^(k+1) (S(r-, c-, T) + (-1)^(k+1) S(r+, c+, T)),
+and the full integral is -f^k i^(k+1) (S(r+, c+, T) + (-1)^(k+1) S(r-, c-, T)),
 where the minus-ray is the transported image of the bottom end at the cusp
-r+ = p/q in lowest terms, with c+ = 1 and c- = 1/(c+ q^2) = 1/q^2.  The
-counterterms are antiderivatives of the integrand's Fourier modes, so the
-value does not depend on T; which ray carries the unsigned slot only
-matters for even k and is pinned by the weight-2 Eisenstein trace identity.
+r+ = p/q in lowest terms, with c+ = 1 and c- = 1/(c+ q^2) = 1/q^2.  At every
+k the geodesic runs downward, from infinity to r+ (the a -> 0 limit of the
+closed geodesics' orientation); the counterterms are antiderivatives of the
+integrand's Fourier modes, so the value does not depend on T.
 
 The alternative representation trades the counterterms for line integrals
 of G against Bernoulli polynomials and of xi G against polygamma functions
@@ -236,7 +236,7 @@ def _ray_counterterms(G, k, r, T, prec):
 
 
 def _regularized(G, Q, k, T, prec, evaluator, nodes, tol, tail):
-    """f^k i^(k+1) (S(r-, c-, T) + (-1)^(k+1) S(r+, c+, T)), each ray's S its
+    """-f^k i^(k+1) (S(r+, c+, T) + (-1)^(k+1) S(r-, c-, T)), each ray's S its
     quadrature from c0 to T plus tail(G, G_fun, k, r, T, tol) -> (value,
     error), the part above height T in one representation, called at prec's
     working precision.  Both stop their doublings at tol, by default
@@ -254,10 +254,10 @@ def _regularized(G, Q, k, T, prec, evaluator, nodes, tol, tail):
             S.append(quad + value)
             err, used = err + e_quad + e_tail, max(used, n)
         S_plus, S_minus = S
-        # the bottom-end chart carries the unsigned ray; only even k is
-        # sensitive to this labeling, and it is pinned by the weight-2
-        # Eisenstein trace identity (the odd-k combination is symmetric)
-        total = mpf(f) ** k * (1j) ** (k + 1) * (S_minus + (-1) ** (k + 1) * S_plus)
+        # downward at every k, from infinity to r+: the top ray is run down,
+        # dz = i dy with Q(z,1) = f i y on it, and the bottom end, carried to
+        # the minus-ray, is run up that ray with Q(z,1) = -f i y
+        total = -mpf(f) ** k * (1j) ** (k + 1) * (S_plus + (-1) ** (k + 1) * S_minus)
         return CycleIntegralResult(total, err, used)
 
 

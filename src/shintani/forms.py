@@ -38,6 +38,7 @@ bound for the terms past the order.
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from types import MappingProxyType
 
 import mpmath
 from mpmath import mp, mpf, mpc
@@ -61,6 +62,11 @@ class HarmonicFourierData:
     a_plus: dict = field(default_factory=dict)    # n -> complex
     a_minus: dict = field(default_factory=dict)   # n -> complex (0 allowed)
     order: int = 64                               # a+ known for n <= order
+
+    def __post_init__(self):
+        # read-only copies: _table caches the coefficients per object
+        for name in ("a_plus", "a_minus"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
 
 
 def _series_mul(A, B, order):
@@ -392,8 +398,8 @@ def xi_symbolic(G, prec=DEFAULT_PRECISION):
 
 @lru_cache(maxsize=None)
 def e2_star_data(order=64, prec=DEFAULT_PRECISION):
-    """Fourier data of the completed weight-2 Eisenstein series (built once
-    per order and precision, and shared: do not mutate)."""
+    """Fourier data of the completed weight-2 Eisenstein series, built once
+    per order and precision and shared."""
     a_plus = {0: 1}
     for n in range(1, order + 1):
         a_plus[n] = -24 * divisor_sigma1(n)

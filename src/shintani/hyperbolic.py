@@ -9,8 +9,8 @@ For z = x + iy with y > 0 and a form Q = (a, b, c):
 
 A positive definite form has the CM point z_Q = (-b + i sqrt(|disc|))/(2a);
 an indefinite form has the oriented geodesic a|z|^2 + bx + c = 0 (semicircle
-from (-b - sqrt(disc))/2a to (-b + sqrt(disc))/2a when a != 0, a vertical
-line when a = 0, upward iff b > 0).
+from (-b - sqrt(disc))/2a to (-b + sqrt(disc))/2a when a != 0; its a -> 0
+limit when a = 0: the vertical line down from infinity to -c/b if b > 0).
 
 The SL_2(Z) action: gamma acts on points by fractional linear maps and on
 forms by gamma . Q = Q o gamma^{-1}, so that p_{gamma z}(gamma . Q) = p_z(Q)

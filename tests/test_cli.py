@@ -1,5 +1,6 @@
 """CLI dispatch, exit codes, precision scoping and report serialization."""
 
+import contextlib
 import csv
 import importlib
 import io
@@ -9,18 +10,27 @@ import pathlib
 import re
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import mpmath
 import pytest
-from click.testing import CliRunner
 
 import shintani
 from shintani import cli, forms, quadrature
 from shintani.cli import emit_report
 
 
-def run(args, **kw):
-    return CliRunner().invoke(cli.main, args, catch_exceptions=False, **kw)
+def run(args):
+    """main(args) in process: its exit code and what it wrote to stdout
+    (output) and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    code = 0
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            cli.main(args)
+        except SystemExit as exc:
+            code = exc.code
+    return SimpleNamespace(exit_code=code, output=out.getvalue(), stderr=err.getvalue())
 
 
 def masked(output):
@@ -55,16 +65,17 @@ def test_chi_command():
 def test_usage_error_exit_code():
     r = run(["chi", "--delta", "-3", "--form", "zzz"])
     assert r.exit_code == 2
-    r = CliRunner().invoke(cli.main, ["no-such-command"])
+    r = run(["no-such-command"])
     assert r.exit_code == 2
-    r = CliRunner().invoke(cli.main, ["--threads", "2", "class-number", "23"])
+    r = run(["--threads", "2", "class-number", "23"])
     assert r.exit_code == 2
     # arguments the library rejects with ValueError are usage errors too
     for args, message in [
         (["cycle-trace", "--delta", "-4", "--D", "2"],
          "sgn(delta) D must be 0 or 1 mod 4"),
         # E2* has weight 2: cycle-trace has no --k
-        (["cycle-trace", "--delta", "5", "--D", "12", "--k", "1"], "No such option '--k'"),
+        (["cycle-trace", "--delta", "5", "--D", "12", "--k", "1"],
+         "unrecognized arguments: --k 1"),
         (["classes", "--disc", "2"],
          "disc must be a nonzero integer = 0, 1 mod 4"),
         (["chi", "--delta", "-5", "--form", "1,1,1"],
@@ -93,9 +104,29 @@ def test_usage_error_exit_code():
         (["lift-coeff", "--delta", "-3", "--D", "3"],
          "square |delta| D needs the cusp counterterm"),
     ]:
-        r = CliRunner().invoke(cli.main, args)
-        assert r.exit_code == 2, (args, r.output)
-        assert f"Error: {message}" in r.output, (args, r.output)
+        r = run(args)
+        assert r.exit_code == 2, (args, r.stderr)
+        assert any(line.startswith(f"Error: {message}") for line in r.stderr.splitlines()), \
+            (args, r.stderr)
+        assert not r.output, args
+
+
+def test_help_exits_zero():
+    for args in (["--help"], ["verify", "--help"]):
+        r = run(args)
+        assert r.exit_code == 0 and r.output.startswith("usage: shintani"), (args, r.stderr)
+    assert "lift-coeff" in run(["--help"]).output
+    assert "--identity" in run(["verify", "--help"]).output
+
+
+def test_option_values_starting_with_a_minus():
+    # a value such as -1,2,3 is read as the option's value, not as an option
+    r = run(["chi", "--delta", "-4", "--form", "-1,2,3"])
+    assert r.exit_code == 0 and json.loads(r.output)[0]["chi"] == -1, r.stderr
+    r = run(["theta", "--delta", "-3", "--tau", "-0.1,0.8", "--z", "-0.2,1.3",
+             "--radius", "4"])
+    row = json.loads(r.output)[0]
+    assert row["tau"] == [-0.1, 0.8] and row["z"] == [-0.2, 1.3], row
 
 
 def test_verify_hecke_single():
@@ -119,10 +150,8 @@ def test_verify_at_least_precision():
 
 
 def test_verify_tolerance_override_failure_exit():
-    r = CliRunner().invoke(cli.main,
-                           ["--tolerance", "1e-45", "verify", "--identity",
-                            "hecke", "--delta", "-4", "--D", "3"],
-                           catch_exceptions=False)
+    r = run(["--tolerance", "1e-45", "verify", "--identity", "hecke", "--delta", "-4",
+             "--D", "3"])
     # the Hecke trace's quadrature at 40 working digits cannot hit 1e-45,
     # so the suite must fail with exit 1
     assert r.exit_code == 1
@@ -207,18 +236,21 @@ def test_float_seventeen_digits(capsys):
 
 
 def test_config_validation():
-    # Precision rejects fewer than 15 digits and click.Choice an unknown
+    # Precision rejects fewer than 15 digits and the parser an unknown
     # format: both are usage errors
-    r = CliRunner().invoke(cli.main, ["--precision", "5", "class-number", "23"])
-    assert r.exit_code == 2 and "working_digits must be >= 15" in r.output, r.output
-    r = CliRunner().invoke(cli.main, ["--format", "xml", "class-number", "23"])
-    assert r.exit_code == 2, r.output
+    r = run(["--precision", "5", "class-number", "23"])
+    assert r.exit_code == 2 and "Error: working_digits must be >= 15" in r.stderr, r.stderr
+    r = run(["--format", "xml", "class-number", "23"])
+    assert r.exit_code == 2 and "Error: argument --format: invalid choice" in r.stderr, r.stderr
+    # an option is never matched by a prefix of its name
+    r = run(["--prec", "50", "class-number", "23"])
+    assert r.exit_code == 2 and not r.output, r.stderr
 
 
 def test_no_result_cache(tmp_path, monkeypatch):
     # results are recomputed on every call: the cache flag is a usage error
     # and the old cache variable writes nothing
-    r = CliRunner().invoke(cli.main, ["--cache-dir", str(tmp_path), "class-number", "12"])
+    r = run(["--cache-dir", str(tmp_path), "class-number", "12"])
     assert r.exit_code == 2
     monkeypatch.setenv("SHINTANI_CACHE_DIR", str(tmp_path))
     r = run(["class-number", "12"])
@@ -254,7 +286,7 @@ def test_command_leaves_mp_dps_unchanged(args, code, monkeypatch):
     monkeypatch.setattr(cli, "emit_report",
                         lambda *a, **kw: seen.append(mpmath.mp.dps) or emit(*a, **kw))
     with mpmath.mp.workdps(17):
-        r = CliRunner().invoke(cli.main, args)
+        r = run(args)
         assert r.exit_code == code, r.output
         assert mpmath.mp.dps == 17
     assert seen == ([precision] if code != 2 else [])
@@ -315,7 +347,7 @@ def _loaded_by(*commands):
     return _loaded("import json, sys\n"
                    "from shintani.cli import main\n"
                    "for args in sys.argv[1:]:\n"
-                   "    main(args.split(), standalone_mode=False)\n"
+                   "    main(args.split())\n"
                    "print(json.dumps(list(sys.modules)))\n", *commands)
 
 
@@ -329,14 +361,16 @@ def test_commands_without_theta_leave_numpy_unloaded():
 def test_exact_and_float_commands_leave_mpmath_unloaded():
     # class-number, classes and chi run on qforms' integers and lift-coeff
     # on numpy: none loads mpmath, and lift-coeff none of the mpmath
-    # modules; cycle-trace still does
+    # modules; cycle-trace still does.  The parser is argparse, so no
+    # command loads click, installed or not
     mp_modules = {"mpmath", "shintani.forms", "shintani.cycles", "shintani.cmtraces"}
     for command, absent in [("class-number 23", {"mpmath"}),
                             ("classes --disc 12", {"mpmath"}),
                             ("chi --delta -4 --form 1,2,-2", {"mpmath"}),
                             ("lift-coeff --delta -4 --D 3 --grid 2 --radius 12", mp_modules)]:
-        assert not absent & _loaded_by(command), command
-    assert "mpmath" in _loaded_by("cycle-trace --delta -4 --D 3")
+        assert not (absent | {"click"}) & _loaded_by(command), command
+    loaded = _loaded_by("cycle-trace --delta -4 --D 3")
+    assert "mpmath" in loaded and "click" not in loaded
 
 
 def test_package_import_is_lazy():

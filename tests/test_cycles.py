@@ -254,23 +254,27 @@ def test_reg_xy_type_vanishes_numerically():
 
 
 def test_reg_cusp_form_direct_oracle():
-    # weight-12 cusp form, k = 5: the regularized value equals the direct
-    # convergent integral over the full geodesic
-    D = build_standard_forms(80)["DeltaCusp"]
-    ev = lambda z: fo.eval_modular(D, z)[0]
-    Q = QForm(0, 3, 1)
-    k = 5
+    # cusp forms Delta (weight 12, k = 5) and Delta E6 (weight 18, k = 8):
+    # the regularized value equals the direct convergent integral down the
+    # full geodesic of (0, 3, 1), the line Re z = -1/3 from infinity to the
+    # cusp, dz = i dy with Q(z, 1) = 3iy; one odd and one even k, so that
+    # an orientation that flips with the parity of k fails
     from shintani.quadrature import integrate_cc_doubling
-    r = mpf(-1) / 3
+    F = build_standard_forms(80)
+    delta = [F["DeltaCusp"].a_plus.get(n, 0) for n in range(81)]
+    e6 = [F["E6"].a_plus[n] for n in range(81)]
+    delta_e6 = HarmonicFourierData(18, dict(enumerate(fo._series_mul(delta, e6, 80))), {}, 80)
+    Q, r = QForm(0, 3, 1), mpf(-1) / 3
+    for G, k in ((F["DeltaCusp"], 5), (delta_e6, 8)):
+        ev = lambda z: fo.eval_modular(G, z)[0]
 
-    def integrand(y):
-        z = mpc(r, 0) + 1j * y
-        return ev(z) * (3j * y) ** k * 1j
+        def integrand(y):
+            return ev(mpc(r, y)) * (3j * y) ** k * 1j
 
-    direct, _, _ = integrate_cc_doubling(integrand, mpf("0.02"), mpf(12),
+        up, _, _ = integrate_cc_doubling(integrand, mpf("0.01"), mpf(12),
                                          n0=128, tol=1e-14, nmax=2048)
-    res = cy.reg_cycle_integral(D, Q, k=k, T=2, evaluator=ev)
-    assert abs(direct - res.value) < 1e-8
+        res = cy.reg_cycle_integral(G, Q, k=k, T=2, evaluator=ev)
+        assert abs(up) > 0.1 and abs(-up - res.value) < 1e-8, (k, up, res.value)
 
 
 def test_reg_rejects_bad_arguments():
@@ -321,8 +325,8 @@ def test_square_ray_data_bottom_ray_orientation():
 
 def test_reg_rays_match_counterterm_closed_form():
     # for finite Fourier data the counterterms are exact antiderivatives of
-    # the ray integrand, so the regularized integral is
-    # f^k i^(k+1) (CT(r-, c-) + (-1)^(k+1) CT(r+, c+)), CT taken at each
+    # the ray integrand, so the regularized integral down the geodesic is
+    # -f^k i^(k+1) (CT(r+, c+) + (-1)^(k+1) CT(r-, c-)), CT taken at each
     # ray's lower end; on acceptance criterion 5's ten synthetic instances
     # and settings both routes meet it, inside their reported error
     prec = Precision(30)
@@ -333,9 +337,10 @@ def test_reg_rays_match_counterterm_closed_form():
                 G = synthetic_data(k, rng)
                 Q = QForm(0, 3, rng.choice([1, 2]))
                 f, r_plus, q, r_minus = cy._square_ray_data(Q)
-                exact = mpf(f) ** k * (1j) ** (k + 1) * (
-                    cy._ray_counterterms(G, k, r_minus, mpf(1) / (q * q), prec)
-                    + (-1) ** (k + 1) * cy._ray_counterterms(G, k, r_plus, 1, prec))
+                exact = -mpf(f) ** k * (1j) ** (k + 1) * (
+                    cy._ray_counterterms(G, k, r_plus, 1, prec)
+                    + (-1) ** (k + 1) * cy._ray_counterterms(G, k, r_minus, mpf(1) / (q * q),
+                                                             prec))
                 runs = [cy.reg_cycle_integral(G, Q, k, T=T, prec=prec, nodes=32, tol=1e-14)
                         for T in (1, 2, 5)]
                 runs.append(cy.reg_cycle_integral_alt(G, Q, k, T=2, prec=prec, nodes=32,
@@ -585,21 +590,24 @@ _EISENSTEIN_PAIRS = {
     2: [(-3, 4), (-3, 7), (-3, 8), (-4, 3), (-4, 7), (-4, 8), (-7, 3), (-7, 4), (-8, 3)],
     3: [(5, 1), (5, 4), (5, 8), (8, 1), (8, 5), (8, 12), (12, 1), (12, 5), (13, 4)],
 }
+# and with |delta| D a square; (5, 20) and (-3, 12) have a non-fundamental D
+_SQUARE_EISENSTEIN_PAIRS = {
+    1: [(5, 5), (8, 8), (5, 20)],
+    2: [(-3, 3), (-4, 4), (-3, 12)],
+    3: [(5, 5), (8, 8), (12, 12)],
+}
 
 
-def test_eisenstein_traces_on_closed_cycles():
+def _check_eisenstein_traces(pairs, square):
     # tr_delta(E_{2k+2}, D) = -H(k+1, |delta|) H(k+1, D) / zeta(-1-2k) for
-    # k = 1, 2, 3 (the constants -120, 252, -240; k = 0 is crit 3's
-    # 12 H H) on closed cycles: the holomorphic tables and the cocycle at
-    # weight 4, 6 and 8, with Q(z, 1)^k in the node geometry.  Square
-    # discriminants stay out: there the odd-k sign is not settled
+    # k = 1, 2, 3 (the constants -120, 252, -240; k = 0 is crit 3's 12 H H)
     from shintani.specfun import dirichlet_L_exact_nonpositive
     E = _eisenstein(64)
-    for k, pairs in _EISENSTEIN_PAIRS.items():
+    for k, kpairs in pairs.items():
         c = -1 / dirichlet_L_exact_nonpositive(1, -1 - 2 * k)
         assert c == (-120, 252, -240)[k - 1]
-        for delta, D in pairs:
-            assert math.isqrt(abs(delta) * D) ** 2 != abs(delta) * D
+        for delta, D in kpairs:
+            assert (math.isqrt(abs(delta) * D) ** 2 == abs(delta) * D) == square
             target = c * _cohen_H(k + 1, abs(delta)) * _cohen_H(k + 1, D)
             tr, qerr = cy.trace_cycle(E[k], delta, D, k)
             with mp.workdps(80):
@@ -607,6 +615,19 @@ def test_eisenstein_traces_on_closed_cycles():
                 # that error plus 1e-35 max(1, |target|)
                 t = mpf(target.numerator) / target.denominator
                 assert abs(tr - t) <= qerr, (k, delta, D, float(abs(tr - t)), qerr, target)
+
+
+def test_eisenstein_traces_on_closed_cycles():
+    # the identity on closed cycles: the holomorphic tables and the cocycle
+    # at weight 4, 6 and 8, with Q(z, 1)^k in the node geometry
+    _check_eisenstein_traces(_EISENSTEIN_PAIRS, square=False)
+
+
+def test_eisenstein_traces_on_square_discriminants():
+    # the same identity through the regularized integrals along infinite
+    # geodesics, each run downward: an orientation that flips with the
+    # parity of k negates the odd-k traces
+    _check_eisenstein_traces(_SQUARE_EISENSTEIN_PAIRS, square=True)
 
 
 def test_negated_square_classes():

@@ -431,6 +431,23 @@ def test_table_values_are_keyed_by_precision(name):
                 assert (got[0]._mpc_, got[1]) == (want[0]._mpc_, want[1]), (digits, str(z))
 
 
+def test_fourier_data_is_read_only():
+    # the maps are read-only copies taken at construction, so neither a
+    # write through the object (e2_star_data's is shared by every caller)
+    # nor a later change to the dict it was built from can reach a table
+    # that _table has cached
+    G = fo.e2_star_data(64)
+    with pytest.raises(TypeError):
+        G.a_plus[1] = 0
+    with pytest.raises(TypeError):
+        G.a_minus[0] = 0
+    coeffs = {0: 1, 1: 240}
+    E = HarmonicFourierData(4, coeffs, {}, 1)
+    before = fo.eval_qexp(E, mpc(0.1, 1.1))[0]
+    coeffs[1] = 0
+    assert E.a_plus == {0: 1, 1: 240} and fo.eval_qexp(E, mpc(0.1, 1.1))[0] == before
+
+
 def test_xi_e2_star():
     xi = fo.xi_symbolic(fo.e2_star_data(16))
     assert xi.kappa == 0 and xi.a_minus == {}

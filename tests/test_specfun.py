@@ -327,12 +327,6 @@ def _attributes(node, owners=()):
     return found
 
 
-def _click_registered(fn):
-    # @main.command(...) and @click.group(...) register the function with the CLI
-    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
-               and d.func.attr in ("command", "group") for d in fn.decorator_list)
-
-
 def _unreached():
     """(module, name) for every public function of the package that nothing
     in the package references, and (module, "Class.attr") for every public
@@ -344,7 +338,7 @@ def _unreached():
         used = set().union(*(_references(module, PKG / f"{m}.py", t) for m, t in trees.items()))
         for node in tree.body:
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_") \
-                    and node.name not in used and not _click_registered(node):
+                    and node.name not in used:
                 out.add((module, node.name))
             if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
                 out |= {(module, f"{node.name}.{fn.name}") for fn in node.body
