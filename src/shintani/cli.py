@@ -285,8 +285,8 @@ def _parser():
     arg = command("verify", cmd_verify)
     arg("--identity", dest="which", default="all", help="the identities to run",
         choices=["all", "hecke", "square-lvalue", "class-number", "square-trace"])
-    arg("--delta", dest="deltas", type=int, action="append")
-    arg("--D", dest="ds", type=int, action="append")
+    arg("--delta", dest="deltas", type=int, action="append", metavar="DELTA")
+    arg("--D", dest="ds", type=int, action="append", metavar="D")
     arg = command("eta-check", cmd_eta_check)
     arg("--k", type=int, default=0, help="weight parameter")
     arg("--samples", type=int, default=5, help="random points tried")
@@ -304,8 +304,8 @@ def _parser():
 
 
 def _glued(argv):
-    # a value that starts like a negative number but is not one (--form -1,2,3)
-    # is joined to its option by "=", as argparse would read it as an option
+    # a value that starts with "-" and a digit or "." (--form -1,2,3) is glued
+    # to its option, as argparse reads one that is no plain number as an option
     out = []
     for arg in argv:
         if out and re.fullmatch(r"--[^=]+", out[-1]) and re.match(r"-[\d.]", arg):
