@@ -124,8 +124,8 @@ def _check(identity_id, params, target, compute, prec, tol):
     the exact target; the error is taken at the same precision."""
     t0 = time.perf_counter()
     with _workdps(prec):
-        computed = mpmath.mpmathify(compute())
-        error = abs(computed - mpmath.mpmathify(target))
+        computed = _coerce(compute())
+        error = abs(computed - _coerce(target))
     return IdentityReport(identity_id, params, float(target), float(mpmath.re(computed)),
                           float(error), int((time.perf_counter() - t0) * 1000), tol)
 
