@@ -248,6 +248,20 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):   # usage errors exit 2 with an "Error: <message>" line
         self.exit(2, f"{self.format_usage()}Error: {message}\n")
 
+    def parse_args(self, args):
+        # name an unknown option before the command, which argparse would set
+        # aside, reading its value as the command (--prec 50: "invalid choice: '50'")
+        leading = iter(args)
+        for arg in leading:
+            if not arg.startswith("-"):
+                break
+            action = self._option_string_actions.get(arg.split("=")[0])
+            if action is None:
+                self.error(f"unrecognized arguments: {arg}")
+            if action.nargs is None and "=" not in arg:
+                next(leading, None)     # the option's value
+        return super().parse_args(args)
+
 
 def _parser():
     formatter = argparse.ArgumentDefaultsHelpFormatter

@@ -149,7 +149,7 @@ def identity_steps(D_list=(3, 4), prec=DEFAULT_PRECISION, tol=None):
 
     def class_number(delta, H):
         # Dirichlet class number formula, both evaluation routes
-        L0 = lambda: Fraction(dirichlet_L_exact_nonpositive(delta, 0))
+        L0 = lambda: dirichlet_L_exact_nonpositive(delta, 0)
         L1 = lambda: mpmath.sqrt(-delta) * dirichlet_L(delta, 1, prec).value / mpmath.pi
         return [_check(name, {"delta": delta}, H, f, prec, tols["class-number"])
                 for name, f in (("class-number-L0", L0), ("class-number-L1", L1))]

@@ -241,6 +241,8 @@ def _regularized(G, Q, k, T, prec, evaluator, nodes, tol, tail):
     error), the part above height T in one representation, called at prec's
     working precision.  Both stop their doublings at tol, by default
     _tol(prec, 7)."""
+    if G.kappa != 2 * k + 2:
+        raise ValueError(f"G has weight {G.kappa}, not 2k + 2 = {2 * k + 2}")
     if T <= 0:
         raise ValueError("T must be positive")
     tol = _tol(prec, 7) if tol is None else tol

@@ -8,25 +8,22 @@ numpy and qforms only: the lift-coeff command loads no mpmath.
 """
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
 from .qforms import QForm, divisor_sigma1, genus_char, is_fundamental_discriminant
 
 
-@lru_cache(maxsize=None)
-def _e2star_coeffs(order):
-    # E2*'s a+: 1, then -24 sigma_1(n), the integers of forms.e2_star_data
-    return np.array([1] + [-24 * divisor_sigma1(n) for n in range(1, order + 1)],
-                    dtype=np.float64)
+# E2*'s a+ to order 48: 1, then -24 sigma_1(n), the integers of forms.e2_star_data
+_E2STAR_COEFFS = np.array([1] + [-24 * divisor_sigma1(n) for n in range(1, 49)],
+                          dtype=np.float64)
 
 
 def _e2star_np(z):
     """E2* in float64 at an array of points, the series cut after the first
     index whose tail at the lowest point is below 1e-17 (about 9 terms at
     height sqrt(3)/2)."""
-    coeffs = _e2star_coeffs(48)
+    coeffs = _E2STAR_COEFFS
     terms = np.abs(coeffs) * np.exp(-2 * np.pi * z.imag.min()) ** np.arange(len(coeffs))
     tails = np.cumsum(terms[::-1])[::-1] - terms      # sum past each index
     cut = int(np.argmax(tails < 1e-17)) + 1

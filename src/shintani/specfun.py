@@ -28,10 +28,12 @@ search, by the bits a deep point needs, and keeps the caller's tie width).
                           e^y (-y)^(-kappa) used in the non-holomorphic
                           Fourier parts (a principal value for kappa > 0
                           and y > 0): mpmath.gammainc.
+* _coerce              -- the package's one conversion of exact values to
+                          mpmath: rounds to nearest at the working precision.
 * bernoulli_number     -- exact rational B_n: mpmath.bernfrac.
 * bernoulli_poly       -- exact rational Bernoulli polynomial values.
-* dirichlet_L          -- L_Delta(s) for fundamental Delta at s = 1 and at
-                          integers s <= 0, through Hurwitz zeta / digamma
+* dirichlet_L          -- L_Delta(s) for fundamental Delta: at s = 1 a
+                          digamma sum, at integers s <= 0 mpmath.dirichlet
                           (the Kronecker symbol comes from qforms).
 """
 
@@ -43,7 +45,7 @@ from functools import lru_cache
 
 import mpmath
 from mpmath import mp, mpf, mpc
-from mpmath.libmp import dps_to_prec
+from mpmath.libmp import dps_to_prec, from_rational, round_nearest
 
 from . import Precision
 from .qforms import kronecker_symbol, is_fundamental_discriminant
@@ -115,9 +117,9 @@ def e_kappa(kappa, y, prec=DEFAULT_PRECISION):
 
 def _coerce(x):
     """Fraction -> p/q, int and float -> mpf, complex -> mpc; anything else
-    (mpf, mpc, ...) unchanged.  Rounds at the working precision."""
+    (mpf, mpc, ...) unchanged.  Rounds once, to nearest, at the working precision."""
     if isinstance(x, Fraction):
-        return mpf(x.numerator) / x.denominator
+        return mp.make_mpf(from_rational(x.numerator, x.denominator, mp.prec, round_nearest))
     if isinstance(x, (int, float)):
         return mpf(x)
     if isinstance(x, complex):
@@ -137,19 +139,15 @@ def bernoulli_poly(n, x):
     if n < 0:
         raise ValueError("bernoulli_poly requires n >= 0")
     xf = Fraction(x)
-    acc = Fraction(0)
-    for j in range(n + 1):
-        acc += math.comb(n, j) * bernoulli_number(j) * xf ** (n - j)
-    return acc
+    return sum(math.comb(n, j) * bernoulli_number(j) * xf ** (n - j) for j in range(n + 1))
 
 
 def bernoulli_poly_eval(n, z):
-    """B_n(z) at an mpf/mpc point (exact coefficients, Horner)."""
-    coeffs = [Fraction(math.comb(n, j)) * bernoulli_number(j) for j in range(n + 1)]
-    # coefficient of z^(n-j) is coeffs[j]; Horner from highest power
+    """B_n(z) at an mpf/mpc point: Horner's rule over the exact coefficients
+    C(n, j) B_j of z^(n-j), each converted by _coerce."""
     acc = mpc(0)
     for j in range(n + 1):
-        acc = acc * z + mpf(coeffs[j].numerator) / coeffs[j].denominator
+        acc = acc * z + _coerce(math.comb(n, j) * bernoulli_number(j))
     return acc
 
 
@@ -161,35 +159,24 @@ def dirichlet_L(delta, s, prec=DEFAULT_PRECISION):
     r"""L_Delta(s) = sum (Delta/n) n^-s for fundamental Delta.
 
     Supported s: s = 1 (digamma-accelerated character sum, Delta != 1)
-    and integer s <= 0 (finite Hurwitz-zeta combination
-    L_Delta(s) = |Delta|^-s sum_{r mod |Delta|} (Delta/r) zeta(s, r/|Delta|)).
+    and integer s <= 0 (mpmath.dirichlet of the character's values mod
+    |Delta|, which takes the Hurwitz parameters r/|Delta| exactly).
     """
     delta = int(delta)
     if not is_fundamental_discriminant(delta):
         raise ValueError("delta must be a fundamental discriminant")
     q = abs(delta)
+    chi = [kronecker_symbol(delta, r) for r in range(q)]
     with _workdps(prec):
         if s == 1:
             if delta == 1:
                 raise ValueError("L_1 = zeta has a pole at s = 1")
             # L(1) = -(1/q) sum_r chi(r) psi(r/q); the Euler terms cancel
-            acc = mpf(0)
-            for r in range(1, q):
-                chi = kronecker_symbol(delta, r)
-                if chi:
-                    acc += chi * mpmath.psi(0, mpf(r) / q)
-            return SpecialValue(-acc / q)
+            return SpecialValue(-sum(c * mpmath.psi(0, mpf(r) / q)
+                                     for r, c in enumerate(chi) if c) / q)
         if s > 0 or s != int(s):
             raise ValueError("only s = 1 or integer s <= 0 supported")
-        s = int(s)
-        if delta == 1:
-            return SpecialValue(mpmath.zeta(mpf(s)))
-        acc = mpf(0)
-        for r in range(1, q + 1):
-            chi = kronecker_symbol(delta, r)
-            if chi:
-                acc += chi * mpmath.zeta(mpf(s), mpf(r) / q)
-        return SpecialValue(mpf(q) ** (-s) * acc)
+        return SpecialValue(mpmath.dirichlet(int(s), chi))
 
 
 def dirichlet_L_exact_nonpositive(delta, s):
@@ -203,11 +190,7 @@ def dirichlet_L_exact_nonpositive(delta, s):
         raise ValueError("delta must be a fundamental discriminant")
     if s > 0 or s != int(s):
         raise ValueError("requires integer s <= 0")
-    j = -int(s)
-    q = abs(delta)
-    acc = Fraction(0)
-    for r in range(1, q + 1):
-        chi = kronecker_symbol(delta, r)
-        if chi:
-            acc += chi * (-bernoulli_poly(j + 1, Fraction(r, q)) / (j + 1))
-    return Fraction(q) ** j * acc
+    j, q = -int(s), abs(delta)
+    acc = sum(kronecker_symbol(delta, r) * bernoulli_poly(j + 1, Fraction(r, q))
+              for r in range(1, q + 1))
+    return -Fraction(q) ** j * acc / (j + 1)

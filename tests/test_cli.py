@@ -242,9 +242,12 @@ def test_config_validation():
     assert r.exit_code == 2 and "Error: working_digits must be >= 15" in r.stderr, r.stderr
     r = run(["--format", "xml", "class-number", "23"])
     assert r.exit_code == 2 and "Error: argument --format: invalid choice" in r.stderr, r.stderr
-    # an option is never matched by a prefix of its name
-    r = run(["--prec", "50", "class-number", "23"])
-    assert r.exit_code == 2 and not r.output, r.stderr
+    # an option is never matched by a prefix of its name, and a mistyped
+    # option before the command is named, not its value read as the command
+    for typo, value in (("--prec", "50"), ("--formt", "csv")):
+        r = run([typo, value, "class-number", "23"])
+        assert r.exit_code == 2 and not r.output, r.stderr
+        assert f"Error: unrecognized arguments: {typo}\n" in r.stderr, r.stderr
 
 
 def test_no_result_cache(tmp_path, monkeypatch):

@@ -241,9 +241,13 @@ def test_closed_integral_of_the_negated_class():
 # ---------------------------------------------------------------------------
 
 def test_reg_T_independence_e2():
-    vals = [cy.reg_cycle_integral(E2, QForm(0, 3, 0), 0, T=T, evaluator=E2_EVAL).value
-            for T in (2, 5)]
-    assert abs(vals[0] - vals[1]) < 1e-9
+    # (0, 3, 0) vanishes and (0, 3, 1) is 12 s(1, 3) = 2/3; at T = 1/2 a ray
+    # whose lower end is at height 1 is integrated downward, from 1 to T
+    for Q, exact in ((QForm(0, 3, 0), 0), (QForm(0, 3, 1), mpf(2) / 3)):
+        vals = [cy.reg_cycle_integral(E2, Q, 0, T=T, evaluator=E2_EVAL).value
+                for T in (0.5, 2, 5)]
+        assert max(abs(v - vals[1]) for v in vals) < 1e-9, (Q, vals)
+        assert abs(vals[1] - exact) < 1e-20, (Q, vals[1])
 
 
 def test_reg_xy_type_vanishes_numerically():
@@ -282,6 +286,15 @@ def test_reg_rejects_bad_arguments():
         cy.reg_cycle_integral(E2, QForm(1, 0, -3), 0)    # non-square disc
     with pytest.raises(ValueError):
         cy.reg_cycle_integral(E2, QForm(0, 3, 1), 0, T=-1)
+
+
+def test_reg_rejects_weight_other_than_2k_plus_2():
+    # E2* has weight 2: at k = 1 both representations used to return a
+    # T-dependent value with a reported error of 1.5e-32 (the definition:
+    # -8.83 - 0.72i at T = 1, -11.70 - 0.72i at T = 2)
+    for integral in (cy.reg_cycle_integral, cy.reg_cycle_integral_alt):
+        with pytest.raises(ValueError, match=r"weight 2, not 2k \+ 2 = 4"):
+            integral(E2, QForm(0, 3, 1), 1, T=2, evaluator=E2_EVAL)
 
 
 def test_def_vs_alt_e2():

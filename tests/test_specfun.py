@@ -152,8 +152,8 @@ def test_e_kappa_rejects_zero():
 # ---------------------------------------------------------------------------
 
 def test_hurwitz_zeta_negative_integers_exact_bernoulli():
-    # dirichlet_L sums mpmath's zeta(s, r/|delta|); the exact route uses
-    # zeta(-j, rho) = -B_{j+1}(rho)/(j+1)
+    # dirichlet_L is mpmath.dirichlet, a sum of zeta(s, r/|delta|); the exact
+    # route uses zeta(-j, rho) = -B_{j+1}(rho)/(j+1)
     deltas = [d for d in range(-40, 41) if sf.is_fundamental_discriminant(d)]
     assert len(deltas) == 27
     with mp.workdps(40):   # values reach 1e8; compare beyond 1e-25 absolute
@@ -181,6 +181,19 @@ def test_bernoulli_reflection():
     for n in range(11):
         for x in (Fraction(0), Fraction(1, 3), Fraction(1, 2)):
             assert sf.bernoulli_poly(n, 1 - x) == (-1) ** n * sf.bernoulli_poly(n, x)
+
+
+@given(st.integers(-2 ** 300, 2 ** 300), st.integers(1, 2 ** 80), st.sampled_from([53, 136]))
+@example(1493937883599806829401912377, 423938503, 53)
+@example(-55840510052184681615741117487302922813146448845175844, 1017594733, 136)
+def test_coerce_rounds_a_fraction_to_nearest(p, q, prec):
+    # within half a unit in the last place of the exact value, however wide
+    # the numerator: rounding it first and then the quotient can miss by
+    # about a unit, and so can rounding toward zero (mpmathify)
+    x = Fraction(p, q)
+    with mp.workprec(prec):
+        sign, man, exp, bc = sf._coerce(x)._mpf_
+    assert abs((-1) ** sign * man * Fraction(2) ** exp - x) <= Fraction(2) ** (exp + bc - prec - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -503,6 +516,26 @@ def test_package_never_assigns_mp_precision():
     assert _assigns_precision("with mp.workdps(5):\n    x = mp.prec + mp.dps") == []
     for path in PKG.glob("*.py"):
         assert _assigns_precision(path.read_text()) == [], path.name
+
+
+def _mpmathify_uses(source):
+    """Lines that name mpmathify: a call by any path, a bare reference or
+    an import, aliased or not."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Name) and node.id == "mpmathify"
+                   or isinstance(node, ast.Attribute) and node.attr == "mpmathify"
+                   or isinstance(node, (ast.Import, ast.ImportFrom))
+                   and any(a.name.split(".")[-1] == "mpmathify" for a in node.names)})
+
+
+def test_package_converts_exact_values_one_way():
+    # specfun._coerce is the one exact-to-mpmath conversion (it rounds a
+    # Fraction to nearest; mpmathify rounds it toward zero)
+    assert _mpmathify_uses("x = mpmath.mpmathify(a)\nfrom mpmath import mpmathify as m\n"
+                           "f = mp.mpmathify\ny = mpmathify(b)\nz = mpf(c)  # mpmathify") == \
+        [1, 2, 3, 4]
+    for path in PKG.glob("*.py"):
+        assert _mpmathify_uses(path.read_text()) == [], path.name
 
 
 def _eager(nodes):
