@@ -9,9 +9,9 @@ computation (an uncaught ArithmeticError); 2 usage error (an "Error:" line
 on stderr), including arguments the library rejects with ValueError or
 NotImplementedError.
 
-Each command imports the modules it computes with.  class-number, classes
-and chi are exact integer arithmetic (qforms) and lift-coeff is a float64
-quadrature (numpy and qforms): these four load no mpmath.  Every other
+Each command imports the modules it computes with.  class-number, classes,
+chi and e32 are exact integer arithmetic (qforms) and lift-coeff is a
+float64 quadrature (numpy and qforms): these five load no mpmath.  Every other
 command loads mpmath, and theta, eta-check and lift-coeff load numpy.  A
 command runs inside mpmath.workdps(--precision) when it loads mpmath or
 mpmath is loaded already, so the caller's mp.dps is left as it was.
@@ -33,7 +33,7 @@ from .qforms import QForm, class_reps, genus_char, hurwitz_class_number
 
 Config = namedtuple("Config", "prec fmt tolerance")
 # the commands that load no mpmath (module docstring)
-_WITHOUT_MPMATH = ("class-number", "classes", "chi", "lift-coeff")
+_WITHOUT_MPMATH = ("class-number", "classes", "chi", "e32", "lift-coeff")
 
 
 # ---------------------------------------------------------------------------
@@ -58,10 +58,6 @@ def _encode(v):
     return v
 
 
-def _format_float(x):
-    return format(x, ".17g")
-
-
 def emit_report(reports, fmt="json"):
     """Serialize a list of flat dicts as JSON or CSV (the CSV header is the
     union of the rows' keys in first-seen order; a cell holding a comma,
@@ -70,7 +66,7 @@ def emit_report(reports, fmt="json"):
     for row in rows:
         for k, v in row.items():
             if isinstance(v, float):
-                row[k] = _format_float(v)
+                row[k] = format(v, ".17g")
     if fmt == "json":
         sys.stdout.write(json.dumps(rows, indent=2) + "\n")
         return
@@ -165,9 +161,10 @@ def cmd_f_series(config, delta, dmax):
 
 def cmd_e32(config, dmax):
     """Holomorphic coefficients H(D) of the weight-3/2 Eisenstein series."""
-    from . import forms
-    holo = forms.e32_star_coeffs(dmax)
-    emit_report([{"D": D, "H": v} for D, v in sorted(holo.items())], config.fmt)
+    if dmax < 0:
+        raise ValueError("D_max must be >= 0")
+    emit_report([{"D": D, "H": hurwitz_class_number(D)} for D in range(dmax + 1)],
+                config.fmt)
 
 
 def cmd_verify(config, which, deltas, ds):
@@ -200,7 +197,7 @@ def cmd_eta_check(config, k, samples, seed):
                                      mpc(rng.uniform(-0.4, 0.4), rng.uniform(0.5, 1.5)))
         Q = rng.choice(class_reps(abs(delta) * rng.choice(choices)).reps)
         z = mpc(rng.uniform(-0.8, 0.8), rng.uniform(0.6, 1.6))
-        p, qz, _ = form_polynomials(Q, z)
+        p, qz = form_polynomials(Q, z)
         if abs(qz) / z.imag ** 2 < 0.05 or abs(p) < 0.05:
             continue
         f = lambda w: thetacore.eta(ctx, Q, w, "recursion", config.prec)

@@ -26,7 +26,6 @@ from .qforms import (class_reps, genus_char, is_fundamental_discriminant, stabil
                      hurwitz_class_number)
 from .hyperbolic import cm_point
 from .forms import HarmonicFourierData, build_standard_forms, eval_modular, e2_star_data
-from . import cycles
 
 
 @dataclass(frozen=True)
@@ -144,6 +143,7 @@ def identity_steps(D_list=(3, 4), prec=DEFAULT_PRECISION, tol=None):
     tol replaces every identity's tolerance (default: IDENTITY_TOLS).
     Individual failures are recorded in the reports, never raised.
     """
+    from . import cycles
     tols = IDENTITY_TOLS if tol is None else dict.fromkeys(IDENTITY_TOLS, tol)
     G = e2_star_data(64, prec)
 

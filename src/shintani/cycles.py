@@ -329,13 +329,17 @@ def reg_cycle_integral_alt(G, Q, k=0, T=2, prec=DEFAULT_PRECISION,
 # the two evaluation lemmas (line integrals with closed forms)
 # ---------------------------------------------------------------------------
 
+def _height_quadrature(factor, n, y, prec):
+    """int_{iy}^{iy+1} factor(z) e(nz) dz by quadrature, y an mpf at the working precision."""
+    f = lambda x: factor(x + 1j * y) * mpmath.exp(2j * mpmath.pi * n * (x + 1j * y))
+    return integrate_cc_doubling(f, 0, 1, _tol(prec, 1))[0]
+
+
 def bernoulli_height_integral(kk, n, y, prec=DEFAULT_PRECISION):
     """(quadrature, closed form) for int_{iy}^{iy+1} B_k(z) e(nz) dz."""
     with _workdps(prec):
         ym = mpf(y)
-        f = lambda x: bernoulli_poly_eval(kk, x + 1j * ym) \
-            * mpmath.exp(2j * mpmath.pi * n * (x + 1j * ym))
-        quad = integrate_cc_doubling(f, 0, 1, _tol(prec, 1))[0]
+        quad = _height_quadrature(lambda z: bernoulli_poly_eval(kk, z), n, ym, prec)
         if n == 0:
             closed = (1j * ym) ** kk
         elif kk == 0:
@@ -360,12 +364,7 @@ def polygamma_height_integral(kk, n, y, prec=DEFAULT_PRECISION):
     int_{iy}^{iy+1} (psi^(k)(z) + (-1)^k psi^(k)(1-z)) e(nz) dz."""
     with _workdps(prec):
         ym = mpf(y)
-
-        def f(x):
-            z = x + 1j * ym
-            return _psi_pair(kk, z, mp.prec) * mpmath.exp(2j * mpmath.pi * n * z)
-
-        quad = integrate_cc_doubling(f, 0, 1, _tol(prec, 1))[0]
+        quad = _height_quadrature(lambda z: _psi_pair(kk, z, mp.prec), n, ym, prec)
         if n == 0:
             if kk == 0:
                 closed = 2 * mpmath.log(ym)

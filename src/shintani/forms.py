@@ -47,7 +47,7 @@ from mpmath.libmp import (fzero, from_man_exp, ln2_fixed, mpf_log, pi_fixed, rou
 from mpmath.libmp.libelefun import cos_sin_basecase, exp_basecase
 
 from .specfun import DEFAULT_PRECISION, e_kappa, _coerce, _workdps
-from .qforms import hurwitz_class_number, divisor_sigma1, _divisors
+from .qforms import divisor_sigma1, _divisors
 from . import hyperbolic
 from .hyperbolic import _fixed_point
 
@@ -411,11 +411,3 @@ def e2_star_data(order=64, prec=DEFAULT_PRECISION):
 def e2_star_modular(z, order=64, prec=DEFAULT_PRECISION):
     """E2* evaluated through the fundamental domain (weight-2 cocycle)."""
     return eval_modular(e2_star_data(order, prec), z, prec)[0]
-
-
-def e32_star_coeffs(D_max):
-    """Holomorphic coefficients H(D), 0 <= D <= D_max, of the weight-3/2
-    Eisenstein series."""
-    if D_max < 0:
-        raise ValueError("D_max must be >= 0")
-    return {D: hurwitz_class_number(D) for D in range(D_max + 1)}

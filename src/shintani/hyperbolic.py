@@ -5,7 +5,8 @@ For z = x + iy with y > 0 and a form Q = (a, b, c):
 
     p_z(Q)  = -(a|z|^2 + b x + c)/y        (vanishes exactly on the geodesic)
     Q_z     = a z^2 + b z + c              (vanishes exactly at the CM point)
-    r(Q, z) = |Q_z|^2 / y^2 = p_z(Q)^2 + disc(Q)
+
+and |Q_z|^2 / y^2 = p_z(Q)^2 + disc(Q).
 
 A positive definite form has the CM point z_Q = (-b + i sqrt(|disc|))/(2a);
 an indefinite form has the oriented geodesic a|z|^2 + bx + c = 0 (semicircle
@@ -25,15 +26,12 @@ from .qforms import mat_inv
 
 
 def form_polynomials(Q, z):
-    """(p, qz, r) at z; r - p^2 = disc(Q) identically."""
+    """(p_z(Q), Q(z, 1)) at z."""
     z = mpc(z)
     x, y = z.real, z.imag
     if y <= 0:
         raise ValueError("z must lie in the upper half-plane")
-    p = -(Q.a * (x * x + y * y) + Q.b * x + Q.c) / y
-    qz = Q.a * z * z + Q.b * z + Q.c
-    r = abs(qz) ** 2 / (y * y)
-    return p, qz, r
+    return -(Q.a * (x * x + y * y) + Q.b * x + Q.c) / y, Q.a * z * z + Q.b * z + Q.c
 
 
 def cm_point(Q):

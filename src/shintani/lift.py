@@ -31,16 +31,16 @@ def _e2star_np(z):
             - 3 / (np.pi * z.imag))
 
 
-def _disc_forms(delta, D, a_max, b_max):
-    """All forms of discriminant |delta| D with 0 < |a| <= a_max, |b| <= b_max,
+def _disc_forms(delta, D, radius):
+    """All forms of discriminant |delta| D with 0 < |a| <= radius, |b| <= radius,
     together with their characters (a = 0 forms only exist for square disc
     and are excluded here)."""
     disc = abs(delta) * D
     rows = []
-    for a in range(-a_max, a_max + 1):
+    for a in range(-radius, radius + 1):
         if a == 0:
             continue
-        for b in range(-b_max, b_max + 1):
+        for b in range(-radius, radius + 1):
             num = b * b - disc
             if num % (4 * a):
                 continue
@@ -138,7 +138,7 @@ def lift_coefficient_quadrature(delta, D, v=0.25, grid=12, radius=40):
             "square |delta| D needs the cusp counterterm; only the "
             "square-exponentially decaying (non-square) case is implemented")
     T = max(6.0, math.sqrt(disc) / 2 + 3)
-    forms = _disc_forms(delta, D, radius, radius)
+    forms = _disc_forms(delta, D, radius)
     if len(forms) == 0:
         raise ValueError("no forms of this discriminant in the search box")
     q = abs(delta)

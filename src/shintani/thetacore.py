@@ -82,14 +82,14 @@ def phi_sh0(ctx, Q, z, normalization="kernel", prec=DEFAULT_PRECISION):
     normalization="kernel" is the theta-kernel convention;
     "preimage" is the exact Laplace image of eta.
     """
-    D = _check_disc(ctx, Q)
+    _check_disc(ctx, Q)
     k, v = ctx.k, ctx.v
     q = abs(ctx.delta)
     with _workdps(prec):
         z = mpc(z)
         y = z.imag
-        p, qz, _ = form_polynomials(Q, z)
-        qbar = Q.a * mpmath.conj(z) ** 2 + Q.b * mpmath.conj(z) + Q.c
+        p, qz = form_polynomials(Q, z)
+        qbar = mpmath.conj(qz)
         if normalization == "kernel":
             return (2 * mpmath.sqrt(v) * qbar ** (k + 1)
                     / (mpf(q) ** (mpf(k + 1) / 2) * y ** (2 * k + 2))
@@ -123,9 +123,9 @@ def eta(ctx, Q, z, method="recursion", prec=DEFAULT_PRECISION):
     """The Laplace preimage at Q, z.
 
     method="recursion": exact finite reduction of the tail integral to
-    incomplete-gamma and erfc values (k <= 6).  method="quadrature":
-    adaptive quadrature of the tail integral (any k); the two paths are
-    played off against each other in the tests.
+    incomplete-gamma and erfc values.  method="quadrature": adaptive
+    quadrature of the tail integral.  Both serve every k and are played
+    off against each other in the tests.
     """
     D = _check_disc(ctx, Q)
     k, v = ctx.k, ctx.v
@@ -133,14 +133,12 @@ def eta(ctx, Q, z, method="recursion", prec=DEFAULT_PRECISION):
     with _workdps(prec):
         z = mpc(z)
         y = z.imag
-        p, qz, _ = form_polynomials(Q, z)
+        p, qz = form_polynomials(Q, z)
         if abs(qz) / (y * y) < ETA_SINGULARITY_THRESHOLD:
             raise ArithmeticError("z is too close to the singular locus of Q")
         A = abs(p) / mpmath.sqrt(q)
         c = mpmath.sqrt(mpmath.pi * v)
         if method == "recursion":
-            if k > 6:
-                raise ValueError("recursion path supports k <= 6")
             tail = mpf(0)
             for j in range(k + 1):
                 tail += math.comb(k, j) * mpf(D) ** (k - j) * _erfc_moment(2 * j, A, c, prec)
@@ -168,7 +166,7 @@ def xi_eta_closed(ctx, Q, z, prec=DEFAULT_PRECISION):
     q = abs(ctx.delta)
     with _workdps(prec):
         z = mpc(z)
-        p, qz, _ = form_polynomials(Q, z)
+        p, qz = form_polynomials(Q, z)
         if p == 0:
             raise ArithmeticError("xi eta has a jump discontinuity at p = 0")
         return (qz ** k / (2 * mpf(q) ** (k + mpf(1) / 2))

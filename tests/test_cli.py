@@ -90,6 +90,7 @@ def test_usage_error_exit_code():
         (["l-value", "--delta", "3"], "sign condition violated"),
         (["f-series", "--delta", "5"],
          "delta must be a negative fundamental discriminant"),
+        (["e32", "--dmax", "-1"], "D_max must be >= 0"),
         (["lift-coeff", "--delta", "-4", "--D", "3", "--grid", "0"],
          "grid and radius must be at least 1"),
         (["lift-coeff", "--delta", "-4", "--D", "3", "--grid", "-1"],
@@ -117,6 +118,21 @@ def test_help_exits_zero():
         assert r.exit_code == 0 and r.output.startswith("usage: shintani"), (args, r.stderr)
     assert "lift-coeff" in run(["--help"]).output
     assert "--identity" in run(["verify", "--help"]).output
+
+
+def test_readme_examples_parse():
+    # every `shintani ...` line of README's sh blocks names a command and
+    # options the parser knows (parsed, not run)
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    examples = [line.split("#")[0].split()[1:]
+                for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+                for line in block.splitlines() if line.startswith("shintani ")]
+    assert examples
+    for args in examples:
+        try:
+            cli._parser().parse_args(cli._glued(args))
+        except SystemExit:
+            pytest.fail(f"README example does not parse: shintani {' '.join(args)}")
 
 
 def test_option_values_starting_with_a_minus():
@@ -164,10 +180,13 @@ def test_cm_trace_command():
 
 
 def test_e32_command():
-    r = run(["e32", "--dmax", "4"])
-    rows = json.loads(r.output)
-    assert rows[0] == {"D": 0, "H": "-1/12"}
-    assert rows[3]["H"] == "1/3"
+    # the holomorphic coefficients H(D) of the weight-3/2 Eisenstein series
+    r = run(["e32", "--dmax", "8"])
+    H = {row["D"]: row["H"] for row in json.loads(r.output)}
+    assert list(H) == list(range(9))
+    assert H[0] == "-1/12" and H[1] == H[2] == "0"
+    assert H[3] == "1/3" and H[4] == "1/2"
+    assert H[7] == H[8] == "1"
 
 
 def test_eta_check_command():
@@ -362,15 +381,20 @@ def test_commands_without_theta_leave_numpy_unloaded():
 
 
 def test_exact_and_float_commands_leave_mpmath_unloaded():
-    # class-number, classes and chi run on qforms' integers and lift-coeff
-    # on numpy: none loads mpmath, and lift-coeff none of the mpmath
-    # modules; cycle-trace still does.  The parser is argparse, so no
-    # command loads click, installed or not
+    # class-number, classes, chi and e32 run on qforms' integers and
+    # lift-coeff on numpy: none loads mpmath, and lift-coeff none of the
+    # mpmath modules; cycle-trace still does.  f-series and cm-trace
+    # evaluate at CM points and load no cycle integrals.  The parser is
+    # argparse, so no command loads click, installed or not
     mp_modules = {"mpmath", "shintani.forms", "shintani.cycles", "shintani.cmtraces"}
+    no_cycles = {"shintani.cycles", "shintani.quadrature"}
     for command, absent in [("class-number 23", {"mpmath"}),
                             ("classes --disc 12", {"mpmath"}),
                             ("chi --delta -4 --form 1,2,-2", {"mpmath"}),
-                            ("lift-coeff --delta -4 --D 3 --grid 2 --radius 12", mp_modules)]:
+                            ("e32 --dmax 4", {"mpmath"}),
+                            ("lift-coeff --delta -4 --D 3 --grid 2 --radius 12", mp_modules),
+                            ("f-series --delta -3 --dmax 1", no_cycles),
+                            ("cm-trace --delta 1 --D -4 --F one", no_cycles)]:
         assert not (absent | {"click"}) & _loaded_by(command), command
     loaded = _loaded_by("cycle-trace --delta -4 --D 3")
     assert "mpmath" in loaded and "click" not in loaded

@@ -250,6 +250,21 @@ def test_reg_T_independence_e2():
         assert abs(vals[1] - exact) < 1e-20, (Q, vals[1])
 
 
+def test_square_class_integral_matches_dedekind_sum():
+    # the per-class oracle of the square classes, as the Rademacher symbol
+    # is of the closed ones: at k = 0 the regularized integral of E2* over
+    # (0, f, c) is 12 s(c/g, f/g), g = gcd(c, f), for every class with f <= 8
+    classes = [Q for f in range(1, 9) for Q in class_reps(f * f).reps]
+    assert len(classes) == 36
+    for Q in classes:
+        g = math.gcd(Q.b, Q.c)
+        want = 12 * dedekind_sum(Q.c // g, Q.b // g)
+        res = cy.reg_cycle_integral(E2, Q, 0, evaluator=E2_EVAL)
+        with mp.workdps(80):
+            err = float(abs(res.value - mpf(want.numerator) / want.denominator))
+        assert err <= 1e-35 and err <= res.quadrature_error, (Q, err, res.quadrature_error)
+
+
 def test_reg_xy_type_vanishes_numerically():
     # the scaled-xy representative has both rays at the same real part and
     # vanishes for even k without being hard-coded

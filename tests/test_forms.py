@@ -3,7 +3,6 @@ Eisenstein series, harmonic Fourier data and the xi-operator."""
 
 import math
 import random
-from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
@@ -500,16 +499,3 @@ def test_kappa_one_log_convention():
     G = HarmonicFourierData(1, {}, {0: 2}, 8)
     y = mpf("1.37")
     assert abs(fo.eval_qexp(G, mpc(0, y))[0] - 2 * mpmath.log(y)) < 1e-24
-
-
-# ---------------------------------------------------------------------------
-# weight-3/2 Eisenstein coefficients
-# ---------------------------------------------------------------------------
-
-def test_e32_coefficients():
-    holo = fo.e32_star_coeffs(8)
-    assert holo[0] == Fraction(-1, 12)
-    assert holo[3] == Fraction(1, 3)
-    assert holo[4] == Fraction(1, 2)
-    assert holo[1] == 0 and holo[2] == 0
-    assert holo[7] == 1 and holo[8] == 1

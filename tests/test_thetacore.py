@@ -1,6 +1,7 @@
 """The Schwartz-function summand, its Laplace preimage, the truncated
 theta sums and the direct lift quadrature."""
 
+import itertools
 import math
 import random
 
@@ -10,7 +11,7 @@ from mpmath import mp, mpf, mpc
 
 from shintani import lift
 from shintani import thetacore as th
-from shintani.qforms import QForm, class_reps, hurwitz_class_number
+from shintani.qforms import QForm, class_reps, genus_char, hurwitz_class_number
 from shintani.hyperbolic import form_polynomials
 
 
@@ -36,7 +37,7 @@ def random_admissible(rng, delta, k):
         if Q.disc < 0 and Q.a < 0:
             Q = Q.neg()
         z = mpc(rng.uniform(-0.9, 0.9), rng.uniform(0.5, 1.7))
-        p, qz, _ = form_polynomials(Q, z)
+        p, qz = form_polynomials(Q, z)
         if abs(qz) / z.imag ** 2 > 0.08 and abs(p) > 0.08:
             return ctx, Q, z
 
@@ -65,7 +66,7 @@ def test_phi0_decay_off_locus():
     Q = QForm(1, 1, 1)
     for j in range(10):
         z = mpc(5 + j, mpf("0.1"))     # far from the CM point: |p| large
-        p, _, _ = form_polynomials(Q, z)
+        p, _ = form_polynomials(Q, z)
         assert abs(p) > 20
         assert abs(th.phi_sh0(ctx, Q, z, "kernel")) < 1e-30
 
@@ -89,8 +90,9 @@ def test_normalization_dictionary_measured():
 
 
 def test_eta_dual_paths():
+    # the recursion has no cap on k: k = 7 and 8 agree with quadrature too
     rng = random.Random(21)
-    for k in (0, 1, 2, 3):
+    for k in (0, 1, 2, 3, 7, 8):
         delta = -3 if k % 2 == 0 else 5
         for _ in range(13):
             ctx, Q, z = random_admissible(rng, delta, k)
@@ -114,7 +116,7 @@ def test_eta_tail_envelope():
     Q = QForm(0, 3, 1)   # D = 3, indefinite
     for x in (2, 3, 4):
         z = mpc(x, mpf("0.7"))
-        p, qz, _ = form_polynomials(Q, z)
+        p, qz = form_polynomials(Q, z)
         v = ctx.v
         envelope = mpmath.e ** (-mpmath.pi * v * p * p / 3) / abs(qz)
         assert abs(th.eta(ctx, Q, z)) < envelope
@@ -252,6 +254,40 @@ def test_theta_coefficient_extraction_two_paths():
         assert abs(coeff - byD[D]) < 1e-10, D
 
 
+@pytest.mark.parametrize("delta, k, radius", [(-3, 0, 6), (5, 1, 5), (-4, 2, 5), (8, 1, 4)])
+def test_theta_sums_match_phi_sh0(delta, k, radius):
+    # the numpy theta sum per D against the mpmath summand, form by form:
+    # sum of chi(Q) phi_sh0(Q) e(-D conj(tau)) over the box's forms of
+    # discriminant |delta| D.  float64 keeps the exponent
+    # -4 pi v p^2/|delta| - 2 pi v D - 2 pi i D u to a few units of its
+    # parts' size, so a term's relative error grows with them (1.3e-13 at
+    # (-3, 0, 6), D = -40, whose parts reach 600); the bound is 1e-14 per
+    # unit of that size, times the D's sum of |terms|
+    u, v, x, y = 0.1, 0.8, 0.2, 1.3
+    ctx = th.ThetaContext(delta, k, mpc(u, v), truncation_radius=radius)
+    z = mpc(x, y)
+    by_D, _ = th.theta_truncated(ctx, z, by_D=True)
+    q, sgn = abs(delta), (1 if delta > 0 else -1)
+    box = range(-radius, radius + 1)
+    oracle, size = {}, {}
+    for a, b, c in itertools.product(box, box, box):
+        disc = b * b - 4 * a * c
+        if (a, b, c) == (0, 0, 0) or disc % q or (sgn * disc // q) % 4 not in (0, 1):
+            continue
+        Q, D = QForm(a, b, c), disc // q
+        chi = genus_char(delta, Q)
+        if chi:
+            term = chi * th.phi_sh0(ctx, Q, z, "kernel") \
+                * mpmath.exp(-2j * mpmath.pi * D * mpmath.conj(ctx.tau))
+            p = -(a * (x * x + y * y) + b * x + c) / y
+            parts = 1 + 2 * math.pi * (v * (2 * p * p / q + abs(D)) + abs(D * u))
+            oracle[D] = oracle.get(D, 0) + term
+            size[D] = size.get(D, 0) + abs(term) * parts
+    assert sorted(oracle) == sorted(by_D)
+    for D, want in oracle.items():
+        assert abs(by_D[D] - complex(want)) <= 1e-14 * size[D], (D, by_D[D], want)
+
+
 def test_theta_radius_stability():
     ctx25 = th.ThetaContext(-3, 0, mpc(0.1, 0.8), truncation_radius=25)
     ctx35 = th.ThetaContext(-3, 0, mpc(0.1, 0.8), truncation_radius=35)
@@ -321,7 +357,7 @@ def _lift_oracle_raw(delta, D, v, grid, T=6.0, radius=40, order=48):
     import numpy as np
     from shintani.forms import e2_star_data
     a_plus = e2_star_data(order).a_plus
-    forms = lift._disc_forms(delta, D, radius, radius)
+    forms = lift._disc_forms(delta, D, radius)
     q, disc = abs(delta), abs(delta) * D
     a, b, c, chi = forms.T
 
