@@ -3,6 +3,7 @@ Eisenstein series, harmonic Fourier data and the xi-operator."""
 
 import math
 import random
+from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
@@ -499,3 +500,16 @@ def test_kappa_one_log_convention():
     G = HarmonicFourierData(1, {}, {0: 2}, 8)
     y = mpf("1.37")
     assert abs(fo.eval_qexp(G, mpc(0, y))[0] - 2 * mpmath.log(y)) < 1e-24
+
+
+# ---------------------------------------------------------------------------
+# weight-3/2 Eisenstein coefficients
+# ---------------------------------------------------------------------------
+
+def test_e32_coefficients():
+    # the holomorphic coefficients of the weight-3/2 Eisenstein series are
+    # the Hurwitz class numbers H(D), which the e32 command lists
+    holo = {D: qf.hurwitz_class_number(D) for D in range(9)}
+    assert holo[0] == Fraction(-1, 12)
+    assert holo[3] == Fraction(1, 3)
+    assert holo[4] == Fraction(1, 2)
